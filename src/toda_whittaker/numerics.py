@@ -4,9 +4,17 @@ kind, standard normalization).
 
 Everything downstream — quadrature integrands, Whittaker evaluators, Baxter
 eigenvalues, L-factors — reduces to these primitives, so they are written to be
-dependable over large complex ranges rather than fast in any exotic sense.
-Vectorized variants (numpy arrays in, arrays out) are provided for the
-integrand hot paths; the scalar entry points add the full argument validation.
+dependable over large complex ranges.  Vectorized variants (numpy arrays in,
+arrays out) are provided for the integrand hot paths; the scalar entry points
+add the full argument validation.
+
+Accuracy contract of the Macdonald function: for |Re nu| <= 50 and
+|Im nu| <= 50 a returned value is within the budget's ``rel_tol`` of K_nu(y)
+relative to |K_nu(y)| (relative to the envelope sqrt(2 pi/|nu|) e^{-pi |Im nu|/2}
+where y < |Im nu| and K oscillates).  Where that cannot be reached —
+cancellation, overflow, or a quadrature that does not settle — it raises
+:class:`ConvergenceError`; it never returns a less accurate value as if it were
+converged.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ class AccuracyBudget:
     rel_tol : float
         Target relative accuracy, strictly between 0 and 1.
     abs_floor : float
-        Magnitudes below this are considered indistinguishable from zero
-        (used to size integral truncations and underflow handling).
+        Floor of the Macdonald quadrature's convergence test, in units of
+        the peak of the integrand: changes below it count as converged.
     """
 
     rel_tol: float = 1e-12
@@ -56,6 +64,13 @@ class AccuracyBudget:
 
 
 _DEFAULT_BUDGET = AccuracyBudget()
+
+
+def _quadrature_budget(tol: float) -> AccuracyBudget:
+    """Special-function accuracy matched to an absolute quadrature tolerance:
+    full precision for tight tolerances, relaxed for exploratory ones."""
+    return AccuracyBudget(rel_tol=min(1e-7, max(0.02 * tol, 1e-13)))
+
 
 # ---------------------------------------------------------------------------
 # log-gamma: Lanczos approximation (g = 7, 9 coefficients) plus reflection.
@@ -96,7 +111,7 @@ def _log_sin_pi_upper(z: complex) -> complex:
     return -1j * math.pi * z + 0.5j * math.pi - _LOG_TWO + cmath.log(1.0 - w)
 
 
-def log_gamma(z: complex, budget: AccuracyBudget = _DEFAULT_BUDGET) -> complex:
+def log_gamma(z: complex) -> complex:
     """Principal branch of the log-Gamma function.
 
     Raises
@@ -109,7 +124,7 @@ def log_gamma(z: complex, budget: AccuracyBudget = _DEFAULT_BUDGET) -> complex:
     if n <= 0 and abs(z - n) <= _POLE_TOL:
         raise PoleError(f"log_gamma pole at z={z!r} (non-positive integer {n})")
     if z.imag < 0.0:
-        return log_gamma(z.conjugate(), budget).conjugate()
+        return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:
         return _lanczos_log_gamma(z)
     return _LOG_PI - _log_sin_pi_upper(z) - _lanczos_log_gamma(1.0 - z)
@@ -145,7 +160,7 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
     return np.where(lower, np.conj(out), out)
 
 
-def gamma_product(zs: Sequence[complex], budget: AccuracyBudget = _DEFAULT_BUDGET) -> complex:
+def gamma_product(zs: Sequence[complex]) -> complex:
     """Product of Gamma values, accumulated in log space.
 
     The log terms are summed in a sorted (value-ordered) sequence, so the
@@ -159,7 +174,7 @@ def gamma_product(zs: Sequence[complex], budget: AccuracyBudget = _DEFAULT_BUDGE
     logs = []
     for idx, z in enumerate(zs):
         try:
-            logs.append(log_gamma(z, budget))
+            logs.append(log_gamma(z))
         except PoleError as exc:
             raise PoleError(
                 f"gamma_product factor {idx} at z={complex(z)!r} is a pole", index=idx
@@ -172,133 +187,225 @@ def gamma_product(zs: Sequence[complex], budget: AccuracyBudget = _DEFAULT_BUDGE
 
 
 # ---------------------------------------------------------------------------
-# Macdonald function K_nu(y), standard normalization:
-#   K_nu(y) = integral_0^inf e^{-y cosh u} cosh(nu u) du,   y > 0.
+# Macdonald function K_nu(y) = (1/2) int_R e^{phi(t)} dt, phi(t) = -y cosh t + nu t.
+#
+# One kernel serves every entry point.  K is even in nu, so each order is folded
+# to a = Im nu >= 0.  Each point integrates along a path t = s + i v(s) with v
+# even, so the halves s < 0 and s > 0 fold into one integrand on s >= 0 (the
+# average of the path integrands of nu and -conj(nu)).  As in Gil, Segura and
+# Temme (ACM TOMS 30, 2004, Algorithm 831), the path keeps clear of the
+# e^{pi a/2} cancellation on the real axis: it is the real axis for a <= 1; the
+# steepest-descent path sin v = sigma s / sinh s through the saddle i arcsin(sigma),
+# sigma = min(a / y, 0.9), for a <= 1.1 y; otherwise the line Im t = pi/2 up to
+# the saddle mu + i pi/2 (cosh mu = a / y), then the steepest-descent path
+# Im phi = const.  The integrand is scaled by its peak and cut off rel_tol e^{-8}
+# below it; a nested rule per piece (trapezoid on even integrands, Fejer's second
+# rule on finite ones) halves its step until, point by point,
+# |dS| <= rel_tol |S| + 50 eps int|f| + abs_floor.
 
 _MAX_RE_ORDER = 50.0
-_MAX_NODES = 1 << 16
 _EPS = float(np.finfo(float).eps)
+_HALF_PI = 0.5 * math.pi
+_SIGMA_CAP = 0.9
+_MAX_LEVEL = 4096  # finest rule, in intervals
+_BLOCK = 256  # points integrated together
+_UNDERFLOW = -760.0  # real-axis log peaks below this give K = 0
 
 
-@lru_cache(maxsize=4)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+@lru_cache(maxsize=None)
+def _rule(kind: str, n: int):
+    """Nodes on [0, 1] and weights of the n-interval rule, and the slices of its
+    nodes shared with the n/2 rule and of its new ones."""
+    if kind == "trapezoid":
+        w = np.full(n + 1, 1.0 / n)
+        w[0] = w[-1] = 0.5 / n
+        return np.arange(n + 1) / n, w, slice(0, None, 2), slice(1, None, 2)
+    theta = np.arange(1, n) * (math.pi / n)  # Fejer's second rule
+    j = np.arange(1, n, 2)
+    w = (2.0 / n) * np.sin(theta) * (np.sin(np.outer(theta, j)) / j).sum(axis=1)
+    return 0.5 * (1.0 - np.cos(theta)), w, slice(1, None, 2), slice(0, None, 2)
 
 
-def _composite_nodes(t_max: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 64-point Gauss rule on [0, t_max] with `panels` equal panels.
+def _nested(kind: str, f, width, start, envelope, budget: AccuracyBudget):
+    """Integrals of f and |f| over [0, width_i], from start_i intervals on;
+    f(rows, u) is the integrand of those rows at offsets u.  A row stops once it
+    converges, relative to the larger of |S| and its envelope; its value
+    depends on its own integrand only."""
+    est, mass = np.empty(width.size, dtype=complex), np.empty(width.size)
+    for n in sorted(set(start.tolist())):
+        rows = np.flatnonzero(start == n)
+        x, w, old, _ = _rule(kind, n)
+        vals = f(rows, width[rows, None] * x)
+        prev = (vals[:, old] * _rule(kind, n // 2)[1]).sum(axis=1) * width[rows]
+        while True:
+            cur = (vals * w).sum(axis=1) * width[rows]
+            absint = (np.abs(vals) * w).sum(axis=1) * width[rows]
+            size = np.maximum(np.abs(cur), envelope[rows])
+            ok = np.abs(cur - prev) <= (budget.rel_tol * size + 50.0 * _EPS * absint
+                                        + budget.abs_floor)
+            est[rows[ok]], mass[rows[ok]] = cur[ok], absint[ok]
+            if ok.all():
+                break
+            rows, vals, prev, n = rows[~ok], vals[~ok], cur[~ok], 2 * n
+            if n > _MAX_LEVEL:
+                raise ConvergenceError(f"macdonald_k did not converge ({rows.size} point(s))")
+            x, w, old, new = _rule(kind, n)
+            merged = np.empty((rows.size, x.size), dtype=complex)
+            merged[:, old], merged[:, new] = vals, f(rows, width[rows, None] * x[new])
+            vals = merged
+    return est, mass
 
-    Memory stays linear in the node count, unlike a single high-order rule.
-    """
-    nodes, weights = _gauss_legendre(64)
-    width = t_max / panels
-    starts = width * np.arange(panels)
-    t = (starts[:, None] + 0.5 * width * (nodes + 1.0)[None, :]).reshape(-1)
-    w = np.broadcast_to(0.5 * width * weights, (panels, nodes.size)).reshape(-1).copy()
-    return t, w
+
+def _intervals(estimate):
+    """The power of two from 16 to _MAX_LEVEL at or above an estimate.  The
+    estimates of the paths only choose where halving starts (fewer levels,
+    fewer calls); every value still passes the convergence test."""
+    return 2 ** np.ceil(np.log2(np.clip(estimate, 16, _MAX_LEVEL))).astype(int)
 
 
-def _cosh_cutoff(y_min: float, re_order: float, budget: AccuracyBudget) -> float:
-    # Choose T with y*cosh(T) - |Re nu|*T larger than the underflow budget, so
-    # the neglected tail of the cosh integral is below abs_floor.
-    target = -math.log(max(budget.abs_floor, 1e-300)) + 40.0
-    t = 2.0
-    for _ in range(6):
-        t = math.acosh(max((target + abs(re_order) * t) / y_min, 2.0))
-    return t + 1.0
+def _values(s, base, phase, p, v=None, dv=None):
+    """(1/2) e^{ipv} [e^{base + ps} z + e^{base - ps} conj z], z = e^{i phase} t',
+    where base + i phase is phi at order i a, less the scale, at t = s + iv."""
+    z = np.exp(1j * phase) if dv is None else np.exp(1j * phase) * (1.0 + 1j * dv)
+    if not p.any():
+        return np.exp(base) * z.real + 0j
+    g = 0.5 * (np.exp(base + p * s) * z + np.exp(base - p * s) * z.conj())
+    return g if v is None else g * np.exp(1j * p * v)
+
+
+def _cutoff(y, big_p, scale, depth):
+    """Where e^{-y cosh s + |p| s} is e^{depth} below e^{scale} (from above)."""
+    t = np.arccosh(np.maximum((depth - scale) / y, 1.0))
+    if big_p.any():
+        t = 2.0 * (t + np.arcsinh(big_p / y) + 1.0)
+        for _ in range(12):
+            t = np.arccosh(np.maximum((depth - scale + big_p * t) / y, 1.0))
+    return t
+
+
+def _envelope(p, a, y, scale):
+    """sqrt(2 pi / |nu|) e^{-pi a / 2}, less the scale, where y < a and K
+    oscillates (accuracy is relative to it there); 0 elsewhere."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        size = np.sqrt(2.0 * math.pi / np.hypot(p, a)) * np.exp(-_HALF_PI * a - scale)
+    return np.where(a > y, size, 0.0)
+
+
+def _real_axis(p, a, y, depth, budget):
+    big_p = np.abs(p)
+    top = np.arcsinh(big_p / y)  # the peak of e^{-y cosh s + |p| s}
+    scale = big_p * top - y * np.cosh(top)
+
+    def f(r, s):
+        t = top[r, None]
+        base = -2.0 * y[r, None] * np.sinh(0.5 * (s + t)) * np.sinh(0.5 * (s - t))
+        return _values(s, base - big_p[r, None] * t, a[r, None] * s, p[r, None])
+
+    width = _cutoff(y, big_p, scale, depth + _HALF_PI * a)
+    start = _intervals(width * depth / 6.0)
+    return _nested("trapezoid", f, width, start, _envelope(p, a, y, scale), budget) + (scale,)
+
+
+def _one_saddle(p, a, y, depth, budget):
+    sigma = np.minimum(a / y, _SIGMA_CAP)
+    theta, height = np.arcsin(sigma), y * np.sqrt((1.0 - sigma) * (1.0 + sigma))
+    top = np.arcsinh(np.abs(p) / y)
+    scale = np.maximum(-height - a * theta, np.abs(p) * top - y * np.cosh(top))
+
+    def f(r, s):
+        sg, yr = sigma[r, None], y[r, None]
+        sh = np.sinh(s)
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(s > 0.0, s / sh, 1.0)
+            slope = np.where(s > 0.0, (sh - s * np.cosh(s)) / (sh * sh), 0.0)
+        q = sg * ratio  # sin v
+        cv, v = np.sqrt((1.0 - q) * (1.0 + q)), np.arcsin(q)
+        base = -yr * np.cosh(s) * cv - a[r, None] * v - scale[r, None]
+        return _values(s, base, s * (a[r, None] - yr * sg), p[r, None], v, sg * slope / cv)
+
+    width, start = _cutoff(height, np.abs(p), scale, depth), np.full(a.size, 32)
+    return _nested("trapezoid", f, width, start, _envelope(p, a, y, scale), budget) + (scale,)
+
+
+def _two_saddles(p, a, y, depth, budget):
+    big_p, mu = np.abs(p), np.arccosh(a / y)
+    ysh = np.sqrt((a - y) * (a + y))  # y sinh(mu)
+    phase = a * mu - ysh  # Im phi along the descent path
+    scale = big_p * mu - _HALF_PI * a
+    low = -big_p * mu  # Re phi less the scale on the line Im t = pi/2
+
+    def line(r, s):
+        phase_s = a[r, None] * s - y[r, None] * np.sinh(s)
+        return _values(s, low[r, None], phase_s, p[r, None], _HALF_PI)
+
+    def descent(r, w):
+        ar, yr, big, s = a[r, None], y[r, None], ysh[r, None], mu[r, None] + w
+        half, ys, ych, sinh_w = np.sinh(0.5 * w) ** 2, yr * np.sinh(s), yr * np.cosh(s), np.sinh(w)
+        delta = (2.0 * big * half + ar * (sinh_w - w)) / ys  # 1 - sin v
+        cv = np.sqrt(delta * (2.0 - delta))
+        drop = 2.0 * np.arcsin(np.sqrt(0.5 * delta))  # pi/2 - v
+        dv = (delta * ych - 2.0 * ar * half - big * sinh_w) / (ys * cv)
+        return _values(s, ar * drop - ych * cv + low[r, None], phase[r, None], p[r, None],
+                       _HALF_PI - drop, dv)
+
+    envelope = _envelope(p, a, y, scale)
+    s1, m1 = _nested("fejer", line, mu, _intervals(1.5 * (a - y) * mu + 24.0), envelope, budget)
+    width = _cutoff(y, big_p, scale, depth) - mu
+    s2, m2 = _nested("fejer", descent, width, np.full(a.size, 64), envelope, budget)
+    return s1 + s2, m1 + m2, scale
+
+
+def _macdonald(nu, y, budget: AccuracyBudget) -> np.ndarray:
+    """K_{nu_i}(y_i) for broadcastable arrays of orders and positive arguments."""
+    nu, y = np.broadcast_arrays(np.asarray(nu, dtype=complex), np.asarray(y, dtype=float))
+    if np.any(y <= 0.0):
+        raise ValueError("macdonald_k requires y > 0")
+    out, flat_nu, flat_y = np.empty(y.shape, dtype=complex), nu.ravel(), y.ravel()
+    for lo in range(0, y.size, _BLOCK):
+        out.flat[lo:lo + _BLOCK] = _macdonald_block(
+            flat_nu[lo:lo + _BLOCK], flat_y[lo:lo + _BLOCK], budget)
+    return out
+
+
+def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
+    p, a = np.where(nu.imag < 0.0, -nu.real, nu.real) + 0.0, np.abs(nu.imag)
+    top = np.arcsinh(np.abs(p) / y)
+    kind = np.where(a <= 1.0, 0, np.where(a <= 1.1 * y, 1, 2))
+    kind[np.abs(p) * top - y * np.cosh(top) < _UNDERFLOW] = 3  # K underflows to 0
+    est, mass, scale = np.zeros(y.size, dtype=complex), np.zeros(y.size), np.zeros(y.size)
+    depth = 8.0 - math.log(budget.rel_tol)
+    for k, path in enumerate((_real_axis, _one_saddle, _two_saddles)):
+        i = np.flatnonzero(kind == k)
+        if i.size:
+            est[i], mass[i], scale[i] = path(p[i], a[i], y[i], depth, budget)
+    reach = budget.rel_tol * np.maximum(np.abs(est), _envelope(p, a, y, scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = est * np.exp(scale)
+    lost = (50.0 * _EPS * mass > reach + budget.abs_floor) | ~np.isfinite(out)
+    if lost.any():
+        j = int(np.flatnonzero(lost)[0])
+        raise ConvergenceError(f"macdonald_k cannot reach relative accuracy {budget.rel_tol} "
+                               f"at order {complex(nu[j])!r}, y = {float(y[j])!r}")
+    out.imag[p == 0.0] = 0.0  # real at imaginary order
+    return out
 
 
 def _macdonald_grid(nu: complex, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
     """K_nu(y_i) for one order and an array of positive arguments."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("macdonald_k requires y > 0")
-    t_max = _cosh_cutoff(float(np.min(y)), nu.real, budget)
-    prev = None
-    panels = 4
-    while panels * 64 <= _MAX_NODES:
-        t, w = _composite_nodes(t_max, panels)
-        # 2 cosh(nu t) e^{-y cosh t} = e^{nu t - y cosh t} + e^{-nu t - y cosh t},
-        # assembled in log space so large |Re nu| cannot overflow prematurely.
-        ch = np.cosh(t)
-        est, absint = _chunked_cosh_quad(nu, y, t, ch, w)
-        if prev is not None:
-            err = np.abs(est - prev)
-            scale = np.maximum(np.abs(est), budget.abs_floor)
-            floor = 50.0 * _EPS * absint + budget.abs_floor
-            if np.all(err <= budget.rel_tol * scale + floor):
-                return est
-        prev = est
-        panels *= 2
-    raise ConvergenceError(
-        f"macdonald_k did not converge (order {nu!r}, {y.size} argument(s), "
-        f"max nodes {_MAX_NODES})"
-    )
-
-
-def _chunked_cosh_quad(
-    nu: complex, y: np.ndarray, t: np.ndarray, ch: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    out = np.empty(y.shape, dtype=complex)
-    absint = np.empty(y.shape, dtype=float)
-    chunk = max(1, int(4_000_000 // max(t.size, 1)))
-    nut = nu * t
-    for lo in range(0, y.size, chunk):
-        hi = min(lo + chunk, y.size)
-        expo = -np.multiply.outer(y[lo:hi], ch)
-        a = expo + nut
-        b = expo - nut
-        np.clip(a.real, -745.0, 709.0, out=a.real)
-        np.clip(b.real, -745.0, 709.0, out=b.real)
-        vals = 0.5 * (np.exp(a) + np.exp(b))
-        out[lo:hi] = vals @ w
-        absint[lo:hi] = np.abs(vals) @ w
-    return out, absint
+    return _macdonald(complex(nu), y, budget)
 
 
 def _macdonald_pairs(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
     """K_{nu_i}(y_i) for paired arrays of orders and positive arguments."""
-    nu = np.asarray(nu, dtype=complex)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("macdonald_k requires y > 0")
-    re_max = float(np.max(np.abs(nu.real))) if nu.size else 0.0
-    t_max = _cosh_cutoff(float(np.min(y)), re_max, budget)
-    prev = None
-    panels = 4
-    while panels * 64 <= _MAX_NODES:
-        t, w = _composite_nodes(t_max, panels)
-        ch = np.cosh(t)
-        out = np.empty(y.shape, dtype=complex)
-        absint = np.empty(y.shape, dtype=float)
-        chunk = max(1, int(4_000_000 // max(t.size, 1)))
-        for lo in range(0, y.size, chunk):
-            hi = min(lo + chunk, y.size)
-            expo = -np.multiply.outer(y[lo:hi], ch)
-            nut = np.multiply.outer(nu[lo:hi], t)
-            a = expo + nut
-            b = expo - nut
-            np.clip(a.real, -745.0, 709.0, out=a.real)
-            np.clip(b.real, -745.0, 709.0, out=b.real)
-            vals = 0.5 * (np.exp(a) + np.exp(b))
-            out[lo:hi] = vals @ w
-            absint[lo:hi] = np.abs(vals) @ w
-        if prev is not None:
-            err = np.abs(out - prev)
-            scale = np.maximum(np.abs(out), budget.abs_floor)
-            floor = 50.0 * _EPS * absint + budget.abs_floor
-            if np.all(err <= budget.rel_tol * scale + floor):
-                return out
-        prev = out
-        panels *= 2
-    raise ConvergenceError(
-        f"macdonald_k pair evaluation did not converge ({y.size} points)"
-    )
+    return _macdonald(nu, y, budget)
 
 
 def macdonald_k(nu: complex, y: float, budget: AccuracyBudget = _DEFAULT_BUDGET) -> complex:
     """Macdonald function K_nu(y), standard normalization, complex order.
+
+    For |Re nu| <= 50 and |Im nu| <= 50 the value is within ``budget.rel_tol``
+    of K relative to |K|, or, where y < |Im nu| and K oscillates, relative to
+    the envelope sqrt(2 pi / |nu|) e^{-pi |Im nu| / 2}.
 
     Parameters
     ----------
@@ -312,7 +419,8 @@ def macdonald_k(nu: complex, y: float, budget: AccuracyBudget = _DEFAULT_BUDGET)
     Raises
     ------
     ConvergenceError
-        If ``|Re nu| > 50`` or the quadrature fails to stabilize.
+        If ``|Re nu| > 50``, or cancellation or overflow puts that accuracy
+        out of reach (no less accurate value is returned).
     """
     nu = complex(nu)
     y = float(y)

@@ -26,7 +26,7 @@ from .errors import ContourError, RankError, ShiftError
 from .gl_baxter import MIN_SPECTRAL_GAP
 from .gl_whittaker import closed_form_gl2_batch
 from .numerics import (
-    AccuracyBudget,
+    _quadrature_budget,
     gamma_product,
     log_gamma,
     log_gamma_array,
@@ -52,11 +52,6 @@ __all__ = [
 ]
 
 _DEFAULT_MAX_EVALS = 4_000_000
-
-
-def _quadrature_budget(tol: float) -> AccuracyBudget:
-    """Relax special-function accuracy inside quadrature loops to match tol."""
-    return AccuracyBudget(rel_tol=min(1e-7, max(0.02 * tol, 1e-13)))
 
 
 def _box_scales(tol: float) -> tuple[float, float, float]:

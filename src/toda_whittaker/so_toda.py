@@ -27,6 +27,7 @@ from .numerics import (
     AccuracyBudget,
     _DEFAULT_BUDGET,
     _macdonald_grid,
+    _quadrature_budget,
     gamma_product,
     log_gamma,
     macdonald_k,
@@ -91,12 +92,6 @@ def _closed_form_so3_batch(
 ) -> np.ndarray:
     args = 2.0 * np.exp(np.clip(0.5 * np.asarray(xs, dtype=float), -370.0, 350.0))
     return 2.0 * _macdonald_grid(2j * complex(lam), args, budget)
-
-
-def _quadrature_budget(tol: float) -> AccuracyBudget:
-    """Special-function accuracy matched to an absolute quadrature tolerance:
-    full precision for tight tolerances, relaxed for exploratory ones."""
-    return AccuracyBudget(rel_tol=min(1e-7, max(0.02 * tol, 1e-13)))
 
 
 def _as_lam_tuple(lam) -> tuple[complex, ...]:

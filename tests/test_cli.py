@@ -27,6 +27,21 @@ class TestEval:
         assert payload["value"]["im"] == pytest.approx(0.0, abs=1e-15)
         assert payload["converged"] is True
 
+    def test_gl2_closed_form_at_order_20i(self, capsys):
+        # 2 K_{20i}(2): the closed form once printed 2.0749732227570705e-15
+        # marked converged, 14% off.  Reference: mpmath at 40 digits.
+        code, out, err = run(
+            ["eval", "--algebra", "gl2", "--lambda=10,-10", "--x", "0,0", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        ref = 2.4182738769894578e-15
+        value = complex(payload["value"]["re"], payload["value"]["im"])
+        assert abs(value - ref) <= 1e-10 * ref
+        assert payload["abs_error"] >= abs(value - ref)
+        assert payload["converged"] is True
+
     def test_unknown_rank_fails(self, capsys):
         code, out, err = run(
             ["eval", "--algebra", "gl9", "--lambda", "1", "--x", "0"],

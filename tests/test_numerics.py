@@ -3,11 +3,21 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_whittaker.numerics import AccuracyBudget, gamma_product, log_gamma, macdonald_k
+from toda_whittaker.errors import ConvergenceError
+from toda_whittaker.numerics import (
+    _DEFAULT_BUDGET,
+    AccuracyBudget,
+    _macdonald_grid,
+    _macdonald_pairs,
+    gamma_product,
+    log_gamma,
+    macdonald_k,
+)
 
 from _oracles import (
     GAMMA_0P7,
@@ -113,6 +123,53 @@ class TestMacdonald:
     def test_tight_budget_still_close(self):
         loose = macdonald_k(1j, 2.0, AccuracyBudget(rel_tol=1e-6))
         assert _rel(loose, K_I_2) < 1e-5
+
+    def test_matches_mpmath_up_to_order_50i(self):
+        """Seeded sweep over orders i[0, 50] with real part -0.5, 0, 0.5 and
+        y in [1e-6, 700]: each value is within 1e-12 of mpmath, or raises.
+        Where y < |Im nu| (K oscillates, with real zeros) the error is
+        measured against the envelope sqrt(2 pi/|nu|) e^{-pi |Im nu|/2}."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20070622)
+        orders = np.concatenate([[0.0, 50.0], rng.uniform(0.0, 50.0, 24)])
+        ys = np.concatenate([[1e-6, 700.0], 10.0 ** rng.uniform(-6.0, math.log10(700.0), 12)])
+        points = [(complex(r, a), y) for r in (-0.5, 0.0, 0.5) for a in orders for y in ys]
+        raised, worst = 0, 0.0
+        with mpmath.workdps(30):
+            for nu, y in points:
+                try:
+                    value = macdonald_k(nu, y)
+                except ConvergenceError:
+                    raised += 1
+                    continue
+                ref = complex(mpmath.besselk(mpmath.mpc(nu.real, nu.imag), y))
+                scale = abs(ref)
+                if y < nu.imag:
+                    envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * nu.imag / 2)
+                    scale = max(scale, envelope)
+                worst = max(worst, abs(value - ref) / scale)
+        assert worst <= 1e-12
+        assert raised <= 0.02 * len(points)
+
+    def test_converges_near_a_real_zero(self):
+        # K_{33.54i}(0.1766) is 30 times below its envelope: the descent piece
+        # of its path nearly cancels, and once never met the convergence test.
+        # Reference: mpmath at 30 digits.
+        nu, y = 33.541850705687764j, 0.17661319568625916
+        envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * abs(nu) / 2)
+        assert abs(macdonald_k(nu, y) - 1.8989733440549607e-25) <= 1e-12 * envelope
+
+    @pytest.mark.parametrize("nu", [0.4j, 0.5 + 3.0j, -0.5 + 25.0j])
+    def test_value_does_not_depend_on_the_batch(self, nu):
+        ys = 10.0 ** np.random.default_rng(7).uniform(-6.0, math.log10(700.0), 300)
+        grid = _macdonald_grid(nu, ys, _DEFAULT_BUDGET)
+        assert all(grid[i] == macdonald_k(nu, y) for i, y in enumerate(ys))
+        assert np.array_equal(_macdonald_pairs(np.full(ys.size, nu), ys, _DEFAULT_BUDGET), grid)
+
+    def test_unreachable_accuracy_raises(self):
+        # K_50(1e-6) is about 1e377: no float holds it.
+        with pytest.raises(ConvergenceError):
+            macdonald_k(50.0, 1e-6)
 
 
 def test_accuracy_budget_fields():
