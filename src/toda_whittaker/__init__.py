@@ -17,6 +17,8 @@ The package is organized by subject:
 * :mod:`toda_whittaker.rankin_selberg` — convolution integrals: pairing
   integrals with Gamma-product evaluations, kernel contraction identities,
   and the two-row contour identity.
+* :mod:`toda_whittaker.checks` — one function per identity, and the
+  ``verify`` suites built from them.
 * :mod:`toda_whittaker.cli` — command-line interface.
 """
 
@@ -44,14 +46,11 @@ from .quadrature import (
 )
 from .gl_whittaker import (
     SpectralParams,
-    TriangularPattern,
-    WhittakerConfig,
     closed_form_gl2,
     closed_form_gl2_batch,
     givental_eval,
     givental_recursive_eval,
     givental_step_kernel,
-    mb_step_kernel,
     mellin_barnes_eval,
     mixed_eval,
     plancherel_measure,
@@ -141,9 +140,7 @@ __all__ = [
     "SpectralParams",
     "SphericalTransformCheck",
     "TodaWhittakerError",
-    "TriangularPattern",
     "TruncatedSeries",
-    "WhittakerConfig",
     "__version__",
     "archimedean_lfactor",
     "barnes_gustafson_check",
@@ -182,7 +179,6 @@ __all__ = [
     "lowering_compatibility",
     "macdonald_k",
     "mb_closed_form_batch",
-    "mb_step_kernel",
     "mellin_barnes_eval",
     "mixed_eval",
     "plancherel_measure",

@@ -21,12 +21,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .checks import SUITES as _SUITES, CaseResult, SuiteOptions
 from .errors import (
     BudgetExceeded,
     ContourError,
@@ -37,12 +37,10 @@ from .errors import (
 )
 from .gl_whittaker import (
     closed_form_gl2,
-    closed_form_gl2_batch,
     givental_eval,
     givental_recursive_eval,
     givental_step_kernel,
     mellin_barnes_eval,
-    toda_apply,
 )
 from .gl_baxter import (
     baxter_apply,
@@ -50,10 +48,6 @@ from .gl_baxter import (
     baxter_eigenfunction_batch,
     baxter_eigenvalue,
     baxter_kernel,
-    commutation_residual,
-    dual_baxter_apply,
-    mb_closed_form_batch,
-    spherical_transform_check_rank2,
 )
 from .so_toda import (
     closed_form_so3,
@@ -61,30 +55,20 @@ from .so_toda import (
     so_baxter_eigenvalue,
     so_givental_eval,
     so_recursive_eval,
-    so_toda_apply_h2,
 )
 from .local_lfactors import (
     SatakeClass,
     archimedean_lfactor,
     local_lfactor_p,
     local_lfactor_p_exact,
-    verify_tq_identity,
 )
-from .rankin_selberg import (
-    barnes_gustafson_check,
-    bump_friedberg_integral,
-    bump_friedberg_prediction,
-    bump_inner_correlation,
-    bump_inner_correlation_prediction,
-    double_step_kernel,
-    stade_kernel,
-)
+from .quadrature import _DEFAULT_MAX_EVALS
+from .rankin_selberg import stade_kernel
 
 __all__ = ["main", "entry"]
 
 _FLOAT_FMT = "%.17g"
 _FORMATS = ("json", "csv", "text")
-_DEFAULT_BUDGET = 4_000_000
 
 
 class _UsageError(Exception):
@@ -150,14 +134,18 @@ def _complex_str(v) -> str:
     return "%s %s %sj" % (_f(c.real), sign, _f(abs(c.imag)))
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    case: str
-    lhs: object
-    rhs: object
-    residual: float
-    tol: float
-    ok: bool
+def _emit_scalar(fmt: str, value) -> None:
+    """Print one complex or exact rational value; a rational prints as a
+    fraction in text and as ``num``/``den`` in JSON."""
+    if fmt == "json":
+        print('{"value": %s}' % _json_scalar(value))
+    elif fmt == "csv":
+        print("re,im")
+        print("%s,%s" % (_f(value.real), _f(value.imag)))
+    elif isinstance(value, Fraction):
+        print(value)
+    else:
+        print(_complex_str(value))
 
 
 def _record_lines(results: Sequence[CaseResult], fmt: str) -> list[str]:
@@ -246,20 +234,22 @@ def _default_workers() -> int:
         return 1
 
 
-def _common_options(args) -> tuple[float | None, int, str, int]:
-    tol = _resolve(args, "tol", float, None)
-    if tol is not None and tol <= 0.0:
-        raise _UsageError("--tol must be positive")
-    budget = _resolve(args, "budget", int, _DEFAULT_BUDGET)
-    if budget < 1:
-        raise _UsageError("--budget must be at least 1")
+def _format_option(args) -> str:
     fmt = _resolve(args, "format", str, "text")
     if fmt not in _FORMATS:
         raise _UsageError(f"--format must be one of {', '.join(_FORMATS)}")
-    workers = _resolve(args, "workers", int, _default_workers())
-    if workers < 1:
-        raise _UsageError("--workers must be at least 1")
-    return tol, budget, fmt, workers
+    return fmt
+
+
+def _common_options(args) -> tuple[float | None, int, str]:
+    """``--tol``, ``--budget`` and ``--format`` of the verbs that integrate."""
+    tol = _resolve(args, "tol", float, None)
+    if tol is not None and tol <= 0.0:
+        raise _UsageError("--tol must be positive")
+    budget = _resolve(args, "budget", int, _DEFAULT_MAX_EVALS)
+    if budget < 1:
+        raise _UsageError("--budget must be at least 1")
+    return tol, budget, _format_option(args)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +295,7 @@ def _emit_value(fmt: str, value: complex, abs_error: float, evaluations: int, co
 
 
 def cmd_eval(args) -> int:
-    tol, budget, fmt, _ = _common_options(args)
+    tol, budget, fmt = _common_options(args)
     tol = tol if tol is not None else 1e-8
     algebra = _resolve(args, "algebra", str, None)
     if algebra is None:
@@ -380,7 +370,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baxter_apply(args) -> int:
-    tol, budget, fmt, _ = _common_options(args)
+    tol, budget, fmt = _common_options(args)
     tol = tol if tol is not None else 1e-6
     algebra = _resolve(args, "algebra", str, "gl")
     if algebra not in ("gl", "so3"):
@@ -468,323 +458,14 @@ def cmd_baxter_apply(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-
-@dataclass(frozen=True)
-class _SuiteOptions:
-    tol: float | None
-    budget: int
-    rank: int | None
-    n: int
-    trials: int
-
-    def tol_or(self, default: float) -> float:
-        return self.tol if self.tol is not None else default
-
-
-def _suite_baxter_eigen(o: _SuiteOptions):
-    specs = [
-        ("rank1-lie", -1.2j, (0.4,), (0.2,), "lie", o.tol_or(1e-8), 10.0),
-        ("rank1-iwasawa", -2.4j, (0.8,), (0.4,), "iwasawa", o.tol_or(1e-8), 10.0),
-        ("rank1-iwasawa-pi", -2.4j, (0.8,), (0.4,), "iwasawa_pi", o.tol_or(1e-8), 10.0),
-        ("rank2-lie", -1.5j, (0.5, -0.5), (0.1, -0.3), "lie", o.tol_or(1e-5), 10.0),
-        ("rank2-iwasawa-pi", -3.0j, (0.5, -0.5), (-0.6, 0.9), "iwasawa_pi", 2e-5, 10.0),
-    ]
-    thunks = []
-    for name, gamma, lam, y, conv, tol, factor in specs:
-        if o.rank is not None and len(lam) != o.rank:
-            continue
-
-        def run(name=name, gamma=gamma, lam=lam, y=y, conv=conv, tol=tol, factor=factor):
-            def psi(xs: np.ndarray) -> np.ndarray:
-                return baxter_eigenfunction_batch(lam, xs, conv)
-
-            res = baxter_apply(psi, y, gamma, conv, tol, psi_spectral=lam, max_evals=o.budget)
-            base = baxter_eigenfunction(lam, y, conv)
-            lhs = res.value / base
-            rhs = baxter_eigenvalue(gamma, lam, conv)
-            limit = factor * tol * max(1.0, 1.0 / abs(base))
-            resid = abs(lhs - rhs)
-            return CaseResult(name, lhs, rhs, resid, limit, resid <= limit)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_mb_vs_givental(o: _SuiteOptions):
-    specs = [
-        ("gl2", (0.4, -0.3), (0.25, -0.45), o.tol_or(1e-8)),
-        ("gl3", (0.6, 0.1, -0.45), (0.3, 0.0, -0.3), o.tol_or(1e-6)),
-    ]
-    thunks = []
-    for name, lam, x, tol in specs:
-
-        def run(name=name, lam=lam, x=x, tol=tol):
-            mb = mellin_barnes_eval(lam, x, tol)
-            if name == "gl2":
-                ref = closed_form_gl2(lam, x)
-            else:
-                ref = givental_recursive_eval(lam, x, tol).value
-            resid = abs(mb.value - ref)
-            limit = 10.0 * tol
-            return CaseResult(name, mb.value, ref, resid, limit, resid <= limit)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_stade(o: _SuiteOptions):
-    specs = [
-        ("ell1", (0.3, -0.2), (), (0.5, -0.5), o.tol_or(1e-8)),
-        ("ell2", (0.3, 0.0, -0.3), (0.1,), (0.5, -0.5), o.tol_or(1e-7)),
-    ]
-    thunks = []
-    for name, xt, xb, lam, tol in specs:
-
-        def run(name=name, xt=xt, xb=xb, lam=lam, tol=tol):
-            closed = stade_kernel(xt, xb, lam)
-            quad = double_step_kernel(xt, xb, lam, tol, o.budget)
-            resid = abs(quad.value - closed)
-            limit = 10.0 * tol
-            return CaseResult(name, quad.value, closed, resid, limit, resid <= limit)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_bump_friedberg(o: _SuiteOptions):
-    thunks = []
-
-    def run_l0a():
-        tol = o.tol_or(1e-8)
-        res = bump_friedberg_integral(0, (0.0,), (0.0,), -0.7j, tol, o.budget)
-        rhs = bump_friedberg_prediction((0.0,), (0.0,), -0.7j)
-        resid = abs(res.value - rhs)
-        return CaseResult("ell0-gamma07", res.value, rhs, resid, 10 * tol, resid <= 10 * tol)
-
-    def run_l0b():
-        tol = o.tol_or(1e-8)
-        res = bump_friedberg_integral(0, (0.3,), (0.1,), -1.0j, tol, o.budget)
-        rhs = bump_friedberg_prediction((0.3,), (0.1,), -1.0j)
-        resid = abs(res.value - rhs)
-        return CaseResult("ell0-shifted", res.value, rhs, resid, 10 * tol, resid <= 10 * tol)
-
-    def run_l1():
-        tol = max(o.tol_or(1e-4), 1e-5)
-        res = bump_friedberg_integral(1, (0.4, -0.4), (0.2, -0.2), -0.8j, tol, o.budget)
-        rhs = bump_friedberg_prediction((0.4, -0.4), (0.2, -0.2), -0.8j)
-        resid = abs(res.value - rhs)
-        return CaseResult("ell1-pair", res.value, rhs, resid, 20 * tol, resid <= 20 * tol)
-
-    def run_corr():
-        tol = o.tol_or(1e-6)
-        gam, lam, t, x_last = (0.3,), (0.2, -0.2), -0.8j, 0.6
-        res = bump_inner_correlation(1, gam, lam, t, x_last, tol, o.budget)
-        rhs = bump_inner_correlation_prediction(gam, lam, t, x_last)
-        resid = abs(res.value - rhs)
-        return CaseResult("inner-correlation", res.value, rhs, resid, 20 * tol, resid <= 20 * tol)
-
-    thunks.append(("ell0-gamma07", run_l0a))
-    thunks.append(("ell0-shifted", run_l0b))
-    thunks.append(("ell1-pair", run_l1))
-    thunks.append(("inner-correlation", run_corr))
-    return thunks
-
-
-def _suite_barnes(o: _SuiteOptions):
-    specs = [
-        ("imaginary-pairs", (-0.5j, -0.7j), (0.5j, 0.6j)),
-        ("generic-complex", (0.3 - 0.6j, -0.2 - 0.5j), (0.1 + 0.4j, -0.3 + 0.55j)),
-        ("wide-separation", (-0.9j, -1.1j), (0.8j, 1.2j)),
-    ]
-    thunks = []
-    for name, lam2, gam2 in specs:
-
-        def run(name=name, lam2=lam2, gam2=gam2):
-            tol = o.tol_or(1e-8)
-            chk = barnes_gustafson_check(lam2, gam2, tol, o.budget)
-            limit = 10.0 * tol
-            return CaseResult(name, chk.lhs, chk.rhs, chk.residual, limit, chk.residual <= limit)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_tq_padic(o: _SuiteOptions):
-    rng = np.random.default_rng(20260822)
-    primes = (2, 3, 5, 7, 11)
-    thunks = []
-    for trial in range(o.trials):
-        n = int(rng.integers(1, min(max(o.n, 1), 5) + 1))
-        params = []
-        for _ in range(n):
-            num = 0
-            while num == 0:
-                num = int(rng.integers(-9, 10))
-            den = int(rng.integers(1, 10))
-            params.append(Fraction(num, den))
-        p = int(primes[int(rng.integers(0, len(primes)))])
-        name = "trial%02d-n%d-p%d" % (trial, n, p)
-
-        def run(name=name, params=tuple(params), p=p, n=n):
-            sigma = SatakeClass(params, p)
-            ok = verify_tq_identity(sigma, 2 * n + 4)
-            resid = 0.0 if ok else 1.0
-            return CaseResult(name, Fraction(1), Fraction(1), resid, 0.0, ok)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_toda(o: _SuiteOptions):
-    step = 1e-3
-    limit = 1e-7
-
-    def richardson(apply_fn) -> complex:
-        coarse = apply_fn(step)
-        fine = apply_fn(step / 2.0)
-        return (4.0 * fine - coarse) / 3.0
-
-    def gl1_psi(xs: np.ndarray) -> np.ndarray:
-        return np.exp(1j * 0.7 * xs[:, 0])
-
-    lam2 = (0.5, -0.3)
-
-    def gl2_psi(xs: np.ndarray) -> np.ndarray:
-        return closed_form_gl2_batch(lam2, xs)
-
-    def so3_psi(xs: np.ndarray) -> np.ndarray:
-        return np.array([closed_form_so3(0.6, float(r[0])) for r in xs])
-
-    specs = [
-        ("gl1-h1", lambda s: toda_apply("H1", gl1_psi, (0.3,), s), gl1_psi, (0.3,), 0.7 + 0j),
-        (
-            "gl1-h2",
-            lambda s: toda_apply("H2tilde", gl1_psi, (0.3,), s),
-            gl1_psi,
-            (0.3,),
-            0.5 * 0.7**2 + 0j,
-        ),
-        (
-            "gl2-h1",
-            lambda s: toda_apply("H1", gl2_psi, (0.2, -0.1), s),
-            gl2_psi,
-            (0.2, -0.1),
-            lam2[0] + lam2[1] + 0j,
-        ),
-        (
-            "gl2-h2",
-            lambda s: toda_apply("H2tilde", gl2_psi, (0.2, -0.1), s),
-            gl2_psi,
-            (0.2, -0.1),
-            0.5 * (lam2[0] ** 2 + lam2[1] ** 2) + 0j,
-        ),
-        (
-            "so3-h2",
-            lambda s: so_toda_apply_h2(so3_psi, (0.25,), s),
-            so3_psi,
-            (0.25,),
-            0.5 * 0.6**2 + 0j,
-        ),
-    ]
-    thunks = []
-    for name, apply_fn, psi, x, rhs in specs:
-
-        def run(name=name, apply_fn=apply_fn, psi=psi, x=x, rhs=rhs):
-            base = complex(psi(np.asarray([list(x)], dtype=float))[0])
-            lhs = richardson(apply_fn) / base
-            resid = abs(lhs - rhs)
-            return CaseResult(name, lhs, rhs, resid, limit, resid <= limit)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_dual_baxter(o: _SuiteOptions):
-    specs = [
-        ("rank1", (0.4,), (0.1,), 0.7, o.tol_or(1e-8)),
-        ("rank2", (0.5, -0.3), (0.2, -0.4), 0.9, o.tol_or(1e-5)),
-    ]
-    thunks = []
-    for name, gamma, x, z, tol in specs:
-
-        def run(name=name, gamma=gamma, x=x, z=z, tol=tol):
-            def F(betas: np.ndarray) -> np.ndarray:
-                return mb_closed_form_batch(betas, x)
-
-            res = dual_baxter_apply(F, gamma, z, tol, max_evals=o.budget)
-            base = complex(mb_closed_form_batch(np.asarray([gamma], dtype=complex), x)[0])
-            lhs = res.value / base
-            rhs = math.exp(-math.exp(x[-1] - z))
-            limit = 10.0 * tol * max(1.0, 1.0 / abs(base))
-            resid = abs(lhs - rhs)
-            return CaseResult(name, lhs, rhs, resid, limit, resid <= limit)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_spherical_rank2(o: _SuiteOptions):
-    specs = [
-        ("acceptance-point", (0.8, -0.8), -1.5j),
-        ("generic-point", (0.3, -0.6), -1.8j),
-        ("constant-zonal", (0.0, 0.0), -1.5j),
-    ]
-    thunks = []
-    for name, gamma, lam in specs:
-
-        def run(name=name, gamma=gamma, lam=lam):
-            tol = o.tol_or(1e-5)
-            chk = spherical_transform_check_rank2(gamma, lam, tol, o.budget)
-            limit = 10.0 * tol
-            return CaseResult(name, chk.lhs, chk.rhs, chk.residual, limit, chk.residual <= limit)
-
-        thunks.append((name, run))
-    return thunks
-
-
-def _suite_commute(o: _SuiteOptions):
-    specs = [
-        ("rank1", (-0.9j, -1.4j), (0.3,), (0.2,)),
-        ("rank2", (-0.9j, -1.4j), (0.4, -0.4), (0.2, -0.1)),
-    ]
-    thunks = []
-    for name, gammas, lam, y in specs:
-
-        def run(name=name, gammas=gammas, lam=lam, y=y):
-            tol = o.tol_or(1e-7)
-            chk = commutation_residual(gammas, lam, y, tol, o.budget)
-            limit = 10.0 * tol
-            return CaseResult(
-                name,
-                chk.first_then_second,
-                chk.second_then_first,
-                chk.residual,
-                limit,
-                chk.residual <= limit,
-            )
-
-        thunks.append((name, run))
-    return thunks
-
-
-_SUITES = {
-    "baxter-eigen": _suite_baxter_eigen,
-    "mb-vs-givental": _suite_mb_vs_givental,
-    "stade": _suite_stade,
-    "bump-friedberg": _suite_bump_friedberg,
-    "barnes": _suite_barnes,
-    "tq-padic": _suite_tq_padic,
-    "toda": _suite_toda,
-    "dual-baxter": _suite_dual_baxter,
-    "spherical-rank2": _suite_spherical_rank2,
-    "commute": _suite_commute,
-}
+# verify
 
 
 def cmd_verify(args) -> int:
-    tol, budget, fmt, workers = _common_options(args)
+    tol, budget, fmt = _common_options(args)
+    workers = _resolve(args, "workers", int, _default_workers())
+    if workers < 1:
+        raise _UsageError("--workers must be at least 1")
     suite = _resolve(args, "suite", str, None)
     if suite is None:
         raise _UsageError("--suite is required")
@@ -793,11 +474,11 @@ def cmd_verify(args) -> int:
             f"unknown suite {suite!r}: expected one of " + ", ".join(sorted(_SUITES))
         )
     rank = _resolve(args, "rank", int, None)
-    n = _resolve(args, "n", int, 3)
-    trials = _resolve(args, "trials", int, 20)
+    n = _resolve(args, "n", int, SuiteOptions.n)
+    trials = _resolve(args, "trials", int, SuiteOptions.trials)
     if trials < 1:
         raise _UsageError("--trials must be at least 1")
-    opts = _SuiteOptions(tol=tol, budget=budget, rank=rank, n=n, trials=trials)
+    opts = SuiteOptions(tol=tol, budget=budget, rank=rank, n=n, trials=trials)
     thunks = _SUITES[suite](opts)
     if not thunks:
         raise _UsageError("no cases selected (check --rank)")
@@ -832,7 +513,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lfactor(args) -> int:
-    _, _, fmt, _ = _common_options(args)
+    fmt = _format_option(args)
     place = _resolve(args, "place", str, None)
     if place is None:
         raise _UsageError("--place is required (inf or a prime number)")
@@ -844,14 +525,7 @@ def cmd_lfactor(args) -> int:
         alpha = _resolve(args, "alpha", _parse_clist, None)
         if alpha is None:
             raise _UsageError("--alpha is required at the archimedean place")
-        value = archimedean_lfactor(alpha, _parse_complex(s_raw))
-        if fmt == "json":
-            print('{"value": %s}' % _json_scalar(value))
-        elif fmt == "csv":
-            print("re,im")
-            print("%s,%s" % (_f(value.real), _f(value.imag)))
-        else:
-            print(_complex_str(value))
+        _emit_scalar(fmt, archimedean_lfactor(alpha, _parse_complex(s_raw)))
         return 0
 
     try:
@@ -869,24 +543,10 @@ def cmd_lfactor(args) -> int:
     except (ValueError, ZeroDivisionError):
         s_frac = None
     if s_frac is not None and s_frac.denominator == 1:
-        value = local_lfactor_p_exact(sigma, int(s_frac))
-        if fmt == "json":
-            print('{"value": %s}' % _json_scalar(value))
-        elif fmt == "csv":
-            print("re,im")
-            print("%s,%s" % (_f(float(value)), _f(0.0)))
-        else:
-            print(str(value))
+        _emit_scalar(fmt, local_lfactor_p_exact(sigma, int(s_frac)))
         return 0
     s_val = _parse_complex(s_raw) if s_frac is None else complex(float(s_frac))
-    value = local_lfactor_p(sigma, s_val)
-    if fmt == "json":
-        print('{"value": %s}' % _json_scalar(value))
-    elif fmt == "csv":
-        print("re,im")
-        print("%s,%s" % (_f(value.real), _f(value.imag)))
-    else:
-        print(_complex_str(value))
+    _emit_scalar(fmt, local_lfactor_p(sigma, s_val))
     return 0
 
 
@@ -908,7 +568,7 @@ def _parse_sweep(text: str) -> tuple[int, float, float, int]:
 
 
 def cmd_kernel(args) -> int:
-    _, _, fmt, _ = _common_options(args)
+    fmt = _format_option(args)
     kind = _resolve(args, "kind", str, None)
     if kind is None:
         raise _UsageError("--kind is required (step, baxter, or stade)")
@@ -953,14 +613,7 @@ def cmd_kernel(args) -> int:
         base = list(xt)
 
     if sweep is None:
-        value = evaluate(base)
-        if fmt == "json":
-            print('{"value": %s}' % _json_scalar(value))
-        elif fmt == "csv":
-            print("re,im")
-            print("%s,%s" % (_f(value.real), _f(value.imag)))
-        else:
-            print(_complex_str(value))
+        _emit_scalar(fmt, evaluate(base))
         return 0
 
     idx, start, stop, count = sweep
@@ -985,11 +638,13 @@ def cmd_kernel(args) -> int:
 # Parser assembly and entry points
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_accuracy(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", help="absolute accuracy target")
     p.add_argument("--budget", help="maximum quadrature evaluations")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", help="output format: json, csv, or text")
-    p.add_argument("--workers", help="parallel case workers (default $TODA_WHITTAKER_WORKERS or 1)")
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -1006,6 +661,7 @@ def _build_parser() -> _Parser:
     pe.add_argument("--lambda", dest="lam", help="comma-separated spectral parameters")
     pe.add_argument("--x", help="comma-separated evaluation point")
     pe.add_argument("--method", help="auto, closed, givental, recursive, or mb")
+    _add_accuracy(pe)
     _add_common(pe)
     pe.set_defaults(func=cmd_eval)
 
@@ -1015,6 +671,7 @@ def _build_parser() -> _Parser:
     pb.add_argument("--lambda", dest="lam", help="eigenfunction spectral parameters")
     pb.add_argument("--y", help="evaluation point")
     pb.add_argument("--convention", help="lie (default), iwasawa, or iwasawa_pi")
+    _add_accuracy(pb)
     _add_common(pb)
     pb.set_defaults(func=cmd_baxter_apply)
 
@@ -1023,6 +680,8 @@ def _build_parser() -> _Parser:
     pv.add_argument("--rank", help="restrict suite cases to this rank")
     pv.add_argument("--n", help="maximum parameter-multiset size (tq-padic)")
     pv.add_argument("--trials", help="number of random trials (tq-padic)")
+    pv.add_argument("--workers", help="parallel case workers (default $TODA_WHITTAKER_WORKERS or 1)")
+    _add_accuracy(pv)
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)
 

@@ -37,6 +37,7 @@ from .numerics import (
     _macdonald_pairs,
 )
 from .quadrature import (
+    _DEFAULT_MAX_EVALS,
     ContourSpec,
     DecayProfile,
     DoubleExponential,
@@ -181,7 +182,7 @@ def baxter_apply(
     convention="lie",
     tol: float = 1e-8,
     psi_spectral=None,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Apply the integral operator to ``psi`` at the point ``y``.
 
@@ -345,7 +346,7 @@ def dual_baxter_apply(
     z: float,
     tol: float = 1e-8,
     contour: ContourSpec | None = None,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Apply the dual operator to a spectral-plane function ``F``.
 
@@ -468,7 +469,7 @@ def commutation_residual(
     lam,
     y: Sequence[float],
     tol: float = 1e-6,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> CommutationCheck:
     """Numerically compare both orderings of two operator applications.
 
@@ -507,7 +508,7 @@ def lowering_compatibility(
     y: Sequence[float],
     x: float,
     tol: float = 1e-7,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> LoweringCheck:
     """Check that the two-variable operator slides through the rank-lowering
     step kernel onto the one-variable operator, up to one Gamma factor.
@@ -613,7 +614,7 @@ def spherical_transform_rank2(
     lam: complex,
     gamma,
     tol: float = 1e-5,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Pair the Gaussian-type zonal weight against the rank-2 zonal function
     over the ordered chamber, with the invariant radial measure.
@@ -702,7 +703,7 @@ def spherical_transform_check_rank2(
     gamma,
     lam: complex,
     tol: float = 1e-5,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> SphericalTransformCheck:
     """Check the rank-2 symmetric-space reduction.
 

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ContourError, PoleError, RankError
 from .numerics import (
     AccuracyBudget,
-    gamma_product,
     log_gamma_array,
     macdonald_k,
     _macdonald_grid,
@@ -45,13 +44,10 @@ from .quadrature import (
 
 __all__ = [
     "SpectralParams",
-    "TriangularPattern",
-    "WhittakerConfig",
     "givental_eval",
     "givental_recursive_eval",
     "givental_step_kernel",
     "mellin_barnes_eval",
-    "mb_step_kernel",
     "mixed_eval",
     "closed_form_gl2",
     "closed_form_gl2_batch",
@@ -101,60 +97,6 @@ def _as_params(lam) -> tuple[complex, ...]:
     if isinstance(lam, SpectralParams):
         return lam.to_givental().values
     return tuple(complex(v) for v in lam)
-
-
-@dataclass(frozen=True)
-class TriangularPattern:
-    """Ragged triangle of auxiliary coordinates: row ``k`` has ``k+1`` entries,
-    the last row being the function's arguments."""
-
-    rows: tuple
-
-    def __init__(self, rows: Sequence[Sequence[float]]):
-        norm = tuple(tuple(float(v) for v in row) for row in rows)
-        for k, row in enumerate(norm):
-            if len(row) != k + 1:
-                raise ValueError(
-                    f"triangular pattern row {k} must have {k + 1} entries, got {len(row)}"
-                )
-        if not norm:
-            raise ValueError("TriangularPattern needs at least one row")
-        object.__setattr__(self, "rows", norm)
-
-    @property
-    def top(self) -> tuple:
-        return self.rows[-1]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class WhittakerConfig:
-    """Evaluation pipeline selection: coordinate model, spectral model, or a
-    per-step mixed word (tuple of 'L'/'R', one letter per rank step)."""
-
-    method: object = "givental"
-    tol: float = 1e-8
-    contour: ContourSpec | None = None
-
-    def __post_init__(self) -> None:
-        m = self.method
-        if isinstance(m, str):
-            if m not in ("givental", "recursive", "mellin_barnes"):
-                raise ValueError(f"unknown method {m!r}")
-            uses_contour = m == "mellin_barnes"
-        else:
-            word = tuple(m)
-            if not all(c in ("L", "R") for c in word):
-                raise ValueError("mixed word entries must be 'L' or 'R'")
-            object.__setattr__(self, "method", word)
-            uses_contour = "R" in word
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.contour is not None and not uses_contour:
-            raise ValueError("contour supplied but the chosen method never uses one")
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +317,6 @@ def givental_recursive_eval(lam, x, tol: float = 1e-8) -> QuadratureResult:
 
 # ---------------------------------------------------------------------------
 # Spectral-plane model
-
-
-def mb_step_kernel(gamma_top: Sequence[complex], gamma_bot: Sequence[complex], x: float) -> complex:
-    """Spectral-plane one-step kernel: a full Gamma-factor array times a phase.
-
-    Raises :class:`PoleError` (with the factor index) on Gamma poles.
-    """
-    top = [complex(v) for v in gamma_top]
-    bot = [complex(v) for v in gamma_bot]
-    if len(top) != len(bot) + 1:
-        raise ValueError("gamma_top must have exactly one more entry than gamma_bot")
-    x = float(x)
-    args = [1j * b - 1j * t for t in top for b in bot]
-    phase = cmath.exp(-1j * x * (sum(top) - sum(bot)))
-    return gamma_product(args) * phase
 
 
 def _pair_reciprocal_gammas(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:

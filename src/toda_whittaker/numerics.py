@@ -72,6 +72,16 @@ def _quadrature_budget(tol: float) -> AccuracyBudget:
     return AccuracyBudget(rel_tol=min(1e-7, max(0.02 * tol, 1e-13)))
 
 
+def _box_scales(tol: float, imag_slack: float = 0.0) -> tuple[float, float, float]:
+    """Truncation scales of a box quadrature at absolute tolerance ``tol``:
+    per-tail budget, decay depth, and wall margin (widened by twice the
+    largest imaginary part of the spectral parameters)."""
+    tau = tol / 40.0
+    big = math.log(1.0 / tau) + 10.0
+    margin = math.log(big) + 3.0 + 2.0 * imag_slack
+    return tau, big, margin
+
+
 # ---------------------------------------------------------------------------
 # log-gamma: Lanczos approximation (g = 7, 9 coefficients) plus reflection.
 

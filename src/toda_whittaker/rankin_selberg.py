@@ -26,6 +26,7 @@ from .errors import ContourError, RankError, ShiftError
 from .gl_baxter import MIN_SPECTRAL_GAP
 from .gl_whittaker import closed_form_gl2_batch
 from .numerics import (
+    _box_scales,
     _quadrature_budget,
     gamma_product,
     log_gamma,
@@ -33,6 +34,7 @@ from .numerics import (
     macdonald_k,
 )
 from .quadrature import (
+    _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
     integrate_box,
@@ -50,17 +52,6 @@ __all__ = [
     "barnes_gustafson_check",
     "BarnesCheck",
 ]
-
-_DEFAULT_MAX_EVALS = 4_000_000
-
-
-def _box_scales(tol: float) -> tuple[float, float, float]:
-    """Common truncation scales: per-tail budget, decay depth, wall margin."""
-    tau = tol / 40.0
-    big = math.log(1.0 / tau) + 10.0
-    margin = math.log(big) + 3.0
-    return tau, big, margin
-
 
 def _pair_arguments(gamma, lam, t) -> list[complex]:
     """Gamma arguments ``i*t + i*lam_k - i*conj(gamma_j)`` over all pairs."""

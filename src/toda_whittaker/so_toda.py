@@ -26,13 +26,14 @@ from .errors import RankError, ShiftError
 from .numerics import (
     AccuracyBudget,
     _DEFAULT_BUDGET,
+    _box_scales,
     _macdonald_grid,
     _quadrature_budget,
     gamma_product,
     log_gamma,
     macdonald_k,
 )
-from .quadrature import QuadratureResult, integrate_box, stable_exp
+from .quadrature import _DEFAULT_MAX_EVALS, QuadratureResult, integrate_box, stable_exp
 
 __all__ = [
     "SoPattern",
@@ -100,18 +101,11 @@ def _as_lam_tuple(lam) -> tuple[complex, ...]:
     return tuple(complex(v) for v in lam)
 
 
-def _box_scales(tol: float, dims: int, imag_slack: float = 0.0):
-    tau = tol / 40.0
-    big = math.log(1.0 / tau) + 10.0
-    margin = math.log(big) + 3.0 + 2.0 * imag_slack
-    return tau, big, margin
-
-
 def so_givental_eval(
     lam,
     x: Sequence[float],
     tol: float = 1e-8,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Rank-one or rank-two eigenfunction by direct pattern quadrature.
 
@@ -128,7 +122,7 @@ def so_givental_eval(
     if ell not in (1, 2):
         raise RankError("so_givental_eval supports one or two variables")
     imag_slack = max(abs(v.imag) for v in lam_t)
-    tau, big, m = _box_scales(tol, ell, imag_slack)
+    tau, big, m = _box_scales(tol, imag_slack)
 
     if ell == 1:
         la, xv = lam_t[0], x_arr[0]
@@ -181,7 +175,7 @@ def so_step_kernel(
     x_bot: Sequence[float],
     lam_new: complex,
     tol: float = 1e-8,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Rank-lowering kernel, evaluated by quadrature over its auxiliary row.
 
@@ -197,7 +191,7 @@ def so_step_kernel(
     if ell not in (1, 2):
         raise RankError("so_step_kernel supports ranks one and two")
     la = complex(lam_new)
-    tau, big, m = _box_scales(tol, ell, abs(la.imag))
+    tau, big, m = _box_scales(tol, abs(la.imag))
 
     if ell == 1:
         xv = top[0]
@@ -241,7 +235,7 @@ def so_recursive_eval(
     lam,
     x: Sequence[float],
     tol: float = 1e-8,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Rank-two eigenfunction by chaining the step kernel onto the rank-one
     closed form (rank one falls back to the direct integral).
@@ -263,7 +257,7 @@ def so_recursive_eval(
 
     la1, la2 = lam_t
     x1, x2 = x_arr
-    tau, big, m = _box_scales(tol, 3, max(abs(la1.imag), abs(la2.imag)))
+    tau, big, m = _box_scales(tol, max(abs(la1.imag), abs(la2.imag)))
     budget = _quadrature_budget(tol)
     z2_lo = x2 - m
     xb_lo = z2_lo - m
@@ -305,7 +299,7 @@ def so_baxter_apply(
     lam,
     y: Sequence[float],
     tol: float = 1e-8,
-    max_evals: int = 4_000_000,
+    max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
     """Apply the rank-one integral operator to the rank-one eigenfunction.
 
@@ -333,7 +327,7 @@ def so_baxter_apply(
             f"{MIN_SO_SPECTRAL_GAP}; lower Im(gamma)"
         )
     r = (1j * g).real
-    tau, big, m = _box_scales(tol, 3, abs(la.imag))
+    tau, big, m = _box_scales(tol, abs(la.imag))
     budget = _quadrature_budget(tol)
     z1_lo, z1_hi = yv - m, math.log(big) + 2.0
     z2_hi = yv + m

@@ -3,35 +3,24 @@
 Each test prints (and records for the terminal summary) a single
 ``criterion NN [PASS|FAIL]`` line with the measured figure of merit, then
 asserts the documented bound.  All random draws use fixed seeds so reruns
-are bit-for-bit reproducible.
+are bit-for-bit reproducible.  Where an identity has a ``verify`` suite, the
+criterion evaluates it through the same :mod:`toda_whittaker.checks`
+function and applies its own bound to the returned sides and residual.
 """
 
-import cmath
-import math
+import functools
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from toda_whittaker.gl_baxter import (
-    baxter_apply,
-    baxter_eigenfunction,
-    baxter_eigenfunction_batch,
-    baxter_eigenvalue,
-    commutation_residual,
-    dual_baxter_apply,
-    half_sum_offsets,
-    lowering_compatibility,
-    mb_closed_form_batch,
-    spherical_transform_check_rank2,
-)
+from toda_whittaker import checks
+from toda_whittaker.gl_baxter import half_sum_offsets, lowering_compatibility
 from toda_whittaker.gl_whittaker import (
     closed_form_gl2,
-    closed_form_gl2_batch,
     givental_eval,
     mellin_barnes_eval,
     mixed_eval,
-    toda_apply,
 )
 from toda_whittaker.local_lfactors import (
     SatakeClass,
@@ -39,32 +28,18 @@ from toda_whittaker.local_lfactors import (
     complete_symm,
     hecke_q_series,
     local_lfactor_p,
-    verify_tq_identity,
 )
-from toda_whittaker.rankin_selberg import (
-    barnes_gustafson_check,
-    bump_friedberg_integral,
-    bump_friedberg_prediction,
-    bump_inner_correlation,
-    bump_inner_correlation_prediction,
-    double_step_kernel,
-    stade_kernel,
-)
+from toda_whittaker.rankin_selberg import bump_inner_correlation
 from toda_whittaker.so_toda import (
     closed_form_so3,
     so_baxter_apply,
     so_baxter_eigenvalue,
     so_givental_eval,
-    so_toda_apply_h2,
 )
 
 from _oracles import BF_ELL1_RHS, SO_EIG, SPHERICAL_RHS
 
 RESULTS = []
-
-# The expensive rank-2 pi-convention operator application is shared between
-# criteria 03 and 12; computed once, memoized here.
-_PI_RANK2 = {}
 
 
 def _report(num, name, ok, detail):
@@ -78,27 +53,22 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def _run_suite(name):
+    """Every case of a ``verify`` suite at its default options."""
+    return [run() for _, run in checks.SUITES[name](checks.SuiteOptions())]
+
+
+# The expensive rank-2 pi-convention operator application is shared between
+# criteria 03 and 12; computed once.
+@functools.lru_cache(maxsize=None)
 def _pi_rank2_case():
-    """Rank-2 pi-convention operator ratio vs the archimedean local factor."""
-    if not _PI_RANK2:
-        gamma, lam, y, tol = -3.0j, (0.5, -0.5), (-0.6, 0.9), 2e-5
-
-        def psi(xs):
-            return baxter_eigenfunction_batch(lam, xs, "iwasawa_pi")
-
-        res = baxter_apply(psi, y, gamma, "iwasawa_pi", tol, psi_spectral=lam)
-        base = baxter_eigenfunction(lam, y, "iwasawa_pi")
-        eigen = baxter_eigenvalue(gamma, lam, "iwasawa_pi")
-        resid = abs(res.value / base - eigen)
-        limit = 10.0 * tol * max(1.0, 1.0 / abs(base))
-        rho = half_sum_offsets(2)
-        alpha = tuple(1j * l - r for l, r in zip(lam, rho))
-        lfactor = archimedean_lfactor(alpha, 1j * gamma)
-        _PI_RANK2.update(
-            resid=resid, limit=limit, eigen=eigen, lfactor=lfactor,
-            lfactor_rel=_rel(eigen, lfactor),
-        )
-    return _PI_RANK2
+    """Rank-2 pi-convention operator ratio, and the relative distance of its
+    eigenvalue from the archimedean local factor."""
+    gamma, lam = -3.0j, (0.5, -0.5)
+    case = checks.baxter_eigen("rank2-iwasawa-pi", gamma, lam, (-0.6, 0.9), "iwasawa_pi", 2e-5)
+    rho = half_sum_offsets(2)
+    alpha = tuple(1j * l - r for l, r in zip(lam, rho))
+    return case, _rel(case.rhs, archimedean_lfactor(alpha, 1j * gamma))
 
 
 def test_criterion_01_rank2_closed_form():
@@ -149,48 +119,33 @@ def test_criterion_03_baxter_eigenvalue():
     worst_spread = 0.0
     worst_rel = 0.0
     for conv, gamma, lam, ys in rank1:
-        def psi(xs, conv=conv, lam=lam):
-            return baxter_eigenfunction_batch(lam, xs, conv)
-
-        ratios = []
-        for yv in ys:
-            res = baxter_apply(psi, (yv,), gamma, conv, 1e-8, psi_spectral=lam)
-            ratios.append(res.value / baxter_eigenfunction(lam, (yv,), conv))
-        eigen = baxter_eigenvalue(gamma, lam, conv)
-        spread = max(abs(a - b) for a in ratios for b in ratios)
-        rel = max(_rel(r, eigen) for r in ratios)
+        cases = [checks.baxter_eigen(conv, gamma, lam, (yv,), conv, 1e-8) for yv in ys]
+        spread = max(abs(a.lhs - b.lhs) for a in cases for b in cases)
+        rel = max(_rel(c.lhs, c.rhs) for c in cases)
         worst_spread = max(worst_spread, spread)
         worst_rel = max(worst_rel, rel)
         if spread >= 1e-5 or rel >= 1e-5:
             failures.append(f"rank1 {conv}")
 
     # Rank 2, plain-wall convention.
-    gamma, lam = -1.5j, (0.5, -0.5)
-
-    def psi2(xs):
-        return baxter_eigenfunction_batch(lam, xs, "lie")
-
-    ratios = []
-    for y in ((0.1, -0.3), (0.35, 0.0)):
-        res = baxter_apply(psi2, y, gamma, "lie", 1e-6, psi_spectral=lam)
-        ratios.append(res.value / baxter_eigenfunction(lam, y, "lie"))
-    eigen = baxter_eigenvalue(gamma, lam, "lie")
-    spread2 = max(abs(a - b) for a in ratios for b in ratios)
-    rel2 = max(_rel(r, eigen) for r in ratios)
+    cases = [checks.baxter_eigen("lie", -1.5j, (0.5, -0.5), y, "lie", 1e-6)
+             for y in ((0.1, -0.3), (0.35, 0.0))]
+    spread2 = max(abs(a.lhs - b.lhs) for a in cases for b in cases)
+    rel2 = max(_rel(c.lhs, c.rhs) for c in cases)
     if spread2 >= 1e-5 or rel2 >= 1e-5:
         failures.append("rank2 lie")
 
     # Rank 2, pi convention: the eigenvalue IS the archimedean local factor.
-    pi = _pi_rank2_case()
-    if pi["resid"] > pi["limit"] or pi["lfactor_rel"] > 1e-12:
+    pi, lfactor_rel = _pi_rank2_case()
+    if not pi.ok or lfactor_rel > 1e-12:
         failures.append("rank2 iwasawa_pi")
 
     ok = not failures
     _report(3, "integral-operator eigenvalues", ok,
             f"rank1 spread {worst_spread:.1e} rel {worst_rel:.1e}; "
             f"rank2 spread {spread2:.1e} rel {rel2:.1e}; "
-            f"pi-convention resid {pi['resid']:.1e} (limit {pi['limit']:.1e}), "
-            f"eigenvalue vs local factor {pi['lfactor_rel']:.1e}"
+            f"pi-convention resid {pi.residual:.1e} (limit {pi.tol:.1e}), "
+            f"eigenvalue vs local factor {lfactor_rel:.1e}"
             + (f"; FAILED {failures}" if failures else ""))
 
 
@@ -201,7 +156,7 @@ def test_criterion_04_commutation_and_intertwining():
         ((0.4, -0.4), ((0.2, -0.1), (-0.3, 0.25))),
     ):
         for y in ys:
-            chk = commutation_residual((-0.9j, -1.4j), lam, y, 1e-7)
+            chk = checks.commute("", (-0.9j, -1.4j), lam, y, 1e-7)
             worst_comm = max(worst_comm, chk.residual)
     worst_low = 0.0
     for gamma, lam, y, x in (
@@ -217,24 +172,9 @@ def test_criterion_04_commutation_and_intertwining():
 
 
 def test_criterion_05_dual_baxter():
-    def make_F(x):
-        def F(betas):
-            return mb_closed_form_batch(betas, x)
-        return F
-
-    gamma, x, z = (0.4,), (0.1,), 0.7
-    res = dual_baxter_apply(make_F(x), gamma, z, 1e-8)
-    base = complex(mb_closed_form_batch(np.asarray([gamma], dtype=complex), x)[0])
-    ratio1 = res.value / base
-    target1 = math.exp(-math.exp(x[-1] - z))
-    rel1 = abs(ratio1 - target1) / target1
-
-    gamma, x, z = (0.5, -0.3), (0.2, -0.4), 0.9
-    res = dual_baxter_apply(make_F(x), gamma, z, 1e-5)
-    base = complex(mb_closed_form_batch(np.asarray([gamma], dtype=complex), x)[0])
-    ratio2 = res.value / base
-    target2 = math.exp(-math.exp(x[-1] - z))
-    err2 = abs(ratio2 - target2)
+    rank1, rank2 = _run_suite("dual-baxter")
+    rel1 = abs(rank1.lhs - rank1.rhs) / rank1.rhs
+    err2 = rank2.residual
 
     ok = rel1 < 1e-8 and err2 < 1e-4
     _report(5, "spectral-side operator multiplier", ok,
@@ -245,11 +185,10 @@ def test_criterion_05_dual_baxter():
 def test_criterion_06_pairing_integrals():
     worst0 = 0.0
     for g, l, t in (((0.0,), (0.0,), -0.7j), ((0.3,), (0.1,), -1.0j)):
-        res = bump_friedberg_integral(0, g, l, t, 1e-9)
-        worst0 = max(worst0, abs(res.value - bump_friedberg_prediction(g, l, t)))
+        worst0 = max(worst0, checks.bump_friedberg("", 0, g, l, t, 1e-9).residual)
 
-    res1 = bump_friedberg_integral(1, (0.4, -0.4), (0.2, -0.2), -0.8j, 1e-4)
-    err1 = abs(res1.value - BF_ELL1_RHS)
+    res1 = checks.bump_friedberg("", 1, (0.4, -0.4), (0.2, -0.2), -0.8j, 1e-4)
+    err1 = abs(res1.lhs - BF_ELL1_RHS)
 
     # Reduced inner correlation: value matches the phase-times-Gamma
     # prediction, and the modulus is anchor-independent when the phase
@@ -257,9 +196,8 @@ def test_criterion_06_pairing_integrals():
     gam, lam, t = (0.3,), (0.2, -0.2), -0.8j
     worst_corr = 0.0
     for x_last in (-0.4, 0.6):
-        res = bump_inner_correlation(1, gam, lam, t, x_last, 1e-7)
-        pred = bump_inner_correlation_prediction(gam, lam, t, x_last)
-        worst_corr = max(worst_corr, abs(res.value - pred))
+        res = checks.inner_correlation("", gam, lam, t, x_last, 1e-7)
+        worst_corr = max(worst_corr, res.residual)
     gam, lam, t = (-0.8j,), (0.3, -0.2), 0.4j
     mags = [abs(bump_inner_correlation(1, gam, lam, t, xl, 1e-7).value)
             for xl in (-0.5, 0.0, 0.7)]
@@ -278,15 +216,13 @@ def test_criterion_07_kernel_contraction():
     for _ in range(5):
         lam = tuple(rng.uniform(-1.0, 1.0, size=2))
         xt = tuple(rng.uniform(-1.0, 1.0, size=2))
-        quad = double_step_kernel(xt, (), lam, 1e-8)
-        worst1 = max(worst1, abs(quad.value - stade_kernel(xt, (), lam)))
+        worst1 = max(worst1, checks.stade("", xt, (), lam, 1e-8).residual)
     worst2 = 0.0
     for _ in range(5):
         lam = tuple(rng.uniform(-1.0, 1.0, size=2))
         xt = tuple(rng.uniform(-1.0, 1.0, size=3))
         xb = tuple(rng.uniform(-1.0, 1.0, size=1))
-        quad = double_step_kernel(xt, xb, lam, 1e-6)
-        worst2 = max(worst2, abs(quad.value - stade_kernel(xt, xb, lam)))
+        worst2 = max(worst2, checks.stade("", xt, xb, lam, 1e-6).residual)
     ok = worst1 < 1e-5 and worst2 < 1e-5
     _report(7, "kernel contraction identity", ok,
             f"level-1 worst {worst1:.3e}, level-2 worst {worst2:.3e} "
@@ -301,8 +237,7 @@ def test_criterion_08_two_row_contour_identity():
                    for _ in range(2))
         hi = tuple(complex(rng.uniform(-1, 1), rng.uniform(0.5, 1.2))
                    for _ in range(2))
-        chk = barnes_gustafson_check(lo, hi, 1e-10)
-        worst = max(worst, chk.residual)
+        worst = max(worst, checks.barnes("", lo, hi, 1e-10).residual)
     ok = worst < 1e-8
     _report(8, "two-row contour identity", ok,
             f"worst residual {worst:.3e} (bound 1e-8, 10 admissible draws)")
@@ -329,40 +264,7 @@ def test_criterion_09_odd_orthogonal_operator():
 
 
 def test_criterion_10_toda_eigenfunctions():
-    def richardson(apply_fn):
-        coarse = apply_fn(1e-3)
-        fine = apply_fn(5e-4)
-        return (4.0 * fine - coarse) / 3.0
-
-    worst = 0.0
-
-    lam = 0.7
-    x = (0.3,)
-    def psi1(xs):
-        return np.exp(1j * lam * xs[:, 0])
-    base = complex(psi1(np.asarray([x]))[0])
-    val = richardson(lambda h: toda_apply("H1", psi1, x, h)) / base
-    worst = max(worst, abs(val - lam))
-    val = richardson(lambda h: toda_apply("H2tilde", psi1, x, h)) / base
-    worst = max(worst, abs(val - 0.5 * lam**2))
-
-    lam2 = (0.5, -0.3)
-    x = (0.2, -0.1)
-    def psi2(xs):
-        return closed_form_gl2_batch(lam2, xs)
-    base = complex(psi2(np.asarray([x]))[0])
-    val = richardson(lambda h: toda_apply("H1", psi2, x, h)) / base
-    worst = max(worst, abs(val - (lam2[0] + lam2[1])))
-    val = richardson(lambda h: toda_apply("H2tilde", psi2, x, h)) / base
-    worst = max(worst, abs(val - 0.5 * (lam2[0] ** 2 + lam2[1] ** 2)))
-
-    lam_so = 0.6
-    x = (0.25,)
-    def psi_so(xs):
-        return np.array([closed_form_so3(lam_so, float(r[0])) for r in xs])
-    base = complex(psi_so(np.asarray([x]))[0])
-    val = richardson(lambda h: so_toda_apply_h2(psi_so, x, h)) / base
-    worst = max(worst, abs(val - 0.5 * lam_so**2))
+    worst = max(c.residual for c in _run_suite("toda"))
 
     ok = worst < 1e-7
     _report(10, "difference-operator eigenfunctions", ok,
@@ -384,9 +286,9 @@ def test_criterion_11_finite_place_inverse():
                 continue
             params.append(Fraction(num, int(rng.integers(1, 10))))
         p = int(primes[rng.integers(0, len(primes))])
+        assert checks.tq_padic("", tuple(params), p).ok
         sigma = SatakeClass(tuple(params), p)
         order = 2 * n + 4
-        assert verify_tq_identity(sigma, order)
         q = hecke_q_series(sigma, order)
         for m in range(order + 1):
             assert q.coeffs[m] == complete_symm(sigma, m)
@@ -405,25 +307,16 @@ def test_criterion_11_finite_place_inverse():
 
 
 def test_criterion_12_rank2_spherical_transform():
-    draws = (
-        ((0.8, -0.8), -1.5j),
-        ((0.3, -0.6), -1.8j),
-        ((0.0, 0.0), -1.5j),
-    )
-    worst = 0.0
-    ref_rel = None
-    for gamma, lam in draws:
-        chk = spherical_transform_check_rank2(gamma, lam, 1e-5)
-        worst = max(worst, chk.residual)
-        if ref_rel is None:
-            ref_rel = _rel(chk.rhs, SPHERICAL_RHS)
+    cases = _run_suite("spherical-rank2")
+    worst = max(c.residual for c in cases)
+    ref_rel = _rel(cases[0].rhs, SPHERICAL_RHS)
 
-    pi = _pi_rank2_case()
-    reduction_ok = pi["resid"] <= pi["limit"] and pi["lfactor_rel"] < 1e-12
+    pi, lfactor_rel = _pi_rank2_case()
+    reduction_ok = pi.ok and lfactor_rel < 1e-12
 
     ok = worst < 1e-4 and ref_rel < 1e-12 and reduction_ok
     _report(12, "rank-2 spherical transform", ok,
             f"worst residual {worst:.3e} (bound 1e-4, 3 draws), reference rel "
             f"{ref_rel:.1e}; universal-kernel reduction to the archimedean "
             f"local factor verified via criterion 03's pi-convention case "
-            f"(resid {pi['resid']:.1e})")
+            f"(resid {pi.residual:.1e})")

@@ -75,6 +75,17 @@ class TestVerify:
         assert lines and all(rec["pass"] for rec in lines)
         assert "passed" in err
 
+    # mb-vs-givental (about 4 s) and spherical-rank2 (about 2 s) are left
+    # out: their cases run in test_rank3_models_agree and criterion 12.
+    @pytest.mark.parametrize(
+        "suite", sorted(set(cli._SUITES) - {"mb-vs-givental", "spherical-rank2"})
+    )
+    def test_suite_passes(self, suite, capsys):
+        code, out, err = run(["verify", "--suite", suite, "--format", "json"], capsys)
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert records and all(rec["pass"] is True for rec in records)
+
     def test_unknown_suite_fails(self, capsys):
         code, out, err = run(["verify", "--suite", "no-such-suite"], capsys)
         assert code == 1
@@ -206,6 +217,22 @@ class TestConfigAndDispatch:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfactor", "--place", "inf", "--alpha", "0", "--s", "1", "--tol", "1e-3"],
+            ["kernel", "--kind", "baxter", "--gamma=-1.2j", "--x", "0.0", "--y", "0.1",
+             "--budget", "10"],
+            ["eval", "--algebra", "gl1", "--lambda", "0.7", "--x", "0.3", "--workers", "2"],
+            ["baxter-apply", "--lambda", "0.4", "--gamma=-1.2j", "--y", "0.2",
+             "--workers", "2"],
+        ],
+    )
+    def test_flag_of_another_verb_fails(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
 
     def test_no_command_fails(self, capsys):
         code, out, err = run([], capsys)
