@@ -100,14 +100,14 @@ def baxter_eigen(case, gamma, lam, y, convention, tol, max_evals=_DEFAULT_MAX_EV
     return _result(case, lhs, rhs, abs(lhs - rhs), 10.0 * tol * max(1.0, 1.0 / abs(base)))
 
 
-def mb_vs_givental(case, lam, x, tol):
+def mb_vs_givental(case, lam, x, tol, max_evals=_DEFAULT_MAX_EVALS):
     """Spectral-plane model against the closed form (gl2) or the recursive
     coordinate model (gl3)."""
-    mb = mellin_barnes_eval(lam, x, tol)
+    mb = mellin_barnes_eval(lam, x, tol, max_evals=max_evals)
     if len(lam) == 2:
         ref = closed_form_gl2(lam, x)
     else:
-        ref = givental_recursive_eval(lam, x, tol).value
+        ref = givental_recursive_eval(lam, x, tol, max_evals).value
     return _result(case, mb.value, ref, abs(mb.value - ref), 10.0 * tol)
 
 
@@ -225,7 +225,7 @@ def _mb_vs_givental_suite(o: SuiteOptions):
         ("gl2", (0.4, -0.3), (0.25, -0.45), o.tol_or(1e-8)),
         ("gl3", (0.6, 0.1, -0.45), (0.3, 0.0, -0.3), o.tol_or(1e-6)),
     ]
-    return _thunks(mb_vs_givental, specs)
+    return _thunks(mb_vs_givental, specs, o.budget)
 
 
 def _stade_suite(o: SuiteOptions):

@@ -344,16 +344,16 @@ def cmd_eval(args) -> int:
                 res = (
                     so_givental_eval(lam, x, tol, budget)
                     if so_chain
-                    else givental_eval(lam, x, tol)
+                    else givental_eval(lam, x, tol, budget)
                 )
             elif method == "recursive":
                 res = (
                     so_recursive_eval(lam, x, tol, budget)
                     if so_chain
-                    else givental_recursive_eval(lam, x, tol)
+                    else givental_recursive_eval(lam, x, tol, budget)
                 )
             else:
-                res = mellin_barnes_eval(lam, x, tol)
+                res = mellin_barnes_eval(lam, x, tol, max_evals=budget)
         except BudgetExceeded as exc:
             res = exc.result
             if res is None:

@@ -35,6 +35,7 @@ from .numerics import (
     _DEFAULT_BUDGET,
 )
 from .quadrature import (
+    _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
     integrate_box,
@@ -197,10 +198,13 @@ def _step_exponent_rows(top_cols: list[np.ndarray], bot_cols: list[np.ndarray], 
     return expo
 
 
-def givental_eval(lam, x, tol: float = 1e-8) -> QuadratureResult:
+def givental_eval(
+    lam, x, tol: float = 1e-8, max_evals: int = _DEFAULT_MAX_EVALS
+) -> QuadratureResult:
     """Evaluate the coordinate-model function as one fused integral.
 
     Supports ranks 0..2 (:class:`RankError` beyond); rank 0 is exact.
+    ``max_evals`` caps the quadrature (:class:`BudgetExceeded` beyond it).
     """
     lam_t = _as_params(lam)
     n = len(lam_t)
@@ -224,7 +228,7 @@ def givental_eval(lam, x, tol: float = 1e-8) -> QuadratureResult:
             return stable_exp(expo + 1j * l1 * u)
 
         box = [(x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f, box, 0.9 * tol), tol)
+        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol)
 
     l1, l2, l3 = lam_t
     x1, x2, x3 = x
@@ -239,13 +243,16 @@ def givental_eval(lam, x, tol: float = 1e-8) -> QuadratureResult:
         return stable_exp(expo + 1j * l1 * v)
 
     box = [(x1 - a, x2 + a), (x2 - a, x3 + a), (x1 - 2 * a, x3 + 2 * a)]
-    return _with_tail(integrate_box(f3, box, 0.9 * tol), tol)
+    return _with_tail(integrate_box(f3, box, 0.9 * tol, max_evals), tol)
 
 
-def givental_recursive_eval(lam, x, tol: float = 1e-8) -> QuadratureResult:
+def givental_recursive_eval(
+    lam, x, tol: float = 1e-8, max_evals: int = _DEFAULT_MAX_EVALS
+) -> QuadratureResult:
     """Same function as :func:`givental_eval`, computed as a genuinely nested
     recursion: an adaptive outer integral over the next row down, with the
-    lower-rank function evaluated on a fixed (convergence-doubled) grid."""
+    lower-rank function evaluated on a fixed (convergence-doubled) grid.
+    ``max_evals`` caps the outer (adaptive) quadrature only."""
     lam_t = _as_params(lam)
     n = len(lam_t)
     x = tuple(float(v) for v in x)
@@ -268,7 +275,7 @@ def givental_recursive_eval(lam, x, tol: float = 1e-8) -> QuadratureResult:
             return stable_exp(expo) * np.exp(1j * l1 * u)
 
         box = [(x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f, box, 0.9 * tol), tol)
+        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol)
 
     l1, l2, l3 = lam_t
     x1, x2, x3 = x
@@ -308,7 +315,7 @@ def givental_recursive_eval(lam, x, tol: float = 1e-8) -> QuadratureResult:
         return stable_exp(expo) * inner_rank1(pts)
 
     box = [(x1 - a, x2 + a), (x2 - a, x3 + a)]
-    res = integrate_box(outer, box, 0.8 * tol)
+    res = integrate_box(outer, box, 0.8 * tol, max_evals)
     # The inner grid is converged to inner_tol in absolute terms; the outer
     # kernel has integral mass O(10), so budget tol/10 for it.
     err = res.abs_error + tol / 10.0 + tol / 10.0
@@ -340,11 +347,18 @@ def default_contour(lam, ell: int | None = None) -> ContourSpec:
     return ContourSpec(rows)
 
 
-def mellin_barnes_eval(lam, x, tol: float = 1e-8, contour: ContourSpec | None = None) -> QuadratureResult:
+def mellin_barnes_eval(
+    lam,
+    x,
+    tol: float = 1e-8,
+    contour: ContourSpec | None = None,
+    max_evals: int = _DEFAULT_MAX_EVALS,
+) -> QuadratureResult:
     """Evaluate via the spectral-plane contour model (ranks 0..2).
 
     Agrees with :func:`givental_eval`; moving the contour offsets slightly
     (within the pole-free band) changes the value only at the tolerance level.
+    ``max_evals`` caps the quadrature (:class:`BudgetExceeded` beyond it).
     """
     lam_t = _as_params(lam)
     n = len(lam_t)
@@ -375,7 +389,7 @@ def mellin_barnes_eval(lam, x, tol: float = 1e-8, contour: ContourSpec | None = 
             expo = lg - 1j * x2 * (s_mu - g) - 1j * g * x1 - math.log(2.0 * math.pi)
             return stable_exp(expo)
 
-        return integrate_contour(f, contour, 2, tol)
+        return integrate_contour(f, contour, 2, tol, max_evals)
 
     x1, x2, x3 = x
     s_mu = sum(mu)
@@ -398,7 +412,7 @@ def mellin_barnes_eval(lam, x, tol: float = 1e-8, contour: ContourSpec | None = 
         measure = _pair_reciprocal_gammas(g1, g2) / (2.0 * (2.0 * math.pi) ** 3)
         return measure * stable_exp(expo)
 
-    return integrate_contour(f3, contour, 2, tol)
+    return integrate_contour(f3, contour, 2, tol, max_evals)
 
 
 def plancherel_measure(lam) -> complex:

@@ -55,6 +55,26 @@ class TestEval:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "algebra, lam, x, method",
+        [
+            ("gl2", "0.5,-0.5", "0.3,-0.2", "givental"),
+            ("gl2", "0.5,-0.5", "0.3,-0.2", "recursive"),
+            ("gl2", "0.5,-0.5", "0.3,-0.2", "mb"),
+            ("so3", "0.5", "0.3", "givental"),
+        ],
+    )
+    def test_budget_caps_quadrature(self, algebra, lam, x, method, capsys):
+        # The gl methods once ignored --budget: 180 or 1800 evaluations,
+        # converged, exit 0.
+        code, out, err = run(
+            ["eval", "--algebra", algebra, "--lambda", lam, "--x", x,
+             "--method", method, "--budget", "10", "--format", "json"],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(out)["converged"] is False
+
     def test_text_format_has_sign(self, capsys):
         code, out, err = run(
             ["eval", "--algebra", "gl1", "--lambda", "0.7", "--x", "0.3",
@@ -75,11 +95,9 @@ class TestVerify:
         assert lines and all(rec["pass"] for rec in lines)
         assert "passed" in err
 
-    # mb-vs-givental (about 4 s) and spherical-rank2 (about 2 s) are left
-    # out: their cases run in test_rank3_models_agree and criterion 12.
-    @pytest.mark.parametrize(
-        "suite", sorted(set(cli._SUITES) - {"mb-vs-givental", "spherical-rank2"})
-    )
+    # mb-vs-givental (about 4 s) is left out: its cases run in
+    # test_rank3_models_agree.
+    @pytest.mark.parametrize("suite", sorted(set(cli._SUITES) - {"mb-vs-givental"}))
     def test_suite_passes(self, suite, capsys):
         code, out, err = run(["verify", "--suite", suite, "--format", "json"], capsys)
         assert code == 0

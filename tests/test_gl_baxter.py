@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from toda_whittaker.errors import RankError, ShiftError, SingularMatrixError
+from toda_whittaker.errors import ConvergenceError, RankError, ShiftError, SingularMatrixError
 from toda_whittaker.gl_baxter import (
     baxter_apply,
     baxter_eigenfunction,
@@ -31,6 +31,20 @@ from _oracles import SPHERICAL_RHS
 
 def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
+
+
+def _zonal_error(mp, gamma, x, value: complex) -> float:
+    """Error of a rank-2 zonal value against mpmath's Legendre function,
+    relative to the larger of the reference and, near its zeros, the least
+    modulus of the averaged plane wave (the accuracy the function claims)."""
+    with mp.workdps(40):
+        g1, g2 = mp.mpc(gamma[0]), mp.mpc(gamma[1])
+        lo, hi = mp.mpf(min(x)), mp.mpf(max(x))
+        d = hi - lo
+        a = 0.5j * (g2 - g1)
+        ref = mp.exp(0.5j * (g1 + g2) * (lo + hi)) * mp.legenp(a, 0, mp.cosh(d), type=3)
+        least = abs(mp.exp(1j * (g1 * lo + g2 * hi))) * min(1, mp.exp(-2 * d * a.real))
+        return float(abs(value - ref) / max(abs(ref), least))
 
 
 class TestEigenvalues:
@@ -227,6 +241,51 @@ class TestSphericalRank2:
     def test_zero_parameter_is_constant_one(self):
         for x in ((0.0, 0.0), (0.4, -0.3), (-1.0, 0.6)):
             assert _rel(spherical_function_rank2((0.0, 0.0), x), 1.0) < 1e-10
+
+    def test_closed_form_matches_legendre_function(self):
+        # phi = exp(i (g1 + g2) s / 2) P_a(cosh d), a = i (g2 - g1) / 2; the
+        # 2048-point circle average this replaced was off by 6e-6 at d = 6.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(41)
+        points = [
+            ((20.0, -20.0), (0.0, 0.5 * math.log(2.0))),
+            ((20.0 - 0.4j, -20.0 + 0.4j), (-0.1, 0.18)),
+            ((-20.0, 20.0), (1.0, -39.0)),
+            ((0.8, -0.8), (0.0, 6.0)),
+        ]
+        for i in range(160):
+            gamma = rng.uniform(-20.0, 20.0, 2)
+            if i % 3 == 0:
+                gamma = gamma + 1j * rng.uniform(-0.4, 0.4, 2)
+            d = rng.uniform(0.0, 40.0) if i % 2 else rng.uniform(0.0, 1.0)
+            x1 = rng.uniform(-2.0, 2.0)
+            x = (x1, x1 + d) if i % 4 < 2 else (x1 + d, x1)
+            points.append((tuple(complex(g) for g in gamma), x))
+        worst = max(
+            _zonal_error(mp, gamma, x, spherical_function_rank2(gamma, x))
+            for gamma, x in points
+        )
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "gamma, x",
+        [
+            ((0.0, 1j), (0.0, 2.0)),  # 1/2 + a = 0: the connection formula degenerates
+            ((0.0, 0.99999j), (0.0, 8.0)),
+            ((0.0, 2.9999999j), (0.0, 2.0)),
+            ((2000.0, -2000.0), (0.0, 0.0013)),
+            ((600.0, -600.0), (0.0, 0.0042)),
+            ((-6000.0 + 0.8j, 0.0), (0.0, 10.0)),  # Gamma ratio at |Im z| = 3000
+            ((0.2, 2.5j), (0.0, 3.0)),
+        ],
+    )
+    def test_closed_form_raises_or_is_accurate(self, gamma, x):
+        mp = pytest.importorskip("mpmath")
+        try:
+            value = spherical_function_rank2(gamma, x)
+        except ConvergenceError:
+            return
+        assert _zonal_error(mp, gamma, x, value) <= 1e-12
 
     def test_transform_matches_gamma_product(self):
         chk = spherical_transform_check_rank2((0.8, -0.8), -1.5j, 1e-5)
