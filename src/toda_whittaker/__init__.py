@@ -10,8 +10,8 @@ The package is organized by subject:
   coordinate and spectral-plane models, mixed pipelines, Toda Hamiltonians.
 * :mod:`toda_whittaker.gl_baxter` — Baxter Q-operators (three conventions),
   their dual on the spectral side, and the rank-2 spherical transform.
-* :mod:`toda_whittaker.so_toda` — odd-orthogonal chain: evaluators, step
-  kernels, Baxter operator, quadratic Hamiltonian.
+* :mod:`toda_whittaker.so_toda` — odd-orthogonal chain: evaluators, Baxter
+  operator, quadratic Hamiltonian.
 * :mod:`toda_whittaker.local_lfactors` — exact non-Archimedean local factors
   and the Archimedean Gamma-factor.
 * :mod:`toda_whittaker.rankin_selberg` — convolution integrals: pairing
@@ -45,7 +45,6 @@ from .quadrature import (
     stable_exp,
 )
 from .gl_whittaker import (
-    SpectralParams,
     closed_form_gl2,
     closed_form_gl2_batch,
     givental_eval,
@@ -69,7 +68,6 @@ from .gl_baxter import (
     baxter_kernel,
     commutation_residual,
     dual_baxter_apply,
-    dual_baxter_kernel,
     gaussian_zonal_function,
     half_sum_offsets,
     lowering_compatibility,
@@ -81,13 +79,11 @@ from .gl_baxter import (
 )
 from .so_toda import (
     MIN_SO_SPECTRAL_GAP,
-    SoPattern,
     closed_form_so3,
     so_baxter_apply,
     so_baxter_eigenvalue,
     so_givental_eval,
     so_recursive_eval,
-    so_step_kernel,
     so_toda_apply_h2,
 )
 from .local_lfactors import (
@@ -136,8 +132,6 @@ __all__ = [
     "SatakeClass",
     "ShiftError",
     "SingularMatrixError",
-    "SoPattern",
-    "SpectralParams",
     "SphericalTransformCheck",
     "TodaWhittakerError",
     "TruncatedSeries",
@@ -160,7 +154,6 @@ __all__ = [
     "complete_symm",
     "double_step_kernel",
     "dual_baxter_apply",
-    "dual_baxter_kernel",
     "elementary_symm",
     "gamma_product",
     "gaussian_zonal_function",
@@ -186,7 +179,6 @@ __all__ = [
     "so_baxter_eigenvalue",
     "so_givental_eval",
     "so_recursive_eval",
-    "so_step_kernel",
     "so_toda_apply_h2",
     "spherical_function_rank2",
     "spherical_transform_check_rank2",

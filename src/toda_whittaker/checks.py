@@ -50,6 +50,7 @@ from .so_toda import closed_form_so3, so_toda_apply_h2
 __all__ = [
     "CaseResult",
     "SUITES",
+    "SUITE_OPTIONS",
     "SuiteOptions",
     "barnes",
     "baxter_eigen",
@@ -336,4 +337,19 @@ SUITES = {
     "dual-baxter": _dual_baxter_suite,
     "spherical-rank2": _spherical_rank2_suite,
     "commute": _commute_suite,
+}
+
+#: Suite name -> the :class:`SuiteOptions` fields its cases read; ``verify``
+#: rejects a flag for any other field.
+SUITE_OPTIONS = {
+    "baxter-eigen": ("tol", "budget", "rank"),
+    "mb-vs-givental": ("tol", "budget"),
+    "stade": ("tol", "budget"),
+    "bump-friedberg": ("tol", "budget"),
+    "barnes": ("tol", "budget"),
+    "tq-padic": ("n", "trials"),
+    "toda": (),
+    "dual-baxter": ("tol", "budget"),
+    "spherical-rank2": ("tol", "budget"),
+    "commute": ("tol", "budget"),
 }

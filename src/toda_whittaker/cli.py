@@ -18,15 +18,18 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .checks import SUITES as _SUITES, CaseResult, SuiteOptions
+from .checks import (
+    SUITE_OPTIONS as _SUITE_OPTIONS,
+    SUITES as _SUITES,
+    CaseResult,
+    SuiteOptions,
+)
 from .errors import (
     BudgetExceeded,
     ContourError,
@@ -69,6 +72,8 @@ __all__ = ["main", "entry"]
 
 _FLOAT_FMT = "%.17g"
 _FORMATS = ("json", "csv", "text")
+#: The options of ``verify`` that only some suites read (see ``SUITE_OPTIONS``).
+_VERIFY_OPTIONS = ("tol", "budget", "rank", "n", "trials")
 
 
 class _UsageError(Exception):
@@ -227,13 +232,6 @@ def _resolve(args, attr: str, conv, default, cfg_key: str | None = None):
         raise _UsageError(f"invalid value for --{flag}: {val!r}")
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TODA_WHITTAKER_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _format_option(args) -> str:
     fmt = _resolve(args, "format", str, "text")
     if fmt not in _FORMATS:
@@ -269,7 +267,7 @@ _EVAL_AUTO = {
     "gl2": "closed",
     "gl3": "recursive",
     "so3": "closed",
-    "so5": "givental",
+    "so5": "recursive",
 }
 
 
@@ -463,9 +461,6 @@ def cmd_baxter_apply(args) -> int:
 
 def cmd_verify(args) -> int:
     tol, budget, fmt = _common_options(args)
-    workers = _resolve(args, "workers", int, _default_workers())
-    if workers < 1:
-        raise _UsageError("--workers must be at least 1")
     suite = _resolve(args, "suite", str, None)
     if suite is None:
         raise _UsageError("--suite is required")
@@ -473,6 +468,10 @@ def cmd_verify(args) -> int:
         raise _UsageError(
             f"unknown suite {suite!r}: expected one of " + ", ".join(sorted(_SUITES))
         )
+    reads = _SUITE_OPTIONS.get(suite, ())
+    for opt in _VERIFY_OPTIONS:
+        if getattr(args, opt) is not None and opt not in reads:
+            raise _UsageError(f"suite {suite!r} does not read --{opt}")
     rank = _resolve(args, "rank", int, None)
     n = _resolve(args, "n", int, SuiteOptions.n)
     trials = _resolve(args, "trials", int, SuiteOptions.trials)
@@ -483,27 +482,20 @@ def cmd_verify(args) -> int:
     if not thunks:
         raise _UsageError("no cases selected (check --rank)")
 
-    budget_hit = [False]
-
-    def call(pair) -> CaseResult:
-        name, fn = pair
+    results = []
+    budget_hit = False
+    for name, fn in thunks:
         try:
-            return fn()
+            results.append(fn())
         except BudgetExceeded:
-            budget_hit[0] = True
-            return CaseResult(name, 0.0, 0.0, 1e300, 0.0, False)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(call, thunks))
-    else:
-        results = [call(t) for t in thunks]
+            budget_hit = True
+            results.append(CaseResult(name, 0.0, 0.0, 1e300, 0.0, False))
 
     for line in _record_lines(results, fmt):
         print(line)
     passed = sum(1 for r in results if r.ok)
     print("passed %d/%d cases" % (passed, len(results)), file=sys.stderr)
-    if budget_hit[0]:
+    if budget_hit:
         return 2
     return 0 if passed == len(results) else 3
 
@@ -677,10 +669,9 @@ def _build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run an identity-verification suite")
     pv.add_argument("--suite", help="suite name; one of " + ", ".join(sorted(_SUITES)))
-    pv.add_argument("--rank", help="restrict suite cases to this rank")
+    pv.add_argument("--rank", help="restrict suite cases to this rank (baxter-eigen)")
     pv.add_argument("--n", help="maximum parameter-multiset size (tq-padic)")
     pv.add_argument("--trials", help="number of random trials (tq-padic)")
-    pv.add_argument("--workers", help="parallel case workers (default $TODA_WHITTAKER_WORKERS or 1)")
     _add_accuracy(pv)
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)

@@ -27,12 +27,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, RankError, ShiftError, SingularMatrixError
-from .gl_whittaker import _as_params, closed_form_gl2_batch
+from .gl_whittaker import _as_params, _pair_reciprocal_gammas, closed_form_gl2_batch
 from .numerics import (
-    AccuracyBudget,
+    _DEFAULT_BUDGET,
     log_gamma,
     log_gamma_array,
-    macdonald_k,
     _EPS,
     _macdonald_grid,
     _macdonald_pairs,
@@ -44,6 +43,7 @@ from .quadrature import (
     DoubleExponential,
     Exponential,
     QuadratureResult,
+    _with_tail,
     integrate_box,
     integrate_contour,
     integrate_decaying,
@@ -59,7 +59,6 @@ __all__ = [
     "baxter_eigenvalue",
     "baxter_eigenfunction",
     "baxter_eigenfunction_batch",
-    "dual_baxter_kernel",
     "dual_baxter_apply",
     "mb_closed_form_batch",
     "CommutationCheck",
@@ -73,8 +72,6 @@ __all__ = [
     "SphericalTransformCheck",
     "spherical_transform_check_rank2",
 ]
-
-_DEFAULT_BUDGET = AccuracyBudget()
 
 #: Minimum of Re(i*gamma - i*lam_j) required before an operator application is
 #: attempted; below this the right tail of the defining integral decays too
@@ -95,18 +92,6 @@ class BaxterConvention:
             raise ValueError(
                 f"unknown convention {self.kind!r}; expected one of {self._KINDS}"
             )
-
-    @classmethod
-    def lie(cls) -> "BaxterConvention":
-        return cls("lie")
-
-    @classmethod
-    def iwasawa(cls) -> "BaxterConvention":
-        return cls("iwasawa")
-
-    @classmethod
-    def iwasawa_pi(cls) -> "BaxterConvention":
-        return cls("iwasawa_pi")
 
     @property
     def wall_slope(self) -> float:
@@ -321,24 +306,8 @@ def _plancherel_rows(betas: np.ndarray) -> np.ndarray:
     value = np.full(m, 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
     for j in range(n):
         for k in range(j + 1, n):
-            w = 1j * (betas[:, j] - betas[:, k])
-            value *= -w * np.sin(math.pi * w) / math.pi
+            value *= _pair_reciprocal_gammas(betas[:, j], betas[:, k])
     return value
-
-
-def dual_baxter_kernel(gamma, beta, z: float) -> complex:
-    """Spectral-plane kernel: full Gamma array times a linear phase in ``z``."""
-    g = _as_params(gamma)
-    b = _as_params(beta)
-    if len(g) != len(b):
-        raise RankError("gamma and beta must have equal length")
-    args = [1j * bj - 1j * gi for gi in g for bj in b]
-    logs = sorted((log_gamma(a) for a in args), key=lambda v: (v.real, v.imag))
-    total = 0j
-    for v in logs:
-        total += v
-    phase = -1j * float(z) * (sum(g) - sum(b))
-    return cmath.exp(total + phase)
 
 
 def dual_baxter_apply(
@@ -461,8 +430,7 @@ def _double_apply_fused(
         return stable_exp(expo - walls)
 
     inner = integrate_box(integrand, box, 0.8 * tol, max_evals)
-    err = inner.abs_error + 6.0 * n * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(inner, 6.0 * n * tau, tol)
 
 
 def commutation_residual(
@@ -786,8 +754,7 @@ def spherical_transform_rank2(
 
     box = [(s_lo, s_hi), (0.0, d_hi)]
     inner = integrate_box(f, box, 0.8 * tol, max_evals)
-    err = inner.abs_error + 6.0 * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(inner, 6.0 * tau, tol)
 
 
 def universal_baxter_phi(g_matrix, lam: complex) -> complex:

@@ -9,19 +9,17 @@ with the bridges between them:
   Plancherel density, with configurable contour offsets;
 * mixed evaluation pipelines that build each rank step in either model.
 
-Spectral-parameter conventions: ``SpectralParams`` values are interpreted in
-the ``"givental"`` convention by default; the ``"iwasawa"`` convention stores
-doubled parameters and is converted on entry. The spectral-plane model uses
-globally negated parameters internally (the two models differ by the sign of
-the spectral tuple); all public entry points take the same convention and
-agree with each other, which the tests verify pointwise.
+Spectral parameters are plain sequences in the Givental convention. The
+spectral-plane model uses globally negated parameters internally (the two
+models differ by the sign of the spectral tuple); all public entry points
+take the same convention and agree with each other, which the tests verify
+pointwise.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,13 +36,13 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
+    _with_tail,
     integrate_box,
     integrate_contour,
     stable_exp,
 )
 
 __all__ = [
-    "SpectralParams",
     "givental_eval",
     "givental_recursive_eval",
     "givental_step_kernel",
@@ -60,48 +58,11 @@ _MAX_RANK = 2  # chain length minus one: ranks 0, 1, 2 <=> gl1, gl2, gl3
 
 
 # ---------------------------------------------------------------------------
-# Parameter containers
-
-
-@dataclass(frozen=True)
-class SpectralParams:
-    """Spectral parameters of a rank-``len(values)-1`` Whittaker function.
-
-    ``convention`` is ``"givental"`` (default) or ``"iwasawa"``; the latter
-    stores doubled values and is converted on use.
-    """
-
-    values: tuple
-    convention: str = "givental"
-
-    def __init__(self, values: Sequence[complex], convention: str = "givental"):
-        vals = tuple(complex(v) for v in values)
-        if not vals:
-            raise ValueError("SpectralParams needs at least one value")
-        if convention not in ("givental", "iwasawa"):
-            raise ValueError(f"unknown convention {convention!r}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "convention", convention)
-
-    @property
-    def rank(self) -> int:
-        return len(self.values) - 1
-
-    def to_givental(self) -> "SpectralParams":
-        if self.convention == "givental":
-            return self
-        return SpectralParams(tuple(v / 2.0 for v in self.values), "givental")
+# Shared helpers
 
 
 def _as_params(lam) -> tuple[complex, ...]:
-    """Coerce SpectralParams or a plain sequence to a Givental-convention tuple."""
-    if isinstance(lam, SpectralParams):
-        return lam.to_givental().values
     return tuple(complex(v) for v in lam)
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
 
 
 def _exp_wall(diff: np.ndarray) -> np.ndarray:
@@ -118,11 +79,6 @@ def _halfwidth(tol: float, lin_slack: float = 1.0) -> float:
     for _ in range(4):
         a = math.log(target + lin_slack * max(a, 1.0)) + 3.0
     return a
-
-
-def _with_tail(inner: QuadratureResult, tol: float) -> QuadratureResult:
-    err = inner.abs_error + tol / 10.0
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
 
 
 def _im_slack(lam: tuple[complex, ...]) -> float:
@@ -228,7 +184,7 @@ def givental_eval(
             return stable_exp(expo + 1j * l1 * u)
 
         box = [(x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol)
+        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol / 10.0, tol)
 
     l1, l2, l3 = lam_t
     x1, x2, x3 = x
@@ -243,7 +199,7 @@ def givental_eval(
         return stable_exp(expo + 1j * l1 * v)
 
     box = [(x1 - a, x2 + a), (x2 - a, x3 + a), (x1 - 2 * a, x3 + 2 * a)]
-    return _with_tail(integrate_box(f3, box, 0.9 * tol, max_evals), tol)
+    return _with_tail(integrate_box(f3, box, 0.9 * tol, max_evals), tol / 10.0, tol)
 
 
 def givental_recursive_eval(
@@ -275,7 +231,7 @@ def givental_recursive_eval(
             return stable_exp(expo) * np.exp(1j * l1 * u)
 
         box = [(x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol)
+        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol / 10.0, tol)
 
     l1, l2, l3 = lam_t
     x1, x2, x3 = x
@@ -439,11 +395,12 @@ def plancherel_measure(lam) -> complex:
 # Mixed pipelines
 
 
-def mixed_eval(word, lam, x, tol: float = 1e-8, contour: ContourSpec | None = None) -> QuadratureResult:
+def mixed_eval(word, lam, x, tol: float = 1e-8) -> QuadratureResult:
     """Evaluate with a per-step model choice.
 
     ``word[j]`` selects the model ('L' coordinate, 'R' spectral) of the step
     that builds rank ``j+1`` from rank ``j`` — bottom-up, one letter per step.
+    Spectral steps sit on the default contours of :func:`mellin_barnes_eval`.
     All words agree with :func:`givental_eval` on their common domain.
     """
     lam_t = _as_params(lam)
@@ -463,7 +420,7 @@ def mixed_eval(word, lam, x, tol: float = 1e-8, contour: ContourSpec | None = No
     if all(c == "L" for c in word):
         return givental_recursive_eval(lam_t, x, tol)
     if all(c == "R" for c in word):
-        return mellin_barnes_eval(lam_t, x, tol, contour)
+        return mellin_barnes_eval(lam_t, x, tol)
 
     # Rank-2 hybrids: one spectral level folded into a real box integration.
     a = _halfwidth(tol, _im_slack(lam_t) + 1.0)
@@ -474,7 +431,7 @@ def mixed_eval(word, lam, x, tol: float = 1e-8, contour: ContourSpec | None = No
 
     if word == ("L", "R"):
         # Top step spectral (two contour variables), bottom step coordinate.
-        c2 = (min(m.imag for m in mu) - 0.5) if contour is None else contour.flat[0]
+        c2 = min(m.imag for m in mu) - 0.5
         s_mu = sum(mu)
 
         def f_lr(pts: np.ndarray) -> np.ndarray:
@@ -496,10 +453,10 @@ def mixed_eval(word, lam, x, tol: float = 1e-8, contour: ContourSpec | None = No
             return measure * stable_exp(expo)
 
         box = [(-radius, radius), (-radius, radius), (x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f_lr, box, 0.9 * tol), tol)
+        return _with_tail(integrate_box(f_lr, box, 0.9 * tol), tol / 10.0, tol)
 
     # word == ("R", "L"): top step coordinate, bottom step spectral.
-    c1 = (min(m.imag for m in mu[:2]) - 0.5) if contour is None else contour.flat[0]
+    c1 = min(m.imag for m in mu[:2]) - 0.5
     s_mu12 = mu[0] + mu[1]
 
     def f_rl(pts: np.ndarray) -> np.ndarray:
@@ -515,11 +472,36 @@ def mixed_eval(word, lam, x, tol: float = 1e-8, contour: ContourSpec | None = No
         return stable_exp(expo)
 
     box = [(x1 - a, x2 + a), (x2 - a, x3 + a), (-radius, radius)]
-    return _with_tail(integrate_box(f_rl, box, 0.9 * tol), tol)
+    return _with_tail(integrate_box(f_rl, box, 0.9 * tol), tol / 10.0, tol)
 
 
 # ---------------------------------------------------------------------------
 # Toda Hamiltonians by finite differences
+
+
+def _stencil(
+    psi: Callable[[np.ndarray], np.ndarray], x: Sequence[float], step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as an array, and ``psi`` at ``x`` (entry 0) and at ``x +- step``
+    along axis ``j`` (entries ``1 + 2 j`` and ``2 + 2 j``)."""
+    x_arr = np.asarray([float(v) for v in x], dtype=float)
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    points = [x_arr]
+    for j in range(x_arr.size):
+        for sgn in (+1.0, -1.0):
+            p = x_arr.copy()
+            p[j] += sgn * step
+            points.append(p)
+    return x_arr, np.asarray(psi(np.array(points)), dtype=complex)
+
+
+def _kinetic(vals: np.ndarray, step: float) -> complex:
+    """``-1/2 sum_j d^2 psi / dx_j^2`` from the values of :func:`_stencil`."""
+    out = 0.0 + 0.0j
+    for j in range((vals.size - 1) // 2):
+        out += -0.5 * (vals[1 + 2 * j] - 2.0 * vals[0] + vals[2 + 2 * j]) / (step * step)
+    return out
 
 
 def toda_apply(
@@ -538,27 +520,13 @@ def toda_apply(
     name = h.strip().lower()
     if name not in ("h1", "h2tilde"):
         raise ValueError(f"unknown hamiltonian {h!r} (expected 'H1' or 'H2tilde')")
-    x_arr = np.asarray([float(v) for v in x], dtype=float)
-    n = x_arr.size
     step = float(step)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    points = [x_arr]
-    for j in range(n):
-        for sgn in (+1.0, -1.0):
-            p = x_arr.copy()
-            p[j] += sgn * step
-            points.append(p)
-    vals = np.asarray(psi(np.array(points)), dtype=complex)
-    psi0 = vals[0]
-    out = 0.0 + 0.0j
+    x_arr, vals = _stencil(psi, x, step)
+    n = x_arr.size
     if name == "h1":
+        out = 0.0 + 0.0j
         for j in range(n):
-            plus, minus = vals[1 + 2 * j], vals[2 + 2 * j]
-            out += -1j * (plus - minus) / (2.0 * step)
+            out += -1j * (vals[1 + 2 * j] - vals[2 + 2 * j]) / (2.0 * step)
         return complex(out)
-    for j in range(n):
-        plus, minus = vals[1 + 2 * j], vals[2 + 2 * j]
-        out += -0.5 * (plus - 2.0 * psi0 + minus) / (step * step)
     potential = sum(math.exp(x_arr[j] - x_arr[j + 1]) for j in range(n - 1))
-    return complex(out + potential * psi0)
+    return complex(_kinetic(vals, step) + potential * vals[0])

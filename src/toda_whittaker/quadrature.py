@@ -178,6 +178,13 @@ class ContourSpec:
         return len(self.flat)
 
 
+def _with_tail(inner: QuadratureResult, tail: float, tol: float) -> QuadratureResult:
+    """``inner`` with the bound ``tail`` on its truncated tails added to its
+    error, converged if the sum is within ``tol``."""
+    err = inner.abs_error + tail
+    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+
+
 def stable_exp(exponent: np.ndarray) -> np.ndarray:
     """exp of a complex array with the real part clipped so underflow goes
     gracefully to zero and overflow saturates instead of producing NaNs."""
@@ -559,10 +566,7 @@ def integrate_decaying(
         raise ValueError(f"dimension {d} exceeds the supported maximum {_MAX_DIM}")
     tail_budget = tol / (10.0 * d)
     box = profile.box(tail_budget)
-    inner = integrate_box(f, box, 0.8 * tol, max_evals)
-    tail_total = 2.0 * d * tail_budget
-    err = inner.abs_error + tail_total
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(integrate_box(f, box, 0.8 * tol, max_evals), 2.0 * d * tail_budget, tol)
 
 
 def integrate_contour(
@@ -598,6 +602,4 @@ def integrate_contour(
         return np.asarray(f(points + 1j * offsets[None, :]), dtype=complex)
 
     box = [(-radius, radius)] * d
-    inner = integrate_box(g, box, 0.9 * tol, max_evals)
-    err = inner.abs_error + 2.0 * d * tail_budget
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(integrate_box(g, box, 0.9 * tol, max_evals), 2.0 * d * tail_budget, tol)

@@ -37,6 +37,7 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
+    _with_tail,
     integrate_box,
     integrate_contour,
     stable_exp,
@@ -124,8 +125,7 @@ def bump_friedberg_integral(
             return stable_exp(a_arg * x - np.exp(np.minimum(x, 700.0)))
 
         inner = integrate_box(integrand, [(lo, hi)], 0.8 * tol, max_evals)
-        err = inner.abs_error + 2.0 * tau
-        return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+        return _with_tail(inner, 2.0 * tau, tol)
 
     # ell == 1: pair two rank-one closed forms on a two-dimensional box.
     rate_com = sum(a.real for a in args) / 4.0
@@ -145,8 +145,7 @@ def bump_friedberg_integral(
     inner = integrate_box(
         integrand, [(x1_lo, x1_hi), (x2_lo, x2_hi)], 0.8 * tol, max_evals
     )
-    err = inner.abs_error + 6.0 * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(inner, 6.0 * tau, tol)
 
 
 def bump_inner_correlation_prediction(gamma_bot, lambda_top, t, x_last) -> complex:
@@ -214,8 +213,7 @@ def bump_inner_correlation(
         return np.conj(np.exp(1j * g * x)) * top
 
     inner = integrate_box(integrand, [(lo, hi)], 0.8 * tol, max_evals)
-    err = inner.abs_error + 4.0 * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(inner, 4.0 * tau, tol)
 
 
 def stade_kernel(x_top: Sequence[float], x_bot: Sequence[float], lam_pair) -> complex:
@@ -300,8 +298,7 @@ def double_step_kernel(
         return stable_exp(expo - walls)
 
     inner = integrate_box(integrand, box, 0.8 * tol, max_evals)
-    err = inner.abs_error + 2.0 * ell * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(inner, 2.0 * ell * tau, tol)
 
 
 @dataclass(frozen=True)

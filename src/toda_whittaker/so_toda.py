@@ -8,16 +8,15 @@ double-exponentially (or exponentially, for the one conditionally convergent
 direction of the operator application).
 
 Provided: the rank-one closed form (a Macdonald function of doubled order),
-direct pattern-integral evaluation at ranks one and two, the rank-lowering
-step kernel with its own auxiliary integral, the integral operator with a
-two-Gamma-factor eigenvalue, and the quadratic chain Hamiltonian applied by
-central differences.
+direct pattern-integral evaluation at ranks one and two, the rank-two
+function by one step from the rank-one closed form, the integral operator
+with a two-Gamma-factor eigenvalue, and the quadratic chain Hamiltonian
+applied by central differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,14 +32,19 @@ from .numerics import (
     log_gamma,
     macdonald_k,
 )
-from .quadrature import _DEFAULT_MAX_EVALS, QuadratureResult, integrate_box, stable_exp
+from .gl_whittaker import _kinetic, _stencil
+from .quadrature import (
+    _DEFAULT_MAX_EVALS,
+    QuadratureResult,
+    _with_tail,
+    integrate_box,
+    stable_exp,
+)
 
 __all__ = [
-    "SoPattern",
     "MIN_SO_SPECTRAL_GAP",
     "closed_form_so3",
     "so_givental_eval",
-    "so_step_kernel",
     "so_recursive_eval",
     "so_baxter_eigenvalue",
     "so_baxter_apply",
@@ -51,36 +55,6 @@ __all__ = [
 #: Minimum decay rate required of the conditionally convergent directions in
 #: ``so_baxter_apply``; see that function.
 MIN_SO_SPECTRAL_GAP = 0.25
-
-
-@dataclass(frozen=True)
-class SoPattern:
-    """Triangular pattern of auxiliary variables for the reflecting chain.
-
-    ``x_rows[k]`` and ``z_rows[k]`` hold ``k + 1`` entries each; the last
-    x-row is the argument of the eigenfunction, all other entries are
-    integration variables.
-    """
-
-    x_rows: tuple[tuple[float, ...], ...]
-    z_rows: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.x_rows) != len(self.z_rows):
-            raise ValueError("x_rows and z_rows must have equal depth")
-        for k, (xr, zr) in enumerate(zip(self.x_rows, self.z_rows), start=1):
-            if len(xr) != k or len(zr) != k:
-                raise ValueError(f"row {k} must hold exactly {k} entries")
-
-    @property
-    def rank(self) -> int:
-        return len(self.x_rows)
-
-    @property
-    def inner_count(self) -> int:
-        """Number of integration variables: all z's plus all x's below the top."""
-        r = self.rank
-        return r * (r + 1) // 2 + (r - 1) * r // 2
 
 
 def closed_form_so3(lam: complex, x: float) -> complex:
@@ -135,9 +109,7 @@ def so_givental_eval(
             return stable_exp(expo)
 
         box = [(0.5 * xv - m, 0.5 * xv + m)]
-        inner = integrate_box(f1, box, 0.8 * tol, max_evals)
-        err = inner.abs_error + 2.0 * tau
-        return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+        return _with_tail(integrate_box(f1, box, 0.8 * tol, max_evals), 2.0 * tau, tol)
 
     la1, la2 = lam_t
     x1, x2 = x_arr
@@ -165,70 +137,7 @@ def so_givental_eval(
         return stable_exp(expo - walls)
 
     box = [(z1_lo, z1_hi), (z2_lo, z2_hi), (xb_lo, xb_hi), (w_lo, w_hi)]
-    inner = integrate_box(f2, box, 0.8 * tol, max_evals)
-    err = inner.abs_error + 8.0 * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
-
-
-def so_step_kernel(
-    x_top: Sequence[float],
-    x_bot: Sequence[float],
-    lam_new: complex,
-    tol: float = 1e-8,
-    max_evals: int = _DEFAULT_MAX_EVALS,
-) -> QuadratureResult:
-    """Rank-lowering kernel, evaluated by quadrature over its auxiliary row.
-
-    ``x_top`` has one more entry than ``x_bot``; the kernel at rank one
-    (empty ``x_bot``) is the base-case integral whose value matches
-    ``closed_form_so3``.
-    """
-    top = np.asarray([float(v) for v in x_top], dtype=float)
-    bot = np.asarray([float(v) for v in x_bot], dtype=float)
-    ell = top.size
-    if bot.size != ell - 1:
-        raise RankError("x_bot must be one entry shorter than x_top")
-    if ell not in (1, 2):
-        raise RankError("so_step_kernel supports ranks one and two")
-    la = complex(lam_new)
-    tau, big, m = _box_scales(tol, abs(la.imag))
-
-    if ell == 1:
-        xv = top[0]
-
-        def f1(p: np.ndarray) -> np.ndarray:
-            z = p[:, 0]
-            expo = 1j * la * (2.0 * z - xv)
-            expo = expo - np.exp(np.minimum(z, 700.0))
-            expo = expo - np.exp(np.minimum(xv - z, 700.0))
-            return stable_exp(expo)
-
-        box = [(0.5 * xv - m, 0.5 * xv + m)]
-        inner = integrate_box(f1, box, 0.8 * tol, max_evals)
-        err = inner.abs_error + 2.0 * tau
-        return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
-
-    x1, x2 = top
-    xb = bot[0]
-
-    def f2(p: np.ndarray) -> np.ndarray:
-        z1, z2 = p[:, 0], p[:, 1]
-        expo = 1j * la * (2.0 * (z1 + z2) - x1 - x2 - xb)
-        walls = np.exp(np.minimum(z1, 700.0))
-        walls += np.exp(np.minimum(xb - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - xb, 700.0))
-        walls += np.exp(np.minimum(x1 - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - x1, 700.0))
-        walls += np.exp(np.minimum(x2 - z2, 700.0))
-        return stable_exp(expo - walls)
-
-    box = [
-        (max(x1, xb) - m, math.log(big) + 2.0),
-        (x2 - m, min(x1, xb) + m),
-    ]
-    inner = integrate_box(f2, box, 0.8 * tol, max_evals)
-    err = inner.abs_error + 4.0 * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(integrate_box(f2, box, 0.8 * tol, max_evals), 8.0 * tau, tol)
 
 
 def so_recursive_eval(
@@ -278,9 +187,7 @@ def so_recursive_eval(
         (z2_lo, x1 + m),
         (xb_lo, math.log(big) + 2.0 + m),
     ]
-    inner = integrate_box(f, box, 0.8 * tol, max_evals)
-    err = inner.abs_error + 6.0 * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(integrate_box(f, box, 0.8 * tol, max_evals), 6.0 * tau, tol)
 
 
 def so_baxter_eigenvalue(gamma: complex, lam) -> complex:
@@ -346,9 +253,7 @@ def so_baxter_apply(
         return norm * stable_exp(expo - walls) * _closed_form_so3_batch(la, xv, budget)
 
     box = [(z1_lo, z1_hi), (z2_lo, z2_hi), (x_lo, x_hi)]
-    inner = integrate_box(f, box, 0.8 * tol, max_evals)
-    err = inner.abs_error + 6.0 * tau
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    return _with_tail(integrate_box(f, box, 0.8 * tol, max_evals), 6.0 * tau, tol)
 
 
 def so_toda_apply_h2(
@@ -363,23 +268,8 @@ def so_toda_apply_h2(
     applied to ``psi`` at ``x``.  ``psi`` follows the vectorized evaluator
     contract ((m, l) array in, (m,) complex out).
     """
-    x_arr = np.asarray([float(v) for v in x], dtype=float)
-    ell = x_arr.size
     step = float(step)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    points = [x_arr]
-    for j in range(ell):
-        for sgn in (+1.0, -1.0):
-            p = x_arr.copy()
-            p[j] += sgn * step
-            points.append(p)
-    vals = np.asarray(psi(np.array(points)), dtype=complex)
-    psi0 = vals[0]
-    out = 0.0 + 0.0j
-    for j in range(ell):
-        plus, minus = vals[1 + 2 * j], vals[2 + 2 * j]
-        out += -0.5 * (plus - 2.0 * psi0 + minus) / (step * step)
+    x_arr, vals = _stencil(psi, x, step)
     potential = 0.5 * math.exp(x_arr[0])
-    potential += sum(math.exp(x_arr[j + 1] - x_arr[j]) for j in range(ell - 1))
-    return complex(out + potential * psi0)
+    potential += sum(math.exp(x_arr[j + 1] - x_arr[j]) for j in range(x_arr.size - 1))
+    return complex(_kinetic(vals, step) + potential * vals[0])

@@ -75,6 +75,16 @@ class TestEval:
         assert code == 2
         assert json.loads(out)["converged"] is False
 
+    def test_so5_default_is_recursive(self, capsys):
+        # The fused 4-d model was the default and spent its whole budget
+        # here: exit 2 after 3,999,120 evaluations.
+        argv = ["eval", "--algebra", "so5", "--lambda", "0.5,-0.3", "--x", "0.2,-0.1",
+                "--format", "json"]
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["converged"] is True
+        assert run(argv + ["--method", "recursive"], capsys) == (code, out, err)
+
     def test_text_format_has_sign(self, capsys):
         code, out, err = run(
             ["eval", "--algebra", "gl1", "--lambda", "0.7", "--x", "0.3",
@@ -140,7 +150,32 @@ class TestVerify:
         code, out, err = run(
             ["verify", "--suite", "barnes", "--workers", "2"], capsys
         )
+        assert code == 1
+        assert out == ""
+
+    # Each suite once accepted and ignored these flags: exit 0, default bytes.
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [(suite, flag) for suite in ("toda", "tq-padic") for flag in ("--tol", "--budget")]
+        + [(suite, "--rank") for suite in sorted(set(cli._SUITES) - {"baxter-eigen"})]
+        + [(suite, flag) for suite in sorted(set(cli._SUITES) - {"tq-padic"})
+           for flag in ("--n", "--trials")],
+    )
+    def test_unread_flag_fails(self, suite, flag, capsys):
+        value = {"--tol": "1e-30", "--budget": "1"}.get(flag, "2")
+        code, out, err = run(["verify", "--suite", suite, flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert flag in err and suite in err
+
+    def test_config_key_of_unread_option_is_a_default(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-30\nrank = 2\n")
+        code, out, err = run(["verify", "--suite", "toda", "--config", str(cfg)], capsys)
         assert code == 0
+
+    def test_every_suite_declares_its_options(self):
+        assert set(cli._SUITE_OPTIONS) == set(cli._SUITES)
 
 
 class TestLFactor:

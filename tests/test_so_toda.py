@@ -8,7 +8,6 @@ import pytest
 
 from toda_whittaker.errors import RankError, ShiftError
 from toda_whittaker.so_toda import (
-    SoPattern,
     closed_form_so3,
     so_baxter_apply,
     so_baxter_eigenvalue,
@@ -94,8 +93,3 @@ class TestQuadraticHamiltonian:
         fine = so_toda_apply_h2(psi, x, 5e-4)
         rich = (4.0 * fine - coarse) / 3.0
         assert abs(rich / base - 0.5 * lam**2) < 1e-7
-
-
-def test_so_pattern_validation():
-    with pytest.raises((ValueError, RankError)):
-        SoPattern(x_rows=((1.0, 2.0), (0.5,)), z_rows=((0.3,),))
