@@ -4,8 +4,9 @@ and local L-factor identities.
 The package is organized by subject:
 
 * :mod:`toda_whittaker.numerics` — log-Gamma, Gamma products, Macdonald K.
-* :mod:`toda_whittaker.quadrature` — deterministic adaptive integration
-  (boxes, decaying integrands over R^d, horizontal complex contours).
+* :mod:`toda_whittaker.quadrature` — deterministic integration: adaptive
+  over boxes and decaying integrands on R^d, the trapezoid rule along
+  horizontal complex contours.
 * :mod:`toda_whittaker.gl_whittaker` — A-series Whittaker functions in the
   coordinate and spectral-plane models, mixed pipelines, Toda Hamiltonians.
 * :mod:`toda_whittaker.gl_baxter` — Baxter Q-operators (three conventions),
@@ -50,6 +51,7 @@ from .gl_whittaker import (
     givental_eval,
     givental_recursive_eval,
     givental_step_kernel,
+    mb_closed_form_batch,
     mellin_barnes_eval,
     mixed_eval,
     plancherel_measure,
@@ -71,7 +73,6 @@ from .gl_baxter import (
     gaussian_zonal_function,
     half_sum_offsets,
     lowering_compatibility,
-    mb_closed_form_batch,
     spherical_function_rank2,
     spherical_transform_check_rank2,
     spherical_transform_rank2,

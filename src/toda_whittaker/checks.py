@@ -24,13 +24,13 @@ from .gl_baxter import (
     baxter_eigenvalue,
     commutation_residual,
     dual_baxter_apply,
-    mb_closed_form_batch,
     spherical_transform_check_rank2,
 )
 from .gl_whittaker import (
     closed_form_gl2,
     closed_form_gl2_batch,
     givental_recursive_eval,
+    mb_closed_form_batch,
     mellin_barnes_eval,
     toda_apply,
 )
@@ -68,8 +68,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CaseResult:
-    """One checked case: both sides, their residual, and the limit ``tol``
-    the residual must meet (``ok``)."""
+    """One checked case: both sides, their residual, the limit ``tol`` the
+    residual must meet (``ok``), and the integrand evaluations the quadrature
+    behind the sides took (0 where the check does not count them)."""
 
     case: str
     lhs: object
@@ -77,10 +78,11 @@ class CaseResult:
     residual: float
     tol: float
     ok: bool
+    evaluations: int = 0
 
 
-def _result(case: str, lhs, rhs, residual: float, limit: float) -> CaseResult:
-    return CaseResult(case, lhs, rhs, residual, limit, residual <= limit)
+def _result(case: str, lhs, rhs, residual: float, limit: float, evaluations: int = 0) -> CaseResult:
+    return CaseResult(case, lhs, rhs, residual, limit, residual <= limit, evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,8 @@ def dual_baxter(case, gamma, x, z, tol, max_evals=_DEFAULT_MAX_EVALS):
     base = complex(mb_closed_form_batch(np.asarray([gamma], dtype=complex), x)[0])
     lhs = res.value / base
     rhs = math.exp(-math.exp(x[-1] - z))
-    return _result(case, lhs, rhs, abs(lhs - rhs), 10.0 * tol * max(1.0, 1.0 / abs(base)))
+    return _result(case, lhs, rhs, abs(lhs - rhs), 10.0 * tol * max(1.0, 1.0 / abs(base)),
+                   res.evaluations)
 
 
 def spherical_rank2(case, gamma, lam, tol, max_evals=_DEFAULT_MAX_EVALS):

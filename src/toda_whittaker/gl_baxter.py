@@ -27,14 +27,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, RankError, ShiftError, SingularMatrixError
-from .gl_whittaker import _as_params, _pair_reciprocal_gammas, closed_form_gl2_batch
+from .gl_whittaker import (
+    _as_params,
+    _check_below,
+    _spectral_rows,
+    closed_form_gl2_batch,
+    mb_closed_form_batch,
+)
 from .numerics import (
     _DEFAULT_BUDGET,
     log_gamma,
-    log_gamma_array,
     _EPS,
     _macdonald_grid,
-    _macdonald_pairs,
 )
 from .quadrature import (
     _DEFAULT_MAX_EVALS,
@@ -299,17 +303,6 @@ def _require_rank_le2(n: int, what: str) -> None:
         raise RankError(f"{what} supports one or two variables, got {n}")
 
 
-def _plancherel_rows(betas: np.ndarray) -> np.ndarray:
-    """Spectral density along contour rows, via the reflection identity
-    ``1/(Gamma(w) Gamma(-w)) = -w sin(pi w)/pi`` (entire, no poles)."""
-    m, n = betas.shape
-    value = np.full(m, 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            value *= _pair_reciprocal_gammas(betas[:, j], betas[:, k])
-    return value
-
-
 def dual_baxter_apply(
     F: Callable[[np.ndarray], np.ndarray],
     gamma,
@@ -321,8 +314,10 @@ def dual_baxter_apply(
     """Apply the dual operator to a spectral-plane function ``F``.
 
     The integral runs over horizontal contours placed half a unit below the
-    lowest of the ``gamma`` parameters (or along ``contour`` if given), with
-    the spectral density included.  ``F`` receives complex ``(m, n)`` rows.
+    lowest of the ``gamma`` parameters (or along ``contour`` if given, which
+    must lie strictly below every ``Im gamma_j``, else :class:`ContourError`),
+    with the spectral density included.  ``F`` receives complex ``(m, n)``
+    rows.
     """
     g = _as_params(gamma)
     n = len(g)
@@ -331,39 +326,12 @@ def dual_baxter_apply(
     if contour is None:
         c = min(v.imag for v in g) - 0.5
         contour = ContourSpec([[c] * n])
-    sum_g = sum(g)
+    _check_below(contour.flat, g)
 
     def f(betas: np.ndarray) -> np.ndarray:
-        expo = np.zeros(betas.shape[0], dtype=complex)
-        for gi in g:
-            for j in range(n):
-                expo += log_gamma_array(1j * betas[:, j] - 1j * gi)
-        expo += -1j * z * (sum_g - betas.sum(axis=1))
-        vals = stable_exp(expo) * _plancherel_rows(betas)
-        return vals * np.asarray(F(betas), dtype=complex)
+        return _spectral_rows(g, betas, z) * np.asarray(F(betas), dtype=complex)
 
     return integrate_contour(f, contour, n, tol, max_evals)
-
-
-def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
-    """Spectral-plane-normalized eigenfunctions at fixed position ``x``,
-    vectorized over ``(m, n)`` rows of (possibly complex) parameters.
-
-    These carry the opposite sign of the spectral parameter relative to the
-    coordinate-space normalization: one variable gives ``exp(-i beta x)``."""
-    betas = np.asarray(betas, dtype=complex)
-    if betas.ndim != 2:
-        raise RankError("betas must be a 2-d array")
-    n = betas.shape[1]
-    _require_rank_le2(n, "mb_closed_form_batch")
-    if n == 1:
-        return np.exp(-1j * betas[:, 0] * float(x[0]))
-    x1, x2 = float(x[0]), float(x[1])
-    order = 1j * (betas[:, 0] - betas[:, 1])
-    yv = np.full(betas.shape[0], 2.0 * math.exp(0.5 * (x1 - x2)))
-    kvals = _macdonald_pairs(order, yv, _DEFAULT_BUDGET)
-    phase = np.exp(-0.5j * (betas[:, 0] + betas[:, 1]) * (x1 + x2))
-    return 2.0 * phase * kvals
 
 
 # ---------------------------------------------------------------------------

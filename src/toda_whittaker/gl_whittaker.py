@@ -19,6 +19,7 @@ pointwise.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -30,6 +31,7 @@ from .numerics import (
     log_gamma_array,
     macdonald_k,
     _macdonald_grid,
+    _macdonald_pairs,
     _DEFAULT_BUDGET,
 )
 from .quadrature import (
@@ -47,6 +49,7 @@ __all__ = [
     "givental_recursive_eval",
     "givental_step_kernel",
     "mellin_barnes_eval",
+    "mb_closed_form_batch",
     "mixed_eval",
     "closed_form_gl2",
     "closed_form_gl2_batch",
@@ -202,6 +205,15 @@ def givental_eval(
     return _with_tail(integrate_box(f3, box, 0.9 * tol, max_evals), tol / 10.0, tol)
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
+    and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(size)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def givental_recursive_eval(
     lam, x, tol: float = 1e-8, max_evals: int = _DEFAULT_MAX_EVALS
 ) -> QuadratureResult:
@@ -245,7 +257,7 @@ def givental_recursive_eval(
         prev = None
         size = 256
         while size <= 1 << 14:
-            nodes, weights = np.polynomial.legendre.leggauss(size)
+            nodes, weights = _leggauss(size)
             v = 0.5 * (v_hi + v_lo) + 0.5 * (v_hi - v_lo) * nodes
             w = 0.5 * (v_hi - v_lo) * weights
             expo = (
@@ -289,6 +301,69 @@ def _pair_reciprocal_gammas(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return -w * np.sin(math.pi * w) / math.pi
 
 
+def _plancherel_rows(betas: np.ndarray) -> np.ndarray:
+    """Spectral density along contour rows, via the reflection identity
+    ``1/(Gamma(w) Gamma(-w)) = -w sin(pi w)/pi`` (entire, no poles)."""
+    m, n = betas.shape
+    value = np.full(m, 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
+    for j in range(n):
+        for k in range(j + 1, n):
+            value *= _pair_reciprocal_gammas(betas[:, j], betas[:, k])
+    return value
+
+
+def _spectral_rows(params: Sequence[complex], betas: np.ndarray, z: float) -> np.ndarray:
+    """One spectral step along contour rows ``betas``: the Gamma factors
+    ``prod_{p, j} Gamma(i beta_j - i p)`` over ``params``, the phase
+    ``exp(-i z (sum params - sum beta))`` and the spectral density.
+
+    The Gamma factors of a column depend on that column alone, so each is
+    evaluated once per distinct value; rows on a grid share them."""
+    expo = np.zeros(betas.shape[0], dtype=complex)
+    for j in range(betas.shape[1]):
+        values, inverse = np.unique(betas[:, j], return_inverse=True)
+        column = np.zeros(values.size, dtype=complex)
+        for p in params:
+            column += log_gamma_array(1j * values - 1j * p)
+        expo += column[inverse]
+    expo += -1j * z * (sum(params) - betas.sum(axis=1))
+    return stable_exp(expo) * _plancherel_rows(betas)
+
+
+def _check_below(offsets: Sequence[float], params: Sequence[complex]) -> None:
+    """Raise :class:`ContourError` unless every contour offset lies strictly
+    below every parameter's imaginary part, where the poles of
+    ``Gamma(i beta - i p)`` begin."""
+    if not all(c < p.imag for c in offsets for p in params):
+        raise ContourError(
+            f"contour offsets {list(offsets)} must sit below every spectral "
+            f"parameter (imaginary parts {[p.imag for p in params]})"
+        )
+
+
+def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
+    """Spectral-plane-normalized eigenfunctions at fixed position ``x``,
+    vectorized over ``(m, n)`` rows of (possibly complex) parameters, for
+    ``n`` = 1 or 2.
+
+    These carry the opposite sign of the spectral parameter relative to the
+    coordinate-space normalization: one variable gives ``exp(-i beta x)``.
+    Two variables need one Macdonald function per distinct order
+    ``i (beta_1 - beta_2)``; rows on a grid share their orders, so each
+    distinct order is evaluated once."""
+    betas = np.asarray(betas, dtype=complex)
+    if betas.ndim != 2 or betas.shape[1] not in (1, 2):
+        raise RankError(f"betas must be an (m, 1) or (m, 2) array, got shape {betas.shape}")
+    if betas.shape[1] == 1:
+        return np.exp(-1j * betas[:, 0] * float(x[0]))
+    x1, x2 = float(x[0]), float(x[1])
+    orders, inverse = np.unique(1j * (betas[:, 0] - betas[:, 1]), return_inverse=True)
+    yv = np.full(orders.size, 2.0 * math.exp(0.5 * (x1 - x2)))
+    kvals = _macdonald_pairs(orders, yv, _DEFAULT_BUDGET)[inverse]
+    phase = np.exp(-0.5j * (betas[:, 0] + betas[:, 1]) * (x1 + x2))
+    return 2.0 * phase * kvals
+
+
 def default_contour(lam, ell: int | None = None) -> ContourSpec:
     """Default nested contour offsets for the spectral-plane model: level ``k``
     (k = 1 the innermost) sits ``(ell + 1 - k)/2`` below the lowest parameter."""
@@ -312,6 +387,21 @@ def mellin_barnes_eval(
 ) -> QuadratureResult:
     """Evaluate via the spectral-plane contour model (ranks 0..2).
 
+    The rank-``ell`` function is one spectral step applied to the rank
+    ``ell - 1`` function in closed form: an integral over the top contour
+    level ``beta`` of ``prod Gamma(i beta_j - i mu_m)`` times the spectral
+    density, ``exp(-i x_last (sum mu - sum beta))`` and
+    :func:`mb_closed_form_batch` ``(beta, x[:-1])``, with ``mu = -lam``.  At
+    rank 2 that is the innermost level integrated in closed form,
+
+        integral Gamma(iu - ig_1) Gamma(iu - ig_2) e^{iu(x_2 - x_1)} du
+            = 2 pi e^{i x_2 (g_1 + g_2)} mb_closed_form_batch((g_1, g_2), (x_1, x_2)),
+
+    which holds for a ``u``-line below both ``g``-lines, so ``contour``
+    (levels of 1, ..., ``ell`` offsets) must interlace; the top level is
+    integrated by :func:`integrate_contour`.  Raises :class:`ContourError`
+    unless the top level lies strictly below every ``Im mu``.
+
     Agrees with :func:`givental_eval`; moving the contour offsets slightly
     (within the pole-free band) changes the value only at the tolerance level.
     ``max_evals`` caps the quadrature (:class:`BudgetExceeded` beyond it).
@@ -328,47 +418,17 @@ def mellin_barnes_eval(
     mu = tuple(-v for v in lam_t)  # spectral-plane sign map
     if contour is None:
         contour = default_contour(lam_t, ell)
-
-    if ell == 1:
-        c1 = contour.flat[0]
-        if not all(c1 < m.imag for m in mu):
-            raise ContourError(
-                f"contour offset {c1} must sit below every spectral parameter "
-                f"(imaginary parts {[m.imag for m in mu]})"
-            )
-        x1, x2 = x
-        s_mu = sum(mu)
-
-        def f(z: np.ndarray) -> np.ndarray:
-            g = z[:, 0]
-            lg = log_gamma_array(1j * g - 1j * mu[0]) + log_gamma_array(1j * g - 1j * mu[1])
-            expo = lg - 1j * x2 * (s_mu - g) - 1j * g * x1 - math.log(2.0 * math.pi)
-            return stable_exp(expo)
-
-        return integrate_contour(f, contour, 2, tol, max_evals)
-
-    x1, x2, x3 = x
-    s_mu = sum(mu)
-    flat = contour.flat
-    if len(flat) != 3:
-        raise ValueError("rank-2 spectral evaluation needs a 1+2 contour")
-
-    def f3(z: np.ndarray) -> np.ndarray:
-        u, g1, g2 = z[:, 0], z[:, 1], z[:, 2]
-        lg = np.zeros(u.shape, dtype=complex)
-        for m in mu:
-            lg = lg + log_gamma_array(1j * g1 - 1j * m) + log_gamma_array(1j * g2 - 1j * m)
-        lg = lg + log_gamma_array(1j * u - 1j * g1) + log_gamma_array(1j * u - 1j * g2)
-        expo = (
-            lg
-            - 1j * x3 * (s_mu - g1 - g2)
-            - 1j * x2 * (g1 + g2 - u)
-            - 1j * u * x1
+    if [len(row) for row in contour.offsets] != list(range(1, n)):
+        raise ValueError(
+            f"rank-{ell} spectral evaluation needs contour levels of 1, ..., {ell} offsets"
         )
-        measure = _pair_reciprocal_gammas(g1, g2) / (2.0 * (2.0 * math.pi) ** 3)
-        return measure * stable_exp(expo)
+    top = ContourSpec([contour.offsets[-1]])
+    _check_below(top.flat, mu)
 
-    return integrate_contour(f3, contour, 2, tol, max_evals)
+    def f(betas: np.ndarray) -> np.ndarray:
+        return _spectral_rows(mu, betas, x[-1]) * mb_closed_form_batch(betas, x[:-1])
+
+    return integrate_contour(f, top, 2, tol, max_evals)
 
 
 def plancherel_measure(lam) -> complex:

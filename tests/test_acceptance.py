@@ -89,7 +89,9 @@ def test_criterion_01_rank2_closed_form():
 def test_criterion_02_model_duality():
     tol = 1e-6
     rng = np.random.default_rng(20260802)
+    t0 = time.time()
     worst = 0.0
+    evals = 0
     for lam, words in (
         ((0.4, -0.3), ("L", "R")),
         ((0.6, 0.1, -0.45), ("LL", "LR", "RL", "RR")),
@@ -97,14 +99,16 @@ def test_criterion_02_model_duality():
         n = len(lam)
         for _ in range(5):
             x = tuple(rng.uniform(-1.0, 1.0, size=n))
-            ref = givental_eval(lam, x, tol).value
-            values = [mellin_barnes_eval(lam, x, tol).value]
-            values += [mixed_eval(w, lam, x, tol).value for w in words]
-            worst = max(worst, max(abs(v - ref) for v in values))
+            ref = givental_eval(lam, x, tol)
+            results = [mellin_barnes_eval(lam, x, tol)]
+            results += [mixed_eval(w, lam, x, tol) for w in words]
+            worst = max(worst, max(abs(r.value - ref.value) for r in results))
+            evals += ref.evaluations + sum(r.evaluations for r in results)
+    elapsed = time.time() - t0
     ok = worst < 5.0 * tol
     _report(2, "evaluation-model duality", ok,
             f"worst disagreement {worst:.3e} (bound {5.0 * tol:.0e}), "
-            f"ranks 2-3, 5 draws each")
+            f"ranks 2-3, 5 draws each, {evals} evaluations in {elapsed:.1f}s")
 
 
 def test_criterion_03_baxter_eigenvalue():
@@ -172,14 +176,17 @@ def test_criterion_04_commutation_and_intertwining():
 
 
 def test_criterion_05_dual_baxter():
+    t0 = time.time()
     rank1, rank2 = _run_suite("dual-baxter")
+    elapsed = time.time() - t0
     rel1 = abs(rank1.lhs - rank1.rhs) / rank1.rhs
     err2 = rank2.residual
 
     ok = rel1 < 1e-8 and err2 < 1e-4
     _report(5, "spectral-side operator multiplier", ok,
             f"rank1 rel {rel1:.3e} (bound 1e-8), rank2 err {err2:.3e} "
-            f"(bound 1e-4)")
+            f"(bound 1e-4), {rank1.evaluations + rank2.evaluations} evaluations "
+            f"in {elapsed:.2f}s")
 
 
 def test_criterion_06_pairing_integrals():

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from toda_whittaker.errors import ConvergenceError, RankError, ShiftError, SingularMatrixError
+from toda_whittaker.errors import (
+    ContourError,
+    ConvergenceError,
+    RankError,
+    ShiftError,
+    SingularMatrixError,
+)
 from toda_whittaker.gl_baxter import (
     baxter_apply,
     baxter_eigenfunction,
@@ -25,6 +31,7 @@ from toda_whittaker.gl_baxter import (
     universal_baxter_phi,
 )
 from toda_whittaker.gl_whittaker import closed_form_gl2
+from toda_whittaker.quadrature import ContourSpec
 
 from _oracles import SPHERICAL_RHS
 
@@ -180,6 +187,23 @@ class TestDualOperator:
         ratio = res.value / base
         expected = math.exp(-math.exp(x[-1] - z))
         assert abs(ratio - expected) < 1e-4
+
+    def test_contour_must_sit_below_the_parameters(self):
+        # Offsets 0.3 and 1.3 once gave multipliers 1.0 and 0.45 off, marked
+        # converged.
+        x = (0.1,)
+
+        def F(betas):
+            return mb_closed_form_batch(betas, x)
+
+        for c in (0.3, 1.3, 0.0):
+            with pytest.raises(ContourError):
+                dual_baxter_apply(F, (0.4,), 0.7, 1e-8, contour=ContourSpec([[c]]))
+        with pytest.raises(ContourError):
+            dual_baxter_apply(F, (0.5, -0.3 + 0.2j), 0.9, 1e-5, contour=ContourSpec([[0.1, 0.1]]))
+        res = dual_baxter_apply(F, (0.4,), 0.7, 1e-8, contour=ContourSpec([[-1.0]]))
+        ratio = res.value / cmath.exp(-1j * 0.4 * x[0])
+        assert abs(ratio - math.exp(-math.exp(x[-1] - 0.7))) < 1e-7
 
     def test_mb_normalization_rank1_plane_wave(self):
         betas = np.asarray([[0.7 + 0j]], dtype=complex)

@@ -7,18 +7,20 @@ import math
 import numpy as np
 import pytest
 
-from toda_whittaker.errors import RankError
+from toda_whittaker.errors import ContourError, RankError
 from toda_whittaker.gl_whittaker import (
     closed_form_gl2,
     closed_form_gl2_batch,
     givental_eval,
     givental_recursive_eval,
     givental_step_kernel,
+    mb_closed_form_batch,
     mellin_barnes_eval,
     mixed_eval,
     plancherel_measure,
     toda_apply,
 )
+from toda_whittaker.quadrature import ContourSpec
 
 from _oracles import K_2I_2, MB_GL2_REF
 
@@ -100,6 +102,41 @@ class TestEvaluators:
         giv = givental_recursive_eval(lam, x, 1e-6).value
         mb = mellin_barnes_eval(lam, x, 1e-6).value
         assert abs(giv - mb) < 5e-6
+
+    def test_rank3_error_bar_at_the_default_contour(self):
+        # The adaptive engine returned a value 2.21e-4 off, marked converged
+        # with abs_error 9.85e-6.
+        lam, x = (0.6, 0.1, -0.45), (0.3, -0.2, 0.5)
+        res = mellin_barnes_eval(lam, x, 1e-5)
+        ref = givental_eval(lam, x, 1e-9).value
+        assert res.converged
+        assert abs(res.value - ref) <= res.abs_error <= 1e-5
+
+    def test_rank3_contour_may_move_within_the_pole_free_band(self):
+        lam, x = (0.6, 0.1, -0.45), (0.3, -0.2, 0.5)
+        ref = mellin_barnes_eval(lam, x, 1e-7).value
+        for rows in ([[-2.0], [-1.5, -1.5]], [[-1.2], [-0.6, -0.9]]):
+            res = mellin_barnes_eval(lam, x, 1e-7, contour=ContourSpec(rows))
+            assert abs(res.value - ref) < 2e-7
+
+    def test_contour_must_sit_below_the_parameters(self):
+        # Level-2 offsets at 0.7 once gave a value 5.6e-3 off at tol 1e-5,
+        # marked converged.
+        lam, x = (0.6, 0.1, -0.45), (0.3, -0.2, 0.5)
+        with pytest.raises(ContourError):
+            mellin_barnes_eval(lam, x, 1e-5, contour=ContourSpec([[0.2], [0.7, 0.7]]))
+        with pytest.raises(ContourError):
+            mellin_barnes_eval((0.4, -0.3), (0.1, 0.2), 1e-5, contour=ContourSpec([[0.1]]))
+        with pytest.raises(ValueError):
+            mellin_barnes_eval(lam, x, 1e-5, contour=ContourSpec([[-1.0, -1.0]]))
+
+    def test_mb_closed_form_dedupe_keeps_the_bits(self):
+        # One Macdonald value per distinct order, the same bits as row by row.
+        t = np.arange(-24, 25) / 4.0
+        grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2) - 0.7j
+        x = (0.3, -0.2)
+        rows = np.concatenate([mb_closed_form_batch(grid[i:i + 1], x) for i in range(len(grid))])
+        assert np.array_equal(mb_closed_form_batch(grid, x), rows)
 
     def test_mixed_words_agree_rank2(self):
         lam, x = (0.5, -0.25), (0.2, -0.3)

@@ -1,4 +1,4 @@
-"""Deterministic adaptive integration over boxes, R^d, and contours."""
+"""Deterministic integration: adaptive over boxes and R^d, trapezoid along contours."""
 
 import math
 
@@ -121,6 +121,45 @@ class TestContour:
         a = integrate_contour(f, ContourSpec([[0.1]]), 2, 1e-9).value
         b = integrate_contour(f, ContourSpec([[0.6]]), 2, 1e-9).value
         assert abs(a - b) < 1e-8
+
+    def test_two_dimensional_gaussian(self):
+        f = lambda z: np.exp(-z[:, 0] ** 2 - 0.5 * z[:, 1] ** 2 + 0.3j * z[:, 0] * z[:, 1])
+        res = integrate_contour(f, ContourSpec([[0.0, 0.0]]), 2, 1e-10)
+        exact = 2.0 * math.pi / np.sqrt(4.0 * 0.5 + 0.3**2)
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error <= 1e-10
+
+    def test_each_node_evaluated_once(self):
+        # Halving the step reuses every node: the rows handed to the
+        # integrand are distinct and together form the final step's full
+        # tensor grid, whose node count is ``evaluations``.
+        rows = []
+
+        def f(z):
+            rows.append(z.copy())
+            return np.exp(-z[:, 0] ** 2 - z[:, 1] ** 2)
+
+        res = integrate_contour(f, ContourSpec([[0.2, 0.2]]), 2, 1e-9)
+        pts = np.concatenate(rows)
+        side = np.unique(pts[:, 0]).size
+        assert len(rows) > 1
+        assert res.evaluations == pts.shape[0] == np.unique(pts, axis=0).shape[0] == side**2
+        assert np.array_equal(np.unique(pts[:, 1]), np.unique(pts[:, 0]) + 0j)
+
+    def test_repeated_calls_are_bit_identical(self):
+        f = lambda z: np.exp(-z[:, 0] ** 2 - z[:, 1] ** 2 + 0.4j * z[:, 0] * z[:, 1])
+        a = integrate_contour(f, ContourSpec([[0.1], [0.3]]), 2, 1e-8)
+        b = integrate_contour(f, ContourSpec([[0.1], [0.3]]), 2, 1e-8)
+        assert (a.value, a.abs_error, a.evaluations) == (b.value, b.abs_error, b.evaluations)
+
+    def test_budget_exceeded_carries_the_last_estimate(self):
+        f = lambda z: np.exp(-z[:, 0] ** 2)
+        with pytest.raises(BudgetExceeded) as info:
+            integrate_contour(f, ContourSpec([[0.3]]), 2, 1e-12, max_evals=10)
+        res = info.value.result
+        assert not res.converged
+        assert res.evaluations > 10  # the first step always runs
+        assert abs(res.value - math.sqrt(math.pi)) < 1e-3
 
 
 def test_stable_exp_clamps_overflow():
