@@ -29,8 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, RankError, ShiftError, SingularMatrixError
 from .gl_whittaker import (
     _as_params,
-    _check_below,
-    _spectral_rows,
+    _spectral_step,
     closed_form_gl2_batch,
     mb_closed_form_batch,
 )
@@ -49,7 +48,6 @@ from .quadrature import (
     QuadratureResult,
     _with_tail,
     integrate_box,
-    integrate_contour,
     integrate_decaying,
     stable_exp,
 )
@@ -326,12 +324,7 @@ def dual_baxter_apply(
     if contour is None:
         c = min(v.imag for v in g) - 0.5
         contour = ContourSpec([[c] * n])
-    _check_below(contour.flat, g)
-
-    def f(betas: np.ndarray) -> np.ndarray:
-        return _spectral_rows(g, betas, z) * np.asarray(F(betas), dtype=complex)
-
-    return integrate_contour(f, contour, n, tol, max_evals)
+    return _spectral_step(g, z, F, contour, n, tol, max_evals)
 
 
 # ---------------------------------------------------------------------------

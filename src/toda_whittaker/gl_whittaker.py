@@ -1,13 +1,17 @@
 """Whittaker functions for the A-series quantum Toda chain.
 
-Two integral models of the same family of functions are implemented, together
-with the bridges between them:
-
-* the coordinate-space iterated-kernel model (ranks 0..2 supported), both as a
-  single fused multidimensional integral and as a genuinely nested recursion;
-* the spectral-plane contour model built from Gamma-factor kernels and the
-  Plancherel density, with configurable contour offsets;
-* mixed evaluation pipelines that build each rank step in either model.
+Every evaluator builds the rank-``ell`` function (ranks 0..2) by one step
+over the rank below.  The coordinate step integrates the Givental kernel over
+the pattern row below ``x``, the spectral step the Gamma kernel and the
+spectral density over one contour level.  :func:`givental_eval` fuses every
+coordinate step of a pattern into one integral and is the reference;
+:func:`givental_recursive_eval` is a coordinate step over the rank below,
+:func:`mellin_barnes_eval` a spectral step over the rank below in closed
+form, and in :func:`mixed_eval` ``word[-1]`` picks the top step and
+``word[0]`` the model in which the rank below is computed at its nodes.
+Spectral variables always go to the trapezoid rule and a step's coordinate
+variables to the adaptive box; a rank-1 level below a step is computed on
+fixed grids (Gauss-Legendre rules, or the trapezoid rule if spectral).
 
 Spectral parameters are plain sequences in the Givental convention. The
 spectral-plane model uses globally negated parameters internally (the two
@@ -38,6 +42,7 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
+    _trapezoid_radius,
     _with_tail,
     integrate_box,
     integrate_contour,
@@ -66,6 +71,23 @@ _MAX_RANK = 2  # chain length minus one: ranks 0, 1, 2 <=> gl1, gl2, gl3
 
 def _as_params(lam) -> tuple[complex, ...]:
     return tuple(complex(v) for v in lam)
+
+
+def _checked(lam, x) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """``lam`` and ``x`` as tuples; :class:`RankError` unless there is one
+    coordinate per parameter, at least one, and the rank is supported."""
+    lam_t = _as_params(lam)
+    x_t = tuple(float(v) for v in x)
+    if not lam_t or len(x_t) != len(lam_t):
+        raise RankError(f"expected one coordinate per spectral parameter, got {len(x_t)} for {len(lam_t)}")
+    if len(lam_t) - 1 > _MAX_RANK:
+        raise RankError(f"rank {len(lam_t) - 1} not supported (maximum {_MAX_RANK})")
+    return lam_t, x_t
+
+
+def _rank0(lam_t: tuple[complex, ...], x: tuple[float, ...]) -> QuadratureResult:
+    """The rank-0 function ``exp(i lam_1 x_1)``, exact."""
+    return QuadratureResult(cmath.exp(1j * lam_t[0] * x[0]), 0.0, 1, True)
 
 
 def _exp_wall(diff: np.ndarray) -> np.ndarray:
@@ -157,52 +179,39 @@ def _step_exponent_rows(top_cols: list[np.ndarray], bot_cols: list[np.ndarray], 
     return expo
 
 
+def _pattern_box(x: Sequence[float], a: float, rows: int) -> list[tuple[float, float]]:
+    """Box of the ``rows`` pattern rows below ``x``: entry ``j`` of the row
+    ``k`` levels down lies in ``(x_j - k a, x_{j+k} + k a)``."""
+    return [(x[j] - k * a, x[j + k] + k * a) for k in range(1, rows + 1) for j in range(len(x) - k)]
+
+
 def givental_eval(
     lam, x, tol: float = 1e-8, max_evals: int = _DEFAULT_MAX_EVALS
 ) -> QuadratureResult:
-    """Evaluate the coordinate-model function as one fused integral.
+    """Evaluate the coordinate-model function as one fused integral over the
+    whole pattern below ``x``.
 
     Supports ranks 0..2 (:class:`RankError` beyond); rank 0 is exact.
     ``max_evals`` caps the quadrature (:class:`BudgetExceeded` beyond it).
     """
-    lam_t = _as_params(lam)
+    lam_t, x = _checked(lam, x)
     n = len(lam_t)
-    x = tuple(float(v) for v in x)
-    if len(x) != n:
-        raise RankError(f"expected {n} coordinates, got {len(x)}")
-    ell = n - 1
-    if ell > _MAX_RANK:
-        raise RankError(f"rank {ell} not supported (maximum {_MAX_RANK})")
-    if ell == 0:
-        return QuadratureResult(cmath.exp(1j * lam_t[0] * x[0]), 0.0, 1, True)
+    if n == 1:
+        return _rank0(lam_t, x)
 
-    a = _halfwidth(tol, _im_slack(lam_t))
-    if ell == 1:
-        l1, l2 = lam_t
-        x1, x2 = x
+    def f(pts: np.ndarray) -> np.ndarray:
+        # Pattern rows top-down: x, then n - 1, ..., 1 integration variables.
+        rows, start = [[np.full(pts.shape[0], v) for v in x]], 0
+        for size in range(n - 1, 0, -1):
+            rows.append([pts[:, j] for j in range(start, start + size)])
+            start += size
+        expo = _step_exponent_rows(rows[0], rows[1], lam_t[-1])
+        for k in range(2, n):
+            expo = expo + _step_exponent_rows(rows[k - 1], rows[k], lam_t[-k])
+        return stable_exp(expo + 1j * lam_t[0] * rows[-1][0])
 
-        def f(pts: np.ndarray) -> np.ndarray:
-            u = pts[:, 0]
-            expo = _step_exponent_rows([np.full_like(u, x1), np.full_like(u, x2)], [u], l2)
-            return stable_exp(expo + 1j * l1 * u)
-
-        box = [(x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol / 10.0, tol)
-
-    l1, l2, l3 = lam_t
-    x1, x2, x3 = x
-
-    def f3(pts: np.ndarray) -> np.ndarray:
-        u1, u2, v = pts[:, 0], pts[:, 1], pts[:, 2]
-        cx1 = np.full_like(u1, x1)
-        cx2 = np.full_like(u1, x2)
-        cx3 = np.full_like(u1, x3)
-        expo = _step_exponent_rows([cx1, cx2, cx3], [u1, u2], l3)
-        expo = expo + _step_exponent_rows([u1, u2], [v], l2)
-        return stable_exp(expo + 1j * l1 * v)
-
-    box = [(x1 - a, x2 + a), (x2 - a, x3 + a), (x1 - 2 * a, x3 + 2 * a)]
-    return _with_tail(integrate_box(f3, box, 0.9 * tol, max_evals), tol / 10.0, tol)
+    box = _pattern_box(x, _halfwidth(tol, _im_slack(lam_t)), n - 1)
+    return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol / 10.0, tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,91 +223,39 @@ def _leggauss(size: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _coordinate_step(lam_top, x, lower: Callable, a: float, tol: float, max_evals: int) -> QuadratureResult:
+    """One coordinate step: the integral over the pattern row below ``x`` of
+    the step kernel with parameter ``lam_top`` times ``lower``, the rank
+    below at rows of that row, on the row's pattern box."""
+
+    def f(rows: np.ndarray) -> np.ndarray:
+        top = [np.full(rows.shape[0], v) for v in x]
+        expo = _step_exponent_rows(top, [rows[:, j] for j in range(rows.shape[1])], lam_top)
+        return stable_exp(expo) * lower(rows)
+
+    return _with_tail(integrate_box(f, _pattern_box(x, a, 1), 0.9 * tol, max_evals), tol / 10.0, tol)
+
+
 def givental_recursive_eval(
     lam, x, tol: float = 1e-8, max_evals: int = _DEFAULT_MAX_EVALS
 ) -> QuadratureResult:
-    """Same function as :func:`givental_eval`, computed as a genuinely nested
-    recursion: an adaptive outer integral over the next row down, with the
-    lower-rank function evaluated on a fixed (convergence-doubled) grid.
-    ``max_evals`` caps the outer (adaptive) quadrature only."""
-    lam_t = _as_params(lam)
-    n = len(lam_t)
-    x = tuple(float(v) for v in x)
-    ell = n - 1
-    if ell > _MAX_RANK:
-        raise RankError(f"rank {ell} not supported (maximum {_MAX_RANK})")
-    if ell == 0:
-        return QuadratureResult(cmath.exp(1j * lam_t[0] * x[0]), 0.0, 1, True)
-
+    """Same function as :func:`givental_eval`, computed as one coordinate
+    step, an adaptive integral over the next row down, over the rank below.
+    At rank 2 the rank below is the rank-1 coordinate model, integrated at
+    each node of the step on Gauss-Legendre rules that double until the node
+    is settled.  ``max_evals`` caps the step's (adaptive) quadrature only."""
+    lam_t, x = _checked(lam, x)
+    if len(lam_t) == 1:
+        return _rank0(lam_t, x)
+    if len(lam_t) == 3:
+        return _over_rank1("LL", lam_t, x, tol, max_evals)
+    l1 = lam_t[0]
     a = _halfwidth(tol, _im_slack(lam_t))
-    extra_evals = 0
-
-    if ell == 1:
-        l1, l2 = lam_t
-        x1, x2 = x
-
-        def f(pts: np.ndarray) -> np.ndarray:
-            u = pts[:, 0]
-            expo = _step_exponent_rows([np.full_like(u, x1), np.full_like(u, x2)], [u], l2)
-            return stable_exp(expo) * np.exp(1j * l1 * u)
-
-        box = [(x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol / 10.0, tol)
-
-    l1, l2, l3 = lam_t
-    x1, x2, x3 = x
-    inner_tol = tol / 100.0
-    v_lo, v_hi = x1 - 2 * a, x3 + 2 * a
-
-    def inner_rank1(rows: np.ndarray) -> np.ndarray:
-        """Rank-1 function at the (u1, u2) rows via grid doubling over v."""
-        nonlocal extra_evals
-        u1, u2 = rows[:, 0], rows[:, 1]
-        prev = None
-        size = 256
-        while size <= 1 << 14:
-            nodes, weights = _leggauss(size)
-            v = 0.5 * (v_hi + v_lo) + 0.5 * (v_hi - v_lo) * nodes
-            w = 0.5 * (v_hi - v_lo) * weights
-            expo = (
-                1j * l2 * (u1[:, None] + u2[:, None] - v[None, :])
-                - _exp_wall(u1[:, None] - v[None, :])
-                - _exp_wall(v[None, :] - u2[:, None])
-                + 1j * l1 * v[None, :]
-            )
-            est = stable_exp(expo) @ w
-            extra_evals += rows.shape[0] * size
-            if prev is not None and np.max(np.abs(est - prev)) <= inner_tol:
-                return est
-            prev = est
-            size *= 2
-        return prev
-
-    def outer(pts: np.ndarray) -> np.ndarray:
-        u1, u2 = pts[:, 0], pts[:, 1]
-        cx1 = np.full_like(u1, x1)
-        cx2 = np.full_like(u1, x2)
-        cx3 = np.full_like(u1, x3)
-        expo = _step_exponent_rows([cx1, cx2, cx3], [u1, u2], l3)
-        return stable_exp(expo) * inner_rank1(pts)
-
-    box = [(x1 - a, x2 + a), (x2 - a, x3 + a)]
-    res = integrate_box(outer, box, 0.8 * tol, max_evals)
-    # The inner grid is converged to inner_tol in absolute terms; the outer
-    # kernel has integral mass O(10), so budget tol/10 for it.
-    err = res.abs_error + tol / 10.0 + tol / 10.0
-    return QuadratureResult(res.value, err, res.evaluations + extra_evals, err <= tol)
+    return _coordinate_step(lam_t[1], x, lambda rows: np.exp(1j * l1 * rows[:, 0]), a, tol, max_evals)
 
 
 # ---------------------------------------------------------------------------
 # Spectral-plane model
-
-
-def _pair_reciprocal_gammas(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    # 1/(Gamma(w) Gamma(-w)) = -w sin(pi w)/pi for w = i(g1-g2): entire, so
-    # contour diagonals need no special-casing.
-    w = 1j * (g1 - g2)
-    return -w * np.sin(math.pi * w) / math.pi
 
 
 def _plancherel_rows(betas: np.ndarray) -> np.ndarray:
@@ -308,43 +265,49 @@ def _plancherel_rows(betas: np.ndarray) -> np.ndarray:
     value = np.full(m, 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
     for j in range(n):
         for k in range(j + 1, n):
-            value *= _pair_reciprocal_gammas(betas[:, j], betas[:, k])
+            w = 1j * (betas[:, j] - betas[:, k])
+            value *= -w * np.sin(math.pi * w) / math.pi
     return value
 
 
-def _spectral_rows(params: Sequence[complex], betas: np.ndarray, z: float) -> np.ndarray:
-    """One spectral step along contour rows ``betas``: the Gamma factors
+def _spectral_step(
+    params, z: float, lower: Callable, contour: ContourSpec, decay: int, tol: float, max_evals: int
+) -> QuadratureResult:
+    """One spectral step: the integral along ``contour`` of the Gamma factors
     ``prod_{p, j} Gamma(i beta_j - i p)`` over ``params``, the phase
-    ``exp(-i z (sum params - sum beta))`` and the spectral density.
+    ``exp(-i z (sum params - sum beta))``, the spectral density and
+    ``lower``, the rank below at parameter rows ``beta``, by
+    :func:`integrate_contour` with ``decay`` as its Gamma-decay count.  The
+    Gamma factors of a column depend on that column alone, so each is
+    evaluated once per distinct value; rows on a grid share them.
 
-    The Gamma factors of a column depend on that column alone, so each is
-    evaluated once per distinct value; rows on a grid share them."""
-    expo = np.zeros(betas.shape[0], dtype=complex)
-    for j in range(betas.shape[1]):
-        values, inverse = np.unique(betas[:, j], return_inverse=True)
-        column = np.zeros(values.size, dtype=complex)
-        for p in params:
-            column += log_gamma_array(1j * values - 1j * p)
-        expo += column[inverse]
-    expo += -1j * z * (sum(params) - betas.sum(axis=1))
-    return stable_exp(expo) * _plancherel_rows(betas)
-
-
-def _check_below(offsets: Sequence[float], params: Sequence[complex]) -> None:
-    """Raise :class:`ContourError` unless every contour offset lies strictly
-    below every parameter's imaginary part, where the poles of
-    ``Gamma(i beta - i p)`` begin."""
-    if not all(c < p.imag for c in offsets for p in params):
+    Raises :class:`ContourError` unless every contour offset lies strictly
+    below every ``Im params``, where the poles of ``Gamma(i beta - i p)``
+    begin."""
+    if not all(c < p.imag for c in contour.flat for p in params):
         raise ContourError(
-            f"contour offsets {list(offsets)} must sit below every spectral "
+            f"contour offsets {list(contour.flat)} must sit below every spectral "
             f"parameter (imaginary parts {[p.imag for p in params]})"
         )
+
+    def f(betas: np.ndarray) -> np.ndarray:
+        expo = np.zeros(betas.shape[0], dtype=complex)
+        for j in range(betas.shape[1]):
+            values, inverse = np.unique(betas[:, j], return_inverse=True)
+            column = np.zeros(values.size, dtype=complex)
+            for p in params:
+                column += log_gamma_array(1j * values - 1j * p)
+            expo += column[inverse]
+        expo += -1j * z * (sum(params) - betas.sum(axis=1))
+        return stable_exp(expo) * _plancherel_rows(betas) * np.asarray(lower(betas), dtype=complex)
+
+    return integrate_contour(f, contour, decay, tol, max_evals)
 
 
 def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     """Spectral-plane-normalized eigenfunctions at fixed position ``x``,
     vectorized over ``(m, n)`` rows of (possibly complex) parameters, for
-    ``n`` = 1 or 2.
+    ``n`` = 1 or 2, with ``len(x) == n`` (:class:`RankError` otherwise).
 
     These carry the opposite sign of the spectral parameter relative to the
     coordinate-space normalization: one variable gives ``exp(-i beta x)``.
@@ -354,6 +317,8 @@ def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     betas = np.asarray(betas, dtype=complex)
     if betas.ndim != 2 or betas.shape[1] not in (1, 2):
         raise RankError(f"betas must be an (m, 1) or (m, 2) array, got shape {betas.shape}")
+    if len(x) != betas.shape[1]:
+        raise RankError(f"expected {betas.shape[1]} coordinates, got {len(x)}")
     if betas.shape[1] == 1:
         return np.exp(-1j * betas[:, 0] * float(x[0]))
     x1, x2 = float(x[0]), float(x[1])
@@ -364,12 +329,11 @@ def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     return 2.0 * phase * kvals
 
 
-def default_contour(lam, ell: int | None = None) -> ContourSpec:
+def default_contour(lam) -> ContourSpec:
     """Default nested contour offsets for the spectral-plane model: level ``k``
     (k = 1 the innermost) sits ``(ell + 1 - k)/2`` below the lowest parameter."""
     lam_t = _as_params(lam)
-    if ell is None:
-        ell = len(lam_t) - 1
+    ell = len(lam_t) - 1
     base = min((-v).imag for v in lam_t)  # spectral-plane parameters are negated
     rows = []
     for k in range(1, ell + 1):
@@ -387,12 +351,12 @@ def mellin_barnes_eval(
 ) -> QuadratureResult:
     """Evaluate via the spectral-plane contour model (ranks 0..2).
 
-    The rank-``ell`` function is one spectral step applied to the rank
-    ``ell - 1`` function in closed form: an integral over the top contour
-    level ``beta`` of ``prod Gamma(i beta_j - i mu_m)`` times the spectral
-    density, ``exp(-i x_last (sum mu - sum beta))`` and
-    :func:`mb_closed_form_batch` ``(beta, x[:-1])``, with ``mu = -lam``.  At
-    rank 2 that is the innermost level integrated in closed form,
+    The rank-``ell`` function is one spectral step over the rank ``ell - 1``
+    function in closed form: an integral over the top contour level ``beta``
+    of ``prod Gamma(i beta_j - i mu_m)`` times the spectral density,
+    ``exp(-i x_last (sum mu - sum beta))`` and :func:`mb_closed_form_batch`
+    ``(beta, x[:-1])``, with ``mu = -lam``.  At rank 2 that is the innermost
+    level integrated in closed form,
 
         integral Gamma(iu - ig_1) Gamma(iu - ig_2) e^{iu(x_2 - x_1)} du
             = 2 pi e^{i x_2 (g_1 + g_2)} mb_closed_form_batch((g_1, g_2), (x_1, x_2)),
@@ -406,29 +370,20 @@ def mellin_barnes_eval(
     (within the pole-free band) changes the value only at the tolerance level.
     ``max_evals`` caps the quadrature (:class:`BudgetExceeded` beyond it).
     """
-    lam_t = _as_params(lam)
+    lam_t, x = _checked(lam, x)
     n = len(lam_t)
-    x = tuple(float(v) for v in x)
-    ell = n - 1
-    if ell > _MAX_RANK:
-        raise RankError(f"rank {ell} not supported (maximum {_MAX_RANK})")
-    if ell == 0:
-        return QuadratureResult(cmath.exp(1j * lam_t[0] * x[0]), 0.0, 1, True)
-
-    mu = tuple(-v for v in lam_t)  # spectral-plane sign map
+    if n == 1:
+        return _rank0(lam_t, x)
     if contour is None:
-        contour = default_contour(lam_t, ell)
+        contour = default_contour(lam_t)
     if [len(row) for row in contour.offsets] != list(range(1, n)):
         raise ValueError(
-            f"rank-{ell} spectral evaluation needs contour levels of 1, ..., {ell} offsets"
+            f"rank-{n - 1} spectral evaluation needs contour levels of 1, ..., {n - 1} offsets"
         )
+    mu = tuple(-v for v in lam_t)  # spectral-plane sign map
     top = ContourSpec([contour.offsets[-1]])
-    _check_below(top.flat, mu)
-
-    def f(betas: np.ndarray) -> np.ndarray:
-        return _spectral_rows(mu, betas, x[-1]) * mb_closed_form_batch(betas, x[:-1])
-
-    return integrate_contour(f, top, 2, tol, max_evals)
+    below = functools.partial(mb_closed_form_batch, x=x[:-1])
+    return _spectral_step(mu, x[-1], below, top, 2, tol, max_evals)
 
 
 def plancherel_measure(lam) -> complex:
@@ -443,96 +398,133 @@ def plancherel_measure(lam) -> complex:
                     f"plancherel_measure undefined at coinciding parameters {j}, {k}",
                     index=j,
                 )
-    value = 1.0 / ((2.0 * math.pi) ** n * math.factorial(n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            w = 1j * (lam_t[j] - lam_t[k])
-            value *= -w * cmath.sin(math.pi * w) / math.pi
-    return value
+    return complex(_plancherel_rows(np.asarray([lam_t], dtype=complex))[0])
 
 
 # ---------------------------------------------------------------------------
-# Mixed pipelines
+# The rank-1 function below a step, on fixed grids
+
+_GL_SIZES = tuple(256 << k for k in range(7))  # 256, 512, ..., 16384 nodes
+_TRAPEZOID_STEPS = tuple(range(1, 10))  # steps 2**-k: 1/2, ..., 1/512
+
+
+def _settle(estimate: Callable, m: int, levels: tuple, inner_tol: float, tally: list) -> np.ndarray:
+    """``m`` row-wise integrals on successively finer grids: row ``i`` is
+    taken from the first grid where it moves by at most ``inner_tol`` (or
+    from the last), independently of the other rows.  ``estimate(level,
+    rows, prev)`` gives the rows' values on grid ``level`` from those on the
+    grid before (``prev``, None at first) and the nodes it evaluated per row,
+    which are added to ``tally[0]``; ``tally[1]`` keeps the largest last move."""
+    out = np.empty(m, dtype=complex)
+    rows = np.arange(m)
+    prev = None
+    for i, level in enumerate(levels):
+        cur, nodes = estimate(level, rows, prev)
+        tally[0] += rows.size * nodes
+        if prev is not None:
+            move = np.abs(cur - prev)
+            done = (move <= inner_tol) | (i == len(levels) - 1)
+            tally[1] = max(tally[1], float(move[done].max(initial=0.0)))
+            out[rows[done]] = cur[done]
+            rows, cur = rows[~done], cur[~done]
+            if not rows.size:
+                break
+        prev = cur
+    return out
+
+
+def _coordinate_rank1(p1, p2, u1, u2, a: float, inner_tol: float, tally: list) -> np.ndarray:
+    """The rank-1 coordinate model at parameter rows ``(p1, p2)`` and
+    coordinate rows ``(u1, u2)``, all broadcast: ``exp(i p2 (u1 + u2))``
+    times ``integral exp(i (p1 - p2) v - e^{u1 - v} - e^{v - u2}) dv`` over
+    the pattern box ``(u1 - a, u2 + a)``, on Gauss-Legendre rules of 256,
+    512, ... nodes.  The integral is taken once per distinct row of
+    ``(p1 - p2, u1, u2)``; on a contour grid it depends on a node only
+    through ``p1 - p2``."""
+    p1, p2, u1, u2 = np.broadcast_arrays(np.asarray(p1, dtype=complex), p2, u1, u2)
+    keys, inverse = np.unique(np.stack([p1 - p2, u1, u2], axis=1), axis=0, return_inverse=True)
+    d, k1, k2 = keys[:, 0], keys[:, 1].real, keys[:, 2].real
+
+    def estimate(size: int, rows: np.ndarray, _prev) -> tuple[np.ndarray, int]:
+        nodes, weights = _leggauss(size)
+        lo, hi = k1[rows] - a, k2[rows] + a
+        half = 0.5 * (hi - lo)
+        v = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+        expo = 1j * d[rows, None] * v - _exp_wall(k1[rows, None] - v) - _exp_wall(v - k2[rows, None])
+        return half * (stable_exp(expo) * weights).sum(axis=1), size
+
+    integral = _settle(estimate, d.size, _GL_SIZES, inner_tol, tally)
+    return np.exp(1j * p2 * (u1 + u2)) * integral[inverse]
+
+
+def _spectral_rank1(l1: complex, l2: complex, y1, y2, inner_tol: float, tally: list) -> np.ndarray:
+    """The rank-1 spectral model at coordinate rows ``(y1, y2)``:
+    ``exp(i y2 (l1 + l2)) / (2 pi)`` times
+    ``integral Gamma(iu + i l1) Gamma(iu + i l2) e^{iu (y2 - y1)} du`` along
+    its default contour, by the trapezoid rule of nested steps 1/2, 1/4, ...,
+    whose Gamma row is computed once for all rows."""
+    c = default_contour((l1, l2)).flat[0]
+    radius, _ = _trapezoid_radius(inner_tol, 1, 2)
+    delta = y2 - y1
+
+    def estimate(k: int, rows: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, int]:
+        j = np.arange(-(radius << k), (radius << k) + 1)
+        u = (j if prev is None else j[1::2]) * 2.0**-k + 1j * c
+        lg = log_gamma_array(1j * u + 1j * l1) + log_gamma_array(1j * u + 1j * l2)
+        new = 2.0**-k * stable_exp(lg + 1j * u * delta[rows, None]).sum(axis=1)
+        return (new if prev is None else 0.5 * prev + new), u.size
+
+    integral = _settle(estimate, delta.size, _TRAPEZOID_STEPS, inner_tol, tally)
+    return np.exp(1j * y2 * (l1 + l2)) / (2.0 * math.pi) * integral
+
+
+def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureResult:
+    """A rank-2 word: the top step ``word[-1]`` over the rank-1 level in
+    model ``word[0]``, computed at the step's nodes on fixed grids to a
+    hundredth of ``tol``.  Its error adds ten times that (a step kernel's
+    mass is at most 10), or ten times the largest last move if larger."""
+    a = _halfwidth(tol, _im_slack(lam_t))
+    inner_tol, tally = tol / 100.0, [0, 0.0]
+    l1, l2 = lam_t[0], lam_t[1]
+
+    def lower(nodes: np.ndarray) -> np.ndarray:
+        if word == "LR":  # parameter rows, in the spectral-plane sign
+            return _coordinate_rank1(-nodes[:, 0], -nodes[:, 1], x[0], x[1], a, inner_tol, tally)
+        if word == "LL":
+            return _coordinate_rank1(l1, l2, nodes[:, 0], nodes[:, 1], a, inner_tol, tally)
+        return _spectral_rank1(l1, l2, nodes[:, 0], nodes[:, 1], inner_tol, tally)
+
+    if word[-1] == "R":
+        mu, top = tuple(-v for v in lam_t), ContourSpec([default_contour(lam_t).offsets[-1]])
+        res = _spectral_step(mu, x[2], lower, top, 2, 0.9 * tol, max_evals)
+    else:
+        res = _coordinate_step(lam_t[2], x, lower, a, 0.9 * tol, max_evals)
+    err = res.abs_error + 10.0 * max(inner_tol, tally[1])
+    return QuadratureResult(res.value, err, res.evaluations + tally[0], err <= tol)
 
 
 def mixed_eval(word, lam, x, tol: float = 1e-8) -> QuadratureResult:
-    """Evaluate with a per-step model choice.
-
-    ``word[j]`` selects the model ('L' coordinate, 'R' spectral) of the step
-    that builds rank ``j+1`` from rank ``j`` — bottom-up, one letter per step.
-    Spectral steps sit on the default contours of :func:`mellin_barnes_eval`.
-    All words agree with :func:`givental_eval` on their common domain.
+    """Evaluate with a per-step model choice, one letter per step: 'L' the
+    coordinate model, 'R' the spectral one.  ``word[-1]`` picks the top step
+    and ``word[0]`` the model in which the rank below is computed at that
+    step's nodes.  Words of one model are :func:`givental_recursive_eval`
+    and :func:`mellin_barnes_eval` (below a spectral step the spectral level
+    is in closed form); 'LR' and 'RL' integrate their rank-1 level in the
+    other model on fixed grids.  Spectral steps sit on the default contours
+    of :func:`mellin_barnes_eval`.  All words agree with
+    :func:`givental_eval` on their common domain.
     """
-    lam_t = _as_params(lam)
-    n = len(lam_t)
-    x = tuple(float(v) for v in x)
-    ell = n - 1
+    lam_t, x = _checked(lam, x)
     word = tuple(word)
-    if len(word) != ell:
-        raise ValueError(f"word length {len(word)} must equal the rank {ell}")
+    if len(word) != len(lam_t) - 1:
+        raise ValueError(f"word length {len(word)} must equal the rank {len(lam_t) - 1}")
     if not all(c in ("L", "R") for c in word):
         raise ValueError("word entries must be 'L' or 'R'")
-    if ell > _MAX_RANK:
-        raise RankError(f"rank {ell} not supported (maximum {_MAX_RANK})")
-    if ell == 0:
-        return QuadratureResult(cmath.exp(1j * lam_t[0] * x[0]), 0.0, 1, True)
-
-    if all(c == "L" for c in word):
+    if "R" not in word:
         return givental_recursive_eval(lam_t, x, tol)
-    if all(c == "R" for c in word):
+    if "L" not in word:
         return mellin_barnes_eval(lam_t, x, tol)
-
-    # Rank-2 hybrids: one spectral level folded into a real box integration.
-    a = _halfwidth(tol, _im_slack(lam_t) + 1.0)
-    mu = tuple(-v for v in lam_t)
-    x1, x2, x3 = x
-    tau = tol / 40.0
-    radius = (math.log(1.0 / tau) + 16.0) / math.pi + 2.0
-
-    if word == ("L", "R"):
-        # Top step spectral (two contour variables), bottom step coordinate.
-        c2 = min(m.imag for m in mu) - 0.5
-        s_mu = sum(mu)
-
-        def f_lr(pts: np.ndarray) -> np.ndarray:
-            t1, t2, v = pts[:, 0], pts[:, 1], pts[:, 2]
-            g1 = t1 + 1j * c2
-            g2 = t2 + 1j * c2
-            lg = np.zeros(t1.shape, dtype=complex)
-            for m in mu:
-                lg = lg + log_gamma_array(1j * g1 - 1j * m) + log_gamma_array(1j * g2 - 1j * m)
-            # bottom coordinate step of the negated-parameter rank-1 function
-            step = (
-                1j * (-g2) * (x1 + x2 - v)
-                - _exp_wall(np.full_like(v, x1) - v)
-                - _exp_wall(v - np.full_like(v, x2))
-                - 1j * g1 * v
-            )
-            expo = lg - 1j * x3 * (s_mu - g1 - g2) + step
-            measure = _pair_reciprocal_gammas(g1, g2) / (2.0 * (2.0 * math.pi) ** 2)
-            return measure * stable_exp(expo)
-
-        box = [(-radius, radius), (-radius, radius), (x1 - a, x2 + a)]
-        return _with_tail(integrate_box(f_lr, box, 0.9 * tol), tol / 10.0, tol)
-
-    # word == ("R", "L"): top step coordinate, bottom step spectral.
-    c1 = min(m.imag for m in mu[:2]) - 0.5
-    s_mu12 = mu[0] + mu[1]
-
-    def f_rl(pts: np.ndarray) -> np.ndarray:
-        y1, y2, t = pts[:, 0], pts[:, 1], pts[:, 2]
-        u = t + 1j * c1
-        expo = _step_exponent_rows(
-            [np.full_like(y1, x1), np.full_like(y1, x2), np.full_like(y1, x3)],
-            [y1, y2],
-            lam_t[2],
-        )
-        lg = log_gamma_array(1j * u - 1j * mu[0]) + log_gamma_array(1j * u - 1j * mu[1])
-        expo = expo + lg - 1j * y2 * (s_mu12 - u) - 1j * u * y1 - math.log(2.0 * math.pi)
-        return stable_exp(expo)
-
-    box = [(x1 - a, x2 + a), (x2 - a, x3 + a), (-radius, radius)]
-    return _with_tail(integrate_box(f_rl, box, 0.9 * tol), tol / 10.0, tol)
+    return _over_rank1("".join(word), lam_t, x, tol, _DEFAULT_MAX_EVALS)
 
 
 # ---------------------------------------------------------------------------

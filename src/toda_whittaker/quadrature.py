@@ -607,6 +607,15 @@ def _trapezoid_level(
     return s_new, s_coarse, count
 
 
+def _trapezoid_radius(tol: float, d: int, gamma_decay_count: int) -> tuple[int, float]:
+    """Truncation radius for ``d`` variables whose integrand falls off like
+    ``exp(-pi*gamma_decay_count*|t|/2)``, and its tail bound ``tol/10``."""
+    tail_budget = tol / (20.0 * d)
+    rate = math.pi * gamma_decay_count / 2.0
+    radius = math.ceil(max(8.0, (math.log(1.0 / tail_budget) + 16.0) / rate + 2.0))
+    return radius, 2.0 * d * tail_budget
+
+
 def integrate_contour(
     f: Callable[[np.ndarray], np.ndarray],
     contour: ContourSpec,
@@ -655,10 +664,7 @@ def integrate_contour(
     d = offsets.size
     if d > _MAX_DIM:
         raise ValueError(f"dimension {d} exceeds the supported maximum {_MAX_DIM}")
-    tail_budget = tol / (20.0 * d)
-    rate = math.pi * gamma_decay_count / 2.0
-    radius = math.ceil(max(8.0, (math.log(1.0 / tail_budget) + 16.0) / rate + 2.0))
-    tail = 2.0 * d * tail_budget
+    radius, tail = _trapezoid_radius(tol, d, gamma_decay_count)
 
     def g(t: np.ndarray) -> np.ndarray:
         return np.asarray(f(t + 1j * offsets[None, :]), dtype=complex)

@@ -2,10 +2,11 @@
 
 Each caller of the trapezoid rule is run on seeded draws, and its reported
 ``abs_error`` must cover the distance to an independent reference: mpmath's
-Bessel K for the rank-1 spectral-plane model and the dual operator's base
-value, the exact multiplier ``exp(-exp(x_last - z))`` of the dual operator,
-the fused coordinate model at a hundredth of the tolerance for the rank-2
-spectral-plane model, and the Gamma-product side of the Barnes identity.
+Bessel K for the rank-1 spectral-plane model, the rank-1 mixed words and the
+dual operator's base value, the exact multiplier ``exp(-exp(x_last - z))`` of
+the dual operator, the fused coordinate model at a hundredth of the tolerance
+for the rank-2 spectral-plane model and every rank-2 mixed word, and the
+Gamma-product side of the Barnes identity.
 """
 
 import cmath
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from toda_whittaker.gl_baxter import dual_baxter_apply
-from toda_whittaker.gl_whittaker import givental_eval, mb_closed_form_batch, mellin_barnes_eval
+from toda_whittaker.gl_whittaker import givental_eval, mb_closed_form_batch, mellin_barnes_eval, mixed_eval
 from toda_whittaker.rankin_selberg import barnes_gustafson_check
 
 mp = pytest.importorskip("mpmath")
@@ -64,6 +65,28 @@ def test_rank2_spectral_plane_model():
                       10.0 ** rng.uniform(-7.0, -4.0)))
     for lam, x, tol in draws:
         _covers(mellin_barnes_eval(lam, x, tol), givental_eval(lam, x, tol / 100.0).value)
+
+
+def test_rank1_mixed_words():
+    rng = np.random.default_rng(76)
+    for _ in range(6):
+        lam = tuple(rng.uniform(-1.5, 1.5, size=2))
+        x = tuple(rng.uniform(-1.5, 1.5, size=2))
+        tol = 10.0 ** rng.uniform(-9.0, -4.0)
+        for word in ("L", "R"):
+            _covers(mixed_eval(word, lam, x, tol), _mp_gl2(lam, x))
+
+
+def test_rank2_mixed_words():
+    rng = np.random.default_rng(77)
+    draws = [((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 10.0 ** rng.uniform(-7.0, -4.0))]
+    for _ in range(3):
+        draws.append((tuple(rng.uniform(-0.8, 0.8, size=3)), tuple(rng.uniform(-0.8, 0.8, size=3)),
+                      10.0 ** rng.uniform(-7.0, -4.0)))
+    for lam, x, tol in draws:
+        reference = givental_eval(lam, x, tol / 100.0).value
+        for word in ("LL", "LR", "RL", "RR"):
+            _covers(mixed_eval(word, lam, x, tol), reference)
 
 
 def test_barnes_identity():

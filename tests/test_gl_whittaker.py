@@ -9,6 +9,8 @@ import pytest
 
 from toda_whittaker.errors import ContourError, RankError
 from toda_whittaker.gl_whittaker import (
+    _coordinate_rank1,
+    _halfwidth,
     closed_form_gl2,
     closed_form_gl2_batch,
     givental_eval,
@@ -138,6 +140,23 @@ class TestEvaluators:
         rows = np.concatenate([mb_closed_form_batch(grid[i:i + 1], x) for i in range(len(grid))])
         assert np.array_equal(mb_closed_form_batch(grid, x), rows)
 
+    def test_lr_rank1_dedupe_keeps_the_bits(self):
+        # LR integrates its rank-1 coordinate level once per distinct
+        # difference of its contour-grid parameters, with the same bits as
+        # row by row.
+        t = np.arange(-12, 13) / 4.0
+        p = 0.7j - np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        a, tally, once = _halfwidth(1e-6), [0, 0.0], [0, 0.0]
+        rows = np.concatenate([_coordinate_rank1(q[:1], q[1:], 0.3, -0.2, a, 1e-8, [0, 0.0]) for q in p])
+        assert np.array_equal(_coordinate_rank1(p[:, 0], p[:, 1], 0.3, -0.2, a, 1e-8, tally), rows)
+        _coordinate_rank1(np.unique(p[:, 0] - p[:, 1]), 0.0, 0.3, -0.2, a, 1e-8, once)
+        assert tally[0] == once[0]  # the nodes of the 49 distinct differences
+
+    def test_words_of_one_model_are_the_plain_evaluators(self):
+        lam, x = (0.6, 0.1, -0.45), (0.3, -0.2, 0.5)
+        assert mixed_eval("LL", lam, x, 1e-5) == givental_recursive_eval(lam, x, 1e-5)
+        assert mixed_eval("RR", lam, x, 1e-5) == mellin_barnes_eval(lam, x, 1e-5)
+
     def test_mixed_words_agree_rank2(self):
         lam, x = (0.5, -0.25), (0.2, -0.3)
         ref = closed_form_gl2(lam, x)
@@ -150,6 +169,35 @@ class TestEvaluators:
             closed_form_gl2((0.5,), (0.1, 0.2))
         with pytest.raises(RankError):
             givental_eval((0.5, 0.2), (0.1,), 1e-8)
+
+
+# mellin_barnes_eval with three coordinates at rank 1 returned the function at
+# (x_1, x_3) marked converged; with too few it raised IndexError, and the
+# coordinate recursion and the hybrid words a bare unpacking ValueError.
+@pytest.mark.parametrize(
+    "evaluate, args",
+    [
+        (givental_eval, ((0.4, -0.3), (0.1, 0.2, 0.3), 1e-6)),
+        (givental_recursive_eval, ((0.4, -0.3), (0.1, 0.2, 0.3), 1e-6)),
+        (givental_recursive_eval, ((0.6, 0.1, -0.45), (0.3, -0.2), 1e-6)),
+        (mellin_barnes_eval, ((0.4, -0.3), (0.1, 0.2, 0.3), 1e-6)),
+        (mellin_barnes_eval, ((0.4, -0.3), (0.1,), 1e-6)),
+        (mixed_eval, ("R", (0.4, -0.3), (0.1, 0.2, 0.3), 1e-6)),
+        (mixed_eval, ("L", (0.4, -0.3), (0.1, 0.2, 0.3), 1e-6)),
+        (mixed_eval, ("LR", (0.6, 0.1, -0.45), (0.3, -0.2), 1e-6)),
+        (mixed_eval, ("RL", (0.6, 0.1, -0.45), (0.3, -0.2, 0.5, 0.1), 1e-6)),
+        (mb_closed_form_batch, (np.asarray([[0.4 + 0j]]), (0.1, 0.2))),
+        (mb_closed_form_batch, (np.asarray([[0.4 + 0j, -0.3 + 0j]]), (0.1,))),
+    ],
+    ids=[
+        "givental-too-many", "recursive-too-many", "recursive-too-few", "mb-too-many", "mb-too-few",
+        "word-R-too-many", "word-L-too-many", "word-LR-too-few", "word-RL-too-many",
+        "mb-closed-form-too-many", "mb-closed-form-too-few",
+    ],
+)
+def test_wrong_coordinate_count_is_a_rank_error(evaluate, args):
+    with pytest.raises(RankError):
+        evaluate(*args)
 
 
 class TestTodaOperators:

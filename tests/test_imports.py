@@ -1,11 +1,15 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, and no private
+name is defined but never read.
 
-Deleted code tends to leave its imports behind; no linter runs here, so this
-walks each module's syntax tree instead.  A module-level import must be read
-somewhere in its module or be listed in the module's ``__all__``.
+Deleted code tends to leave its imports and its helpers behind; no linter
+runs here, so this walks each module's syntax tree instead.  A module-level
+import must be read somewhere in its module or be listed in the module's
+``__all__``.  A module-level ``_name`` (function, class or constant) must be
+read somewhere in the package outside its own definition.
 """
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -46,3 +50,50 @@ def test_every_import_is_used(module):
         if name not in used and name not in _exported_names(tree)
     ]
     assert unused == [], f"{module} imports names it never uses: {unused}"
+
+
+def _private_definitions(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names loaded, and attributes accessed, anywhere inside ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _top_level_reads() -> tuple[tuple[str, ast.stmt, frozenset], ...]:
+    """Each top-level statement of the package, with its module and the names
+    it reads."""
+    return tuple(
+        (path.name, node, frozenset(_reads(node)))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_read(module):
+    statements = _top_level_reads()
+    dead = [
+        name
+        for owner, node, _ in statements
+        if owner == module
+        for name in _private_definitions(node)
+        if not any(name in reads for _, other, reads in statements if other is not node)
+    ]
+    assert dead == [], f"{module} defines private names nothing reads: {dead}"
