@@ -5,14 +5,15 @@ The package is organized by subject:
 
 * :mod:`toda_whittaker.numerics` — log-Gamma, Gamma products, Macdonald K.
 * :mod:`toda_whittaker.quadrature` — deterministic integration: adaptive
-  over boxes and decaying integrands on R^d, the trapezoid rule along
-  horizontal complex contours.
+  over boxes, the trapezoid rule along horizontal complex contours, and the
+  one truncation rule that cuts every coordinate-space integral to a box.
 * :mod:`toda_whittaker.gl_whittaker` — A-series Whittaker functions in the
   coordinate and spectral-plane models, mixed pipelines, Toda Hamiltonians.
 * :mod:`toda_whittaker.gl_baxter` — Baxter Q-operators (three conventions),
   their dual on the spectral side, and the rank-2 spherical transform.
-* :mod:`toda_whittaker.so_toda` — odd-orthogonal chain: evaluators, Baxter
-  operator, quadratic Hamiltonian.
+* :mod:`toda_whittaker.so_toda` — odd-orthogonal chain: evaluators and the
+  Baxter operator, each built from one so step kernel, and the quadratic
+  Hamiltonian.
 * :mod:`toda_whittaker.local_lfactors` — exact non-Archimedean local factors
   and the Archimedean Gamma-factor.
 * :mod:`toda_whittaker.rankin_selberg` — convolution integrals: pairing
@@ -36,13 +37,9 @@ from .errors import (
 from .numerics import AccuracyBudget, gamma_product, log_gamma, macdonald_k
 from .quadrature import (
     ContourSpec,
-    DecayProfile,
-    DoubleExponential,
-    Exponential,
     QuadratureResult,
     integrate_box,
     integrate_contour,
-    integrate_decaying,
     stable_exp,
 )
 from .gl_whittaker import (
@@ -121,9 +118,6 @@ __all__ = [
     "ContourError",
     "ContourSpec",
     "ConvergenceError",
-    "DecayProfile",
-    "DoubleExponential",
-    "Exponential",
     "LoweringCheck",
     "MIN_SO_SPECTRAL_GAP",
     "MIN_SPECTRAL_GAP",
@@ -166,7 +160,6 @@ __all__ = [
     "hecke_t_series",
     "integrate_box",
     "integrate_contour",
-    "integrate_decaying",
     "local_lfactor_p",
     "local_lfactor_p_exact",
     "log_gamma",

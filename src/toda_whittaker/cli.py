@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -640,7 +641,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser.  It holds no state between calls, so it is
+    built once and reused: building it costs more than most commands."""
     parser = _Parser(
         prog="toda-whittaker",
         description="Evaluate chain eigenfunctions, apply their integral operators, "

@@ -29,12 +29,15 @@ import numpy as np
 from .errors import ConvergenceError, RankError, ShiftError, SingularMatrixError
 from .gl_whittaker import (
     _as_params,
+    _exp_wall,
     _spectral_step,
+    _step_exponent_rows,
     closed_form_gl2_batch,
     mb_closed_form_batch,
 )
 from .numerics import (
     _DEFAULT_BUDGET,
+    _exp_sorted_sum,
     log_gamma,
     _EPS,
     _macdonald_grid,
@@ -42,13 +45,10 @@ from .numerics import (
 from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
-    DecayProfile,
-    DoubleExponential,
-    Exponential,
     QuadratureResult,
-    _with_tail,
-    integrate_box,
-    integrate_decaying,
+    _integrate_truncated,
+    _rate_reach,
+    _wall_reach,
     stable_exp,
 )
 
@@ -112,6 +112,9 @@ class BaxterConvention:
         return (0.0,) * n
 
 
+_LIE = BaxterConvention("lie")
+
+
 def _as_convention(conv) -> BaxterConvention:
     if isinstance(conv, BaxterConvention):
         return conv
@@ -132,21 +135,20 @@ def half_sum_offsets(n: int) -> tuple[float, ...]:
 def _kernel_exponent_rows(
     out: np.ndarray, ins: np.ndarray, gamma: complex, conv: BaxterConvention
 ) -> np.ndarray:
-    """Log of the kernel at one output point against ``(m, n)`` input rows."""
-    n = out.size
-    rho = conv.rho(n)
-    s = conv.wall_slope
-    lsc = conv.wall_log_scale
-    diffs = out[None, :] - ins  # (m, n)
-    expo = np.zeros(ins.shape[0], dtype=complex)
+    """Log of the kernel from output points ``out`` -- one ``(n,)`` point,
+    or ``(m, n)`` rows aligned with the input rows -- to ``(m, n)`` input
+    rows ``ins``."""
+    n = ins.shape[1]
+    s, lsc, rho = conv.wall_slope, conv.wall_log_scale, conv.rho(n)
+    total, real = 0.0, math.log(conv.prefactor(n))
     for j in range(n):
-        expo += (1j * gamma + rho[j]) * diffs[:, j]
-    walls = np.zeros(ins.shape[0])
-    for i in range(n - 1):
-        walls += np.exp(np.minimum(s * (out[i] - ins[:, i]) + lsc, 700.0))
-        walls += np.exp(np.minimum(s * (ins[:, i] - out[i + 1]) + lsc, 700.0))
-    walls += np.exp(np.minimum(s * (out[n - 1] - ins[:, n - 1]) + lsc, 700.0))
-    return expo - walls + math.log(conv.prefactor(n))
+        # Walls e^{s (out_j - in_j)} for every j and e^{s (in_j - out_{j+1})}.
+        diff = out[..., j] - ins[:, j]
+        total = total + diff
+        real = real + rho[j] * diff - _exp_wall(s * diff + lsc)
+        if j + 1 < n:
+            real = real - _exp_wall(s * (ins[:, j] - out[..., j + 1]) + lsc)
+    return 1j * gamma * total + real
 
 
 def baxter_kernel(x_out, x_in, gamma: complex, convention="lie") -> complex:
@@ -176,8 +178,9 @@ def baxter_apply(
 
     ``psi`` is vectorized: ``(m, n)`` float rows in, ``(m,)`` complex out.
     ``psi_spectral`` (optional) states the spectral content of ``psi``; it
-    sharpens the truncation of the one non-wall tail and activates the
-    spectral-gap validation: every ``Re(i*gamma - i*lam_j)`` must be at least
+    sharpens the truncation of the one non-wall tail, widens the wall
+    truncation by its imaginary parts, and activates the spectral-gap
+    validation: every ``Re(i*gamma - i*lam_j)`` must be at least
     :data:`MIN_SPECTRAL_GAP`, else :class:`ShiftError` is raised.
     """
     conv = _as_convention(convention)
@@ -186,6 +189,7 @@ def baxter_apply(
     if n == 0:
         raise RankError("y must be non-empty")
     gamma = complex(gamma)
+    lam_t = ()
     if psi_spectral is not None:
         lam_t = _as_params(psi_spectral)
         gaps = [(1j * gamma - 1j * l).real for l in lam_t]
@@ -206,24 +210,17 @@ def baxter_apply(
             f"effective tail rate {rate:.4f} too small for reliable truncation; "
             f"widen the spectral gap (pass psi_spectral) or lower gamma"
         )
-    s = conv.wall_slope
-    lsc = conv.wall_log_scale
-    sides = []
-    for i in range(n - 1):
-        sides.append(
-            (
-                DoubleExponential(s, s * y_arr[i] + lsc),
-                DoubleExponential(s, -s * y_arr[i + 1] + lsc),
-            )
-        )
-    sides.append((DoubleExponential(s, s * y_arr[n - 1] + lsc), Exponential(rate)))
-    profile = DecayProfile(sides)
+    # Every side is a wall exp(-e^{s u + lsc}) but the last one, where the
+    # kernel's modulus decays at ``rate``.
+    r = _wall_reach(tol, 2 * n, (gamma,) + lam_t, conv.wall_slope, conv.wall_log_scale)
+    box = [(y_arr[i] - r, y_arr[i + 1] + r) for i in range(n - 1)]
+    box.append((y_arr[n - 1] - r, y_arr[n - 1] + _rate_reach(tol, 2 * n, rate)))
 
     def f(points: np.ndarray) -> np.ndarray:
         expo = _kernel_exponent_rows(y_arr, points, gamma, conv)
         return stable_exp(expo) * np.asarray(psi(points), dtype=complex)
 
-    return integrate_decaying(f, profile, tol, max_evals)
+    return _integrate_truncated(f, box, tol, max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,6 @@ def baxter_eigenvalue(gamma: complex, lam, convention="lie") -> complex:
     n = len(lam_t)
     gamma = complex(gamma)
     rho = conv.rho(n)
-    total = 0j
     logs = []
     for j, l in enumerate(lam_t):
         base = 1j * gamma - 1j * l
@@ -248,10 +244,7 @@ def baxter_eigenvalue(gamma: complex, lam, convention="lie") -> complex:
         else:
             z = 0.5 * (base + rho[j])
             logs.append(log_gamma(z) - z * math.log(math.pi))
-    logs.sort(key=lambda v: (v.real, v.imag))
-    for v in logs:
-        total += v
-    return cmath.exp(total)
+    return _exp_sorted_sum(logs)
 
 
 def baxter_eigenfunction(lam, x, convention="lie") -> complex:
@@ -353,45 +346,30 @@ def _double_apply_fused(
     max_evals: int,
 ) -> QuadratureResult:
     """One ordering of two chained kernel applications, evaluated at ``y``
-    as a single fused ``2n``-dimensional integral.
+    as a single fused ``2n``-dimensional integral: ``Q_out`` from ``y`` to
+    ``x``, ``Q_in`` from ``x`` to ``w``, and the test function at ``w``.
 
     The test function is an oscillating bump ``exp(i lam . w - sum 2cosh(w_i))``
     whose double-exponential side decay keeps every integration direction
     sharply localized, so the check is cheap at both supported ranks.
     """
     n = y.size
-    tau = tol / 50.0
-    big = math.log(1.0 / tau) + 10.0
-    margin = math.log(big) + 3.0
-    m_w = math.log(big + 40.0) + 3.0
-    box: list[tuple[float, float]] = []
-    for i in range(n - 1):
-        box.append((y[i] - margin, y[i + 1] + margin))
-    box.append((y[n - 1] - margin, m_w + margin + 3.0))
-    box.extend([(-m_w, m_w)] * n)
+    # x interlaces y and w, whose bump walls end r from 0 on both sides.
+    r = _wall_reach(tol, 4 * n, (gamma_out, gamma_in) + lam)
+    box = [(y[i] - r, y[i + 1] + r) for i in range(n - 1)]
+    box.append((y[n - 1] - r, 2.0 * r))
+    box.extend([(-r, r)] * n)
     lam_v = np.asarray(lam, dtype=complex)
-    y_sum = float(y.sum())
 
     def integrand(p: np.ndarray) -> np.ndarray:
         xs = p[:, :n]
         ws = p[:, n:]
-        xs_sum = xs.sum(axis=1)
-        expo = 1j * gamma_out * (y_sum - xs_sum)
-        expo = expo + 1j * gamma_in * (xs_sum - ws.sum(axis=1))
-        walls = np.zeros(p.shape[0])
-        for i in range(n - 1):
-            walls += np.exp(np.minimum(y[i] - xs[:, i], 700.0))
-            walls += np.exp(np.minimum(xs[:, i] - y[i + 1], 700.0))
-            walls += np.exp(np.minimum(xs[:, i] - ws[:, i], 700.0))
-            walls += np.exp(np.minimum(ws[:, i] - xs[:, i + 1], 700.0))
-        walls += np.exp(np.minimum(y[n - 1] - xs[:, n - 1], 700.0))
-        walls += np.exp(np.minimum(xs[:, n - 1] - ws[:, n - 1], 700.0))
+        expo = _kernel_exponent_rows(y, xs, gamma_out, _LIE) + _kernel_exponent_rows(xs, ws, gamma_in, _LIE)
         expo = expo + (ws * (1j * lam_v)).sum(axis=1)
         expo = expo - 2.0 * np.cosh(ws).sum(axis=1)
-        return stable_exp(expo - walls)
+        return stable_exp(expo)
 
-    inner = integrate_box(integrand, box, 0.8 * tol, max_evals)
-    return _with_tail(inner, 6.0 * n * tau, tol)
+    return _integrate_truncated(integrand, box, tol, max_evals)
 
 
 def commutation_residual(
@@ -458,34 +436,25 @@ def lowering_compatibility(
             f"spectral gap {rate:.4f} below the minimum {MIN_SPECTRAL_GAP}"
         )
 
-    def f_lhs(p: np.ndarray) -> np.ndarray:
-        m1, m2 = p[:, 0], p[:, 1]
-        expo = 1j * gamma * (y1 + y2 - m1 - m2) + 1j * lam * (m1 + m2 - x)
-        walls = np.exp(np.minimum(y1 - m1, 700.0))
-        walls += np.exp(np.minimum(m1 - y2, 700.0))
-        walls += np.exp(np.minimum(y2 - m2, 700.0))
-        walls += np.exp(np.minimum(m1 - x, 700.0))
-        walls += np.exp(np.minimum(x - m2, 700.0))
-        return stable_exp(expo - walls)
+    y_arr = np.asarray([y1, y2])
+    params = (gamma, lam)
 
-    prof_lhs = DecayProfile(
-        [
-            (DoubleExponential(1.0, y1), DoubleExponential(1.0, -y2)),
-            (DoubleExponential(1.0, max(y2, x)), Exponential(rate)),
-        ]
-    )
-    lhs = integrate_decaying(f_lhs, prof_lhs, tol, max_evals)
+    def f_lhs(p: np.ndarray) -> np.ndarray:
+        step = _step_exponent_rows([p[:, 0], p[:, 1]], [x], lam)
+        return stable_exp(_kernel_exponent_rows(y_arr, p, gamma, _LIE) + step)
+
+    # m_1 lies between the walls at y_1 and at y_2 and x; m_2 above the walls
+    # at y_2 and x, with a tail of rate ``rate`` beyond.
+    r, foot = _wall_reach(tol, 4, params), max(y2, x)
+    box = [(y1 - r, min(y2, x) + r), (foot - r, foot + _rate_reach(tol, 4, rate))]
+    lhs = _integrate_truncated(f_lhs, box, tol, max_evals)
 
     def f_rhs(p: np.ndarray) -> np.ndarray:
-        u = p[:, 0]
-        expo = 1j * lam * (y1 + y2 - u) + 1j * gamma * (u - x)
-        walls = np.exp(np.minimum(y1 - u, 700.0))
-        walls += np.exp(np.minimum(u - y2, 700.0))
-        walls += np.exp(np.minimum(u - x, 700.0))
-        return stable_exp(expo - walls)
+        step = _step_exponent_rows([y1, y2], [p[:, 0]], lam)
+        return stable_exp(step + _kernel_exponent_rows(p, np.full_like(p, x), gamma, _LIE))
 
-    prof_rhs = DecayProfile([(DoubleExponential(1.0, y1), DoubleExponential(1.0, -y2))])
-    rhs_int = integrate_decaying(f_rhs, prof_rhs, tol, max_evals)
+    r = _wall_reach(tol, 2, params)
+    rhs_int = _integrate_truncated(f_rhs, [(y1 - r, min(y2, x) + r)], tol, max_evals)
     factor = cmath.exp(log_gamma(1j * gamma - 1j * lam))
     rhs = factor * rhs_int.value
     err = lhs.abs_error + abs(factor) * rhs_int.abs_error
@@ -652,13 +621,18 @@ def spherical_function_rank2(gamma, x) -> complex:
     return complex(_spherical_rows((g[0], g[1]), xs)[0])
 
 
+def _zonal_weight_rows(lam: complex, xs: np.ndarray) -> np.ndarray:
+    """:func:`gaussian_zonal_function` at ``(m, 2)`` position rows."""
+    x1, x2 = xs[:, 0], xs[:, 1]
+    expo = -(x1 + x2) * (1j * lam + 0.5) - math.pi * (_exp_wall(-2.0 * x1) + _exp_wall(-2.0 * x2))
+    return 4.0 * stable_exp(expo)
+
+
 def gaussian_zonal_function(lam: complex, x) -> complex:
-    """Gaussian-type zonal weight evaluated on the inverse group element."""
-    lam = complex(lam)
-    x1, x2 = float(x[0]), float(x[1])
-    expo = -(x1 + x2) * (1j * lam + 0.5)
-    expo -= math.pi * (math.exp(min(-2.0 * x1, 700.0)) + math.exp(min(-2.0 * x2, 700.0)))
-    return 4.0 * cmath.exp(complex(min(expo.real, 709.0), expo.imag))
+    """Gaussian-type zonal weight evaluated on the inverse group element:
+    ``4 exp(-(x1 + x2)(i lam + 1/2) - pi (e^{-2 x1} + e^{-2 x2}))``."""
+    xs = np.asarray([[float(x[0]), float(x[1])]], dtype=float)
+    return complex(_zonal_weight_rows(complex(lam), xs)[0])
 
 
 def spherical_transform_rank2(
@@ -674,7 +648,11 @@ def spherical_transform_rank2(
     ``baxter_eigenvalue(lam, gamma, "iwasawa_pi")`` -- the reduction of the
     operator family to the rank-2 symmetric space.
 
-    Requires ``Re(i lam) + 1/2 > |Im gamma_j|``-type decay; in practice take
+    The weight decays like ``exp(-(Re(i lam) + 1/2) s)`` in the
+    center-of-mass ``s = x1 + x2``, but the measure ``sinh d`` grows like
+    ``e^s`` up to the weight's wall at ``d`` about ``s``, so the pairing
+    converges only at ``rate = Re(i lam) - 1/2 - max |Im gamma_j|`` and
+    :class:`ShiftError` is raised unless that exceeds 0.2; in practice take
     ``Re(i lam) >= 1`` and real ``gamma``.
 
     The integrand evaluates the zonal function in closed form
@@ -687,35 +665,26 @@ def spherical_transform_rank2(
     g = _as_params(gamma)
     if len(g) != 2:
         raise RankError("spherical_transform_rank2 needs exactly two parameters")
-    srate = (1j * lam).real + 0.5 - max(abs(v.imag) for v in g)
+    srate = (1j * lam).real - 0.5 - max(abs(v.imag) for v in g)
     if srate <= 0.2:
         raise ShiftError(
             f"center-of-mass decay rate {srate:.4f} too small; increase Re(i lam)"
         )
-    tau = tol / 30.0
-    big = math.log(1.0 / tau) + 10.0
-    s_hi = (big + 8.0) / srate
-    s_lo = -(max(math.log(big / (2.0 * math.pi)), 0.0) + 2.0)
-    d_hi = s_hi
-    for _ in range(4):
-        d_hi = s_hi + math.log((big + d_hi) / math.pi)
-    d_hi = max(d_hi + 2.0, 3.0)
+    # Three truncated sides: the walls pi e^{-2 x_j} >= 2 pi e^{-s} below s,
+    # the rate above it, and the wall pi e^{-2 x_1} = pi e^{d - s} above d.
+    params, s_hi = (lam,) + g, _rate_reach(tol, 3, srate)
+    box = [
+        (-_wall_reach(tol, 3, params, shift=math.log(2.0 * math.pi)), s_hi),
+        (0.0, s_hi + _wall_reach(tol, 3, params, shift=math.log(math.pi))),
+    ]
 
     def f(p: np.ndarray) -> np.ndarray:
         sv, dv = p[:, 0], p[:, 1]
-        x1 = 0.5 * (sv - dv)
-        x2 = 0.5 * (sv + dv)
-        expo = -sv * (1j * lam + 0.5)
-        expo = expo - math.pi * (
-            np.exp(np.minimum(-2.0 * x1, 700.0)) + np.exp(np.minimum(-2.0 * x2, 700.0))
-        )
-        weight = 4.0 * stable_exp(expo) * 2.0 * np.sinh(dv)
-        phi = _spherical_rows((g[0], g[1]), np.column_stack([x1, x2]))
-        return math.pi * 0.5 * weight * phi
+        xs = np.column_stack([0.5 * (sv - dv), 0.5 * (sv + dv)])
+        weight = _zonal_weight_rows(lam, xs) * 2.0 * np.sinh(dv)
+        return math.pi * 0.5 * weight * _spherical_rows((g[0], g[1]), xs)
 
-    box = [(s_lo, s_hi), (0.0, d_hi)]
-    inner = integrate_box(f, box, 0.8 * tol, max_evals)
-    return _with_tail(inner, 6.0 * tau, tol)
+    return _integrate_truncated(f, box, tol, max_evals)
 
 
 def universal_baxter_phi(g_matrix, lam: complex) -> complex:

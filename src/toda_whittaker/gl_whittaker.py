@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContourError, PoleError, RankError
+from .errors import BudgetExceeded, ContourError, PoleError, RankError
 from .numerics import (
     AccuracyBudget,
     log_gamma_array,
@@ -42,9 +42,9 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
+    _integrate_truncated,
     _trapezoid_radius,
-    _with_tail,
-    integrate_box,
+    _wall_reach,
     integrate_contour,
     stable_exp,
 )
@@ -91,23 +91,11 @@ def _rank0(lam_t: tuple[complex, ...], x: tuple[float, ...]) -> QuadratureResult
 
 
 def _exp_wall(diff: np.ndarray) -> np.ndarray:
-    # exp of a real array, saturating instead of overflowing: the result is
-    # only ever subtracted inside another exponent.
-    return np.exp(np.clip(diff, None, 700.0))
-
-
-def _halfwidth(tol: float, lin_slack: float = 1.0) -> float:
-    """Truncation half-width for a unit-slope doubly-exponential wall fighting
-    at most ``lin_slack``-rate linear growth in the exponent."""
-    target = max(math.log(10.0 / tol), 1.0)
-    a = math.log(target) + 3.0
-    for _ in range(4):
-        a = math.log(target + lin_slack * max(a, 1.0)) + 3.0
-    return a
-
-
-def _im_slack(lam: tuple[complex, ...]) -> float:
-    return 1.0 + sum(abs(v.imag) for v in lam)
+    """The wall ``e^diff`` of a kernel exponent, saturating instead of
+    overflowing: it is only ever subtracted inside another exponent.  The
+    kernel exponents (the step's, the Baxter kernel's, the so step's and the
+    zonal weight's) are its only callers."""
+    return np.exp(np.minimum(diff, 700.0))
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +142,16 @@ def givental_step_kernel(x_top: Sequence[float], x_bot: Sequence[float], lam: co
     bot = [float(v) for v in x_bot]
     if len(top) != len(bot) + 1:
         raise ValueError("x_top must have exactly one more entry than x_bot")
-    lam = complex(lam)
-    expo = 1j * lam * (sum(top) - sum(bot))
+    return complex(stable_exp(_step_exponent_rows(top, bot, complex(lam))))
+
+
+def _step_exponent_rows(top_cols: list, bot_cols: list, lam) -> np.ndarray:
+    """Vectorized log of the step kernel; columns are aligned arrays or
+    numbers, and ``lam`` is a number or an array broadcasting against them."""
     walls = 0.0
-    for i, b in enumerate(bot):
-        walls += math.exp(min(top[i] - b, 700.0)) + math.exp(min(b - top[i + 1], 700.0))
-    expo -= walls
-    if expo.real < -745.0:
-        return 0.0 + 0.0j
-    return cmath.exp(expo)
-
-
-def _step_exponent_rows(top_cols: list[np.ndarray], bot_cols: list[np.ndarray], lam: complex) -> np.ndarray:
-    """Vectorized log of the step kernel; columns are aligned 1-d arrays."""
-    s_top = top_cols[0].copy()
-    for c in top_cols[1:]:
-        s_top = s_top + c
-    s_bot = np.zeros_like(top_cols[0])
-    for c in bot_cols:
-        s_bot = s_bot + c
-    expo = 1j * lam * (s_top - s_bot)
-    for i in range(len(bot_cols)):
-        expo = expo - _exp_wall(top_cols[i] - bot_cols[i]) - _exp_wall(bot_cols[i] - top_cols[i + 1])
-    return expo
+    for i, b in enumerate(bot_cols):
+        walls = walls + _exp_wall(top_cols[i] - b) + _exp_wall(b - top_cols[i + 1])
+    return 1j * lam * (sum(top_cols) - sum(bot_cols)) - walls
 
 
 def _pattern_box(x: Sequence[float], a: float, rows: int) -> list[tuple[float, float]]:
@@ -201,7 +176,7 @@ def givental_eval(
 
     def f(pts: np.ndarray) -> np.ndarray:
         # Pattern rows top-down: x, then n - 1, ..., 1 integration variables.
-        rows, start = [[np.full(pts.shape[0], v) for v in x]], 0
+        rows, start = [list(x)], 0
         for size in range(n - 1, 0, -1):
             rows.append([pts[:, j] for j in range(start, start + size)])
             start += size
@@ -210,8 +185,8 @@ def givental_eval(
             expo = expo + _step_exponent_rows(rows[k - 1], rows[k], lam_t[-k])
         return stable_exp(expo + 1j * lam_t[0] * rows[-1][0])
 
-    box = _pattern_box(x, _halfwidth(tol, _im_slack(lam_t)), n - 1)
-    return _with_tail(integrate_box(f, box, 0.9 * tol, max_evals), tol / 10.0, tol)
+    box = _pattern_box(x, _wall_reach(tol, n * (n - 1), lam_t), n - 1)
+    return _integrate_truncated(f, box, tol, max_evals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,17 +198,17 @@ def _leggauss(size: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _coordinate_step(lam_top, x, lower: Callable, a: float, tol: float, max_evals: int) -> QuadratureResult:
+def _coordinate_step(lam_t, x, lower: Callable, tol: float, max_evals: int) -> QuadratureResult:
     """One coordinate step: the integral over the pattern row below ``x`` of
-    the step kernel with parameter ``lam_top`` times ``lower``, the rank
+    the step kernel with parameter ``lam_t[-1]`` times ``lower``, the rank
     below at rows of that row, on the row's pattern box."""
 
     def f(rows: np.ndarray) -> np.ndarray:
-        top = [np.full(rows.shape[0], v) for v in x]
-        expo = _step_exponent_rows(top, [rows[:, j] for j in range(rows.shape[1])], lam_top)
+        expo = _step_exponent_rows(list(x), [rows[:, j] for j in range(rows.shape[1])], lam_t[-1])
         return stable_exp(expo) * lower(rows)
 
-    return _with_tail(integrate_box(f, _pattern_box(x, a, 1), 0.9 * tol, max_evals), tol / 10.0, tol)
+    box = _pattern_box(x, _wall_reach(tol, 2 * (len(x) - 1), lam_t), 1)
+    return _integrate_truncated(f, box, tol, max_evals)
 
 
 def givental_recursive_eval(
@@ -243,15 +218,15 @@ def givental_recursive_eval(
     step, an adaptive integral over the next row down, over the rank below.
     At rank 2 the rank below is the rank-1 coordinate model, integrated at
     each node of the step on Gauss-Legendre rules that double until the node
-    is settled.  ``max_evals`` caps the step's (adaptive) quadrature only."""
+    is settled.  ``max_evals`` caps the evaluations of the step and of the
+    rank-1 level together (:class:`BudgetExceeded` beyond it)."""
     lam_t, x = _checked(lam, x)
     if len(lam_t) == 1:
         return _rank0(lam_t, x)
     if len(lam_t) == 3:
         return _over_rank1("LL", lam_t, x, tol, max_evals)
     l1 = lam_t[0]
-    a = _halfwidth(tol, _im_slack(lam_t))
-    return _coordinate_step(lam_t[1], x, lambda rows: np.exp(1j * l1 * rows[:, 0]), a, tol, max_evals)
+    return _coordinate_step(lam_t, x, lambda rows: np.exp(1j * l1 * rows[:, 0]), tol, max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +379,7 @@ def plancherel_measure(lam) -> complex:
 # ---------------------------------------------------------------------------
 # The rank-1 function below a step, on fixed grids
 
-_GL_SIZES = tuple(256 << k for k in range(7))  # 256, 512, ..., 16384 nodes
+_GL_SIZES = tuple(64 << k for k in range(9))  # 64, 128, ..., 16384 nodes
 _TRAPEZOID_STEPS = tuple(range(1, 10))  # steps 2**-k: 1/2, ..., 1/512
 
 
@@ -435,10 +410,11 @@ def _settle(estimate: Callable, m: int, levels: tuple, inner_tol: float, tally: 
 
 def _coordinate_rank1(p1, p2, u1, u2, a: float, inner_tol: float, tally: list) -> np.ndarray:
     """The rank-1 coordinate model at parameter rows ``(p1, p2)`` and
-    coordinate rows ``(u1, u2)``, all broadcast: ``exp(i p2 (u1 + u2))``
-    times ``integral exp(i (p1 - p2) v - e^{u1 - v} - e^{v - u2}) dv`` over
-    the pattern box ``(u1 - a, u2 + a)``, on Gauss-Legendre rules of 256,
-    512, ... nodes.  The integral is taken once per distinct row of
+    coordinate rows ``(u1, u2)``, all broadcast: the step kernel of
+    parameter ``p2`` times the rank-0 function ``exp(i p1 v)`` is
+    ``exp(i p1 (u1 + u2))`` times the step kernel of parameter ``p2 - p1``,
+    integrated over ``v`` in the pattern box ``(u1 - a, u2 + a)`` on
+    Gauss-Legendre rules of 64, 128, ... nodes.  The integral is taken once per distinct row of
     ``(p1 - p2, u1, u2)``; on a contour grid it depends on a node only
     through ``p1 - p2``."""
     p1, p2, u1, u2 = np.broadcast_arrays(np.asarray(p1, dtype=complex), p2, u1, u2)
@@ -450,11 +426,11 @@ def _coordinate_rank1(p1, p2, u1, u2, a: float, inner_tol: float, tally: list) -
         lo, hi = k1[rows] - a, k2[rows] + a
         half = 0.5 * (hi - lo)
         v = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
-        expo = 1j * d[rows, None] * v - _exp_wall(k1[rows, None] - v) - _exp_wall(v - k2[rows, None])
+        expo = _step_exponent_rows([k1[rows, None], k2[rows, None]], [v], -d[rows, None])
         return half * (stable_exp(expo) * weights).sum(axis=1), size
 
     integral = _settle(estimate, d.size, _GL_SIZES, inner_tol, tally)
-    return np.exp(1j * p2 * (u1 + u2)) * integral[inverse]
+    return np.exp(1j * p1 * (u1 + u2)) * integral[inverse]
 
 
 def _spectral_rank1(l1: complex, l2: complex, y1, y2, inner_tol: float, tally: list) -> np.ndarray:
@@ -482,9 +458,11 @@ def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureRe
     """A rank-2 word: the top step ``word[-1]`` over the rank-1 level in
     model ``word[0]``, computed at the step's nodes on fixed grids to a
     hundredth of ``tol``.  Its error adds ten times that (a step kernel's
-    mass is at most 10), or ten times the largest last move if larger."""
-    a = _halfwidth(tol, _im_slack(lam_t))
+    mass is at most 10), or ten times the largest last move if larger.
+    ``max_evals`` caps the step's evaluations and the rank-1 level's
+    together; the level's are counted when the step returns."""
     inner_tol, tally = tol / 100.0, [0, 0.0]
+    a = _wall_reach(inner_tol, 2, lam_t)
     l1, l2 = lam_t[0], lam_t[1]
 
     def lower(nodes: np.ndarray) -> np.ndarray:
@@ -494,13 +472,25 @@ def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureRe
             return _coordinate_rank1(l1, l2, nodes[:, 0], nodes[:, 1], a, inner_tol, tally)
         return _spectral_rank1(l1, l2, nodes[:, 0], nodes[:, 1], inner_tol, tally)
 
-    if word[-1] == "R":
-        mu, top = tuple(-v for v in lam_t), ContourSpec([default_contour(lam_t).offsets[-1]])
-        res = _spectral_step(mu, x[2], lower, top, 2, 0.9 * tol, max_evals)
-    else:
-        res = _coordinate_step(lam_t[2], x, lower, a, 0.9 * tol, max_evals)
+    spent = False
+    try:
+        if word[-1] == "R":
+            mu, top = tuple(-v for v in lam_t), ContourSpec([default_contour(lam_t).offsets[-1]])
+            res = _spectral_step(mu, x[2], lower, top, 2, 0.9 * tol, max_evals)
+        else:
+            res = _coordinate_step(lam_t, x, lower, 0.9 * tol, max_evals)
+    except BudgetExceeded as exc:
+        res, spent = exc.result, True
     err = res.abs_error + 10.0 * max(inner_tol, tally[1])
-    return QuadratureResult(res.value, err, res.evaluations + tally[0], err <= tol)
+    evals = res.evaluations + tally[0]
+    if spent or evals > max_evals:
+        raise BudgetExceeded(
+            f"evaluation budget {max_evals} exhausted by the step and its rank-1 level "
+            f"({evals} evaluations, error {err:.3e}, tol {tol:.3e})",
+            result=QuadratureResult(res.value, err, evals, False),
+            max_evaluations=max_evals,
+        )
+    return QuadratureResult(res.value, err, evals, err <= tol)
 
 
 def mixed_eval(word, lam, x, tol: float = 1e-8) -> QuadratureResult:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import PoleError
-from .numerics import log_gamma
+from .numerics import _exp_sorted_sum, log_gamma
 
 __all__ = [
     "SatakeClass",
@@ -260,5 +260,4 @@ def archimedean_lfactor(alpha: Sequence[complex], s: complex) -> complex:
     for a in alpha:
         z = 0.5 * (s - complex(a))
         terms.append(log_gamma(z) - z * log_pi)
-    terms.sort(key=lambda w: (w.real, w.imag))
-    return cmath.exp(sum(terms, 0.0 + 0.0j))
+    return _exp_sorted_sum(terms)

@@ -72,16 +72,6 @@ def _quadrature_budget(tol: float) -> AccuracyBudget:
     return AccuracyBudget(rel_tol=min(1e-7, max(0.02 * tol, 1e-13)))
 
 
-def _box_scales(tol: float, imag_slack: float = 0.0) -> tuple[float, float, float]:
-    """Truncation scales of a box quadrature at absolute tolerance ``tol``:
-    per-tail budget, decay depth, and wall margin (widened by twice the
-    largest imaginary part of the spectral parameters)."""
-    tau = tol / 40.0
-    big = math.log(1.0 / tau) + 10.0
-    margin = math.log(big) + 3.0 + 2.0 * imag_slack
-    return tau, big, margin
-
-
 # ---------------------------------------------------------------------------
 # log-gamma: Lanczos approximation (g = 7, 9 coefficients) plus reflection.
 
@@ -170,6 +160,16 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
     return np.where(lower, np.conj(out), out)
 
 
+def _exp_sorted_sum(logs: Sequence[complex]) -> complex:
+    """``exp`` of the sum of ``logs``, added in value order (by real, then
+    imaginary part), so the result is bit-for-bit invariant under
+    permutations of ``logs``."""
+    total = 0j
+    for v in sorted(logs, key=lambda v: (v.real, v.imag)):
+        total += v
+    return cmath.exp(total)
+
+
 def gamma_product(zs: Sequence[complex]) -> complex:
     """Product of Gamma values, accumulated in log space.
 
@@ -189,11 +189,7 @@ def gamma_product(zs: Sequence[complex]) -> complex:
             raise PoleError(
                 f"gamma_product factor {idx} at z={complex(z)!r} is a pole", index=idx
             ) from exc
-    logs.sort(key=lambda v: (v.real, v.imag))
-    total = 0j
-    for v in logs:
-        total += v
-    return cmath.exp(total)
+    return _exp_sorted_sum(logs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,11 @@
 """Deterministic quadrature in one to six dimensions.
 
 Two engines, one per job: adaptive cubature over real boxes, and the
-trapezoid rule along contours.  Three entry points use them:
+trapezoid rule along contours.
 
 * :func:`integrate_box` — adaptive integration over an explicit box, using a
   Gauss–Kronrod 7/15 pair in one dimension and an embedded degree-7/5
   fully-symmetric cubature rule in dimensions two through six.
-* :func:`integrate_decaying` — integration over the whole line (per dimension)
-  for integrands with known exponential or doubly-exponential tail envelopes;
-  the tails are truncated so the neglected mass stays within a fixed fraction
-  of the tolerance, then the box integrator finishes the job.
 * :func:`integrate_contour` — integration over horizontal lines in the complex
   plane (fixed imaginary offsets) by the tensor trapezoid rule, halving a
   dyadic step until two successive sums agree; the lines are truncated using
@@ -18,10 +14,18 @@ trapezoid rule along contours.  Three entry points use them:
   decay exponentially, where the trapezoid rule converges geometrically
   (Trefethen and Weideman, SIAM Review 56, 2014).
 
+Coordinate-space integrals run over the whole of R^d and are cut to a box by
+one truncation rule.  Each side the box truncates ends either behind a
+double-exponential wall ``exp(-e^u)`` (cut at :func:`_wall_reach` past the
+wall's foot) or in a single exponential tail (cut at :func:`_rate_reach`);
+either way the neglected tail is at most ``tol / 10`` split over the truncated
+sides.  :func:`_integrate_truncated` integrates the box to ``0.9 tol`` and
+adds ``tol / 10`` for the tails, so the reported error covers both.
+
 Integrand contract
 ------------------
 Integrands are vectorized: ``f(points)`` receives an ``(m, d)`` array (real
-for the box/decaying integrators, complex for the contour integrator) and must
+for the box integrator, complex for the contour integrator) and must
 return an ``(m,)`` complex array. Tolerances are absolute.
 
 Determinism: identical inputs produce bit-identical results. The adaptive
@@ -44,12 +48,8 @@ from .errors import BudgetExceeded, ContourError
 
 __all__ = [
     "QuadratureResult",
-    "DoubleExponential",
-    "Exponential",
-    "DecayProfile",
     "ContourSpec",
     "integrate_box",
-    "integrate_decaying",
     "integrate_contour",
     "stable_exp",
 ]
@@ -85,72 +85,6 @@ class QuadratureResult:
 
 
 @dataclass(frozen=True)
-class DoubleExponential:
-    """Tail envelope ``|f(u)| <= exp(-exp(slope*|u| + shift))``."""
-
-    slope: float
-    shift: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.slope <= 0.0:
-            raise ValueError("DoubleExponential slope must be positive")
-
-    def cutoff(self, tail_budget: float) -> float:
-        target = max(math.log(1.0 / tail_budget), 1.0)
-        return (math.log(target) - self.shift + 3.0) / self.slope
-
-
-@dataclass(frozen=True)
-class Exponential:
-    """Tail envelope ``|f(u)| <= exp(-rate*|u|)``."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ValueError("Exponential rate must be positive")
-
-    def cutoff(self, tail_budget: float) -> float:
-        target = max(math.log(1.0 / tail_budget), 1.0)
-        return (target + 8.0) / self.rate
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Per-dimension pair of tail envelopes ``(left, right)``.
-
-    ``sides[i]`` describes how the integrand decays as coordinate ``i`` goes
-    to -infinity (left) and +infinity (right).
-    """
-
-    sides: tuple
-
-    def __init__(self, sides: Sequence) -> None:
-        norm = []
-        for pair in sides:
-            left, right = pair
-            for side in (left, right):
-                if not isinstance(side, (DoubleExponential, Exponential)):
-                    raise TypeError(
-                        "each profile side must be DoubleExponential or Exponential"
-                    )
-            norm.append((left, right))
-        object.__setattr__(self, "sides", tuple(norm))
-        if not self.sides:
-            raise ValueError("DecayProfile needs at least one dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self.sides)
-
-    def box(self, tail_budget_per_side: float) -> list[tuple[float, float]]:
-        out = []
-        for left, right in self.sides:
-            out.append((-left.cutoff(tail_budget_per_side), right.cutoff(tail_budget_per_side)))
-        return out
-
-
-@dataclass(frozen=True)
 class ContourSpec:
     """Imaginary offsets for nested horizontal contours, grouped by level.
 
@@ -183,13 +117,6 @@ class ContourSpec:
     @property
     def dim(self) -> int:
         return len(self.flat)
-
-
-def _with_tail(inner: QuadratureResult, tail: float, tol: float) -> QuadratureResult:
-    """``inner`` with the bound ``tail`` on its truncated tails added to its
-    error, converged if the sum is within ``tol``."""
-    err = inner.abs_error + tail
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
 
 
 def stable_exp(exponent: np.ndarray) -> np.ndarray:
@@ -554,26 +481,51 @@ def integrate_box(
     return _integrate_adaptive(f, lo, hi, float(tol), int(max_evals))
 
 
-def integrate_decaying(
-    f: Callable[[np.ndarray], np.ndarray],
-    profile: DecayProfile,
-    tol: float,
-    max_evals: int = _DEFAULT_MAX_EVALS,
-) -> QuadratureResult:
-    """Integrate ``f`` over the whole of R^d using tail envelopes.
+# ---------------------------------------------------------------------------
+# The truncation rule for coordinate-space integrals
 
-    The profile's envelopes determine per-side truncation points such that
-    each neglected tail is at most ``tol / (10 d)``; the remaining box goes to
-    :func:`integrate_box` with the rest of the budget.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    d = profile.dim
-    if d > _MAX_DIM:
-        raise ValueError(f"dimension {d} exceeds the supported maximum {_MAX_DIM}")
-    tail_budget = tol / (10.0 * d)
-    box = profile.box(tail_budget)
-    return _with_tail(integrate_box(f, box, 0.8 * tol, max_evals), 2.0 * d * tail_budget, tol)
+
+def _wall_reach(
+    tol: float, sides: int, params: Sequence[complex] = (), slope: float = 1.0, shift: float = 0.0
+) -> float:
+    """How far past its foot ``u = 0`` a double-exponential wall
+    ``exp(-e^{slope u + shift})`` is cut, in a box that truncates ``sides``
+    sides at tolerance ``tol``: each side's tail is to stay below
+    ``tol / (10 sides)``.
+
+    In the wall's own variable ``v = slope u + shift`` the wall may fight
+    linear growth ``e^{slack v}`` of the rest of the integrand, with
+    ``slack = (1 + sum |Im p|) / slope`` over the spectral ``params``.  The
+    cut ``v = a`` solves ``a = log(log(1 / budget) + slack a) + 3`` (four
+    fixed-point steps), which leaves a tail far below the side's budget."""
+    target = max(math.log(10.0 * sides / tol), 1.0)
+    slack = (1.0 + sum(abs(complex(p).imag) for p in params)) / slope
+    a = math.log(target) + 3.0
+    for _ in range(4):
+        a = math.log(target + slack * max(a, 1.0)) + 3.0
+    return (a - shift) / slope
+
+
+def _rate_reach(tol: float, sides: int, rate: float) -> float:
+    """How far from its foot a single exponential tail ``exp(-rate |u|)`` is
+    cut, in a box that truncates ``sides`` sides at tolerance ``tol``."""
+    return (max(math.log(10.0 * sides / tol), 1.0) + 8.0) / rate
+
+
+def _integrate_truncated(
+    f: Callable[[np.ndarray], np.ndarray], box, tol: float, max_evals: int
+) -> QuadratureResult:
+    """:func:`integrate_box` over a box cut by :func:`_wall_reach` and
+    :func:`_rate_reach`: the box to ``0.9 tol``, plus ``tol / 10`` for the
+    tails it truncates; converged if the sum is within ``tol``.
+
+    Where the walls of a side cross before their reaches (``lo >= hi``),
+    every point of that axis lies past one of them, so the whole integral
+    is within the tail bound of zero; that side is kept one unit wide."""
+    box = [(lo, max(hi, lo + 1.0)) for lo, hi in box]
+    inner = integrate_box(f, box, 0.9 * tol, max_evals)
+    err = inner.abs_error + tol / 10.0
+    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
 
 
 def _trapezoid_level(

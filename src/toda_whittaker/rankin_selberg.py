@@ -23,10 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContourError, RankError, ShiftError
-from .gl_baxter import MIN_SPECTRAL_GAP
-from .gl_whittaker import closed_form_gl2_batch
+from .gl_baxter import _LIE, MIN_SPECTRAL_GAP, _kernel_exponent_rows
+from .gl_whittaker import _step_exponent_rows, closed_form_gl2_batch
 from .numerics import (
-    _box_scales,
     _quadrature_budget,
     gamma_product,
     log_gamma,
@@ -37,8 +36,9 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
-    _with_tail,
-    integrate_box,
+    _integrate_truncated,
+    _rate_reach,
+    _wall_reach,
     integrate_contour,
     stable_exp,
 )
@@ -53,6 +53,14 @@ __all__ = [
     "barnes_gustafson_check",
     "BarnesCheck",
 ]
+
+def _eigenfunction_rows(lam: tuple[complex, ...], xs: np.ndarray, budget) -> np.ndarray:
+    """The rank-0 or rank-1 coordinate-model function at ``(m, 1)`` or
+    ``(m, 2)`` rows, in closed form."""
+    if len(lam) == 1:
+        return np.exp(1j * lam[0] * xs[:, 0])
+    return closed_form_gl2_batch(lam, xs, budget)
+
 
 def _pair_arguments(gamma, lam, t) -> list[complex]:
     """Gamma arguments ``i*t + i*lam_k - i*conj(gamma_j)`` over all pairs."""
@@ -113,39 +121,24 @@ def bump_friedberg_integral(
             f"slowest pairing decay rate {rate:.6g} is below the minimum "
             f"spectral gap {MIN_SPECTRAL_GAP}; shift t further down"
         )
-    tau, big, _ = _box_scales(tol)
-
-    if ell == 0:
-        a_arg = args[0]
-        lo = -(big + 8.0) / rate - 1.0
-        hi = math.log(big) + 2.0
-
-        def integrand(p: np.ndarray) -> np.ndarray:
-            x = p[:, 0]
-            return stable_exp(a_arg * x - np.exp(np.minimum(x, 700.0)))
-
-        inner = integrate_box(integrand, [(lo, hi)], 0.8 * tol, max_evals)
-        return _with_tail(inner, 2.0 * tau, tol)
-
-    # ell == 1: pair two rank-one closed forms on a two-dimensional box.
+    shifted = tuple(l + t for l in lam)
+    # x_last: the damping's wall above, the slowest pairing rate below.  x_1
+    # at ell = 1: the rank-1 functions' wall exp(-4 e^{(x_1 - x_2)/2}) above
+    # x_2, the center-of-mass rate below.
+    sides = 2 * (ell + 1)
+    r = _wall_reach(tol, sides, shifted + gamma)
     rate_com = sum(a.real for a in args) / 4.0
-    x2_lo = -(big + 8.0) / rate - 1.0
-    x2_hi = math.log(big) + 2.0
-    x1_lo = -(big + 8.0) / rate_com - 1.0
-    x1_hi = x2_hi + 2.0 * (math.log(big) + 2.0) + 1.0
-    shifted = (lam[0] + t, lam[1] + t)
+    x1_hi = r + _wall_reach(tol, sides, shifted + gamma, 0.5, math.log(4.0))
+    box = [(-_rate_reach(tol, sides, rate_com), x1_hi)] * ell + [(-_rate_reach(tol, sides, rate), r)]
     budget = _quadrature_budget(tol)
 
     def integrand(p: np.ndarray) -> np.ndarray:
-        damping = stable_exp(-np.exp(np.minimum(p[:, 1], 700.0)))
-        top = closed_form_gl2_batch(shifted, p, budget)
-        bot = np.conj(closed_form_gl2_batch(gamma, p, budget))
-        return damping * top * bot
+        # The damping exp(-e^{x_last}) is the rank-1 kernel Q(x_last, 0 | 0).
+        damping = stable_exp(_kernel_exponent_rows(p[:, -1:], np.zeros((p.shape[0], 1)), 0.0, _LIE))
+        top = _eigenfunction_rows(shifted, p, budget)
+        return damping * top * np.conj(_eigenfunction_rows(gamma, p, budget))
 
-    inner = integrate_box(
-        integrand, [(x1_lo, x1_hi), (x2_lo, x2_hi)], 0.8 * tol, max_evals
-    )
-    return _with_tail(inner, 6.0 * tau, tol)
+    return _integrate_truncated(integrand, box, tol, max_evals)
 
 
 def bump_inner_correlation_prediction(gamma_bot, lambda_top, t, x_last) -> complex:
@@ -200,20 +193,18 @@ def bump_inner_correlation(
             "a pairing Gamma argument has real part below the minimum "
             f"spectral gap {MIN_SPECTRAL_GAP}; shift t further down"
         )
-    tau, big, _ = _box_scales(tol)
-    lo = x_last - (big + 8.0) / rate - 1.0
-    hi = x_last + 2.0 * (math.log(big) + 2.0) + 1.0
     shifted = (lambda_top[0] + t, lambda_top[1] + t)
+    # Below x_last the pairing rate; above it the rank-1 function's wall
+    # exp(-2 e^{(x - x_last)/2}).
+    hi = x_last + _wall_reach(tol, 2, shifted + (g,), 0.5, math.log(2.0))
+    box = [(x_last - _rate_reach(tol, 2, rate), hi)]
     budget = _quadrature_budget(tol)
 
     def integrand(p: np.ndarray) -> np.ndarray:
-        x = p[:, 0]
-        pts = np.column_stack([x, np.full_like(x, x_last)])
-        top = closed_form_gl2_batch(shifted, pts, budget)
-        return np.conj(np.exp(1j * g * x)) * top
+        pts = np.column_stack([p[:, 0], np.full(p.shape[0], x_last)])
+        return np.conj(_eigenfunction_rows((g,), p, budget)) * _eigenfunction_rows(shifted, pts, budget)
 
-    inner = integrate_box(integrand, [(lo, hi)], 0.8 * tol, max_evals)
-    return _with_tail(inner, 4.0 * tau, tol)
+    return _integrate_truncated(integrand, box, tol, max_evals)
 
 
 def stade_kernel(x_top: Sequence[float], x_bot: Sequence[float], lam_pair) -> complex:
@@ -272,33 +263,20 @@ def double_step_kernel(
     if ell > 5:
         raise RankError("middle-row dimension above 5 is not supported")
     l_bot, l_top = (complex(v) for v in lam_pair)
-    tau, big, margin = _box_scales(tol)
-    margin += 2.0 * max(abs(l_bot.imag), abs(l_top.imag))
-    box = []
-    for i in range(ell):
-        neighbors = [top[i], top[i + 1]]
-        if i >= 1:
-            neighbors.append(bot[i - 1])
-        if i <= ell - 2:
-            neighbors.append(bot[i])
-        box.append((min(neighbors) - margin, max(neighbors) + margin))
-    top_arr = np.asarray(top)
-    bot_sum = sum(bot)
+    # Middle entry i interlaces top_i < m_i < top_{i+1} and, where they
+    # exist, bot_{i-1} < m_i < bot_i.
+    r = _wall_reach(tol, 2 * ell, (l_bot, l_top))
+    box = [
+        (max([top[i], *bot[max(i - 1, 0):i]]) - r, min([top[i + 1], *bot[i:i + 1]]) + r)
+        for i in range(ell)
+    ]
 
     def integrand(p: np.ndarray) -> np.ndarray:
-        m_sum = p.sum(axis=1)
-        expo = 1j * l_top * (top_arr.sum() - m_sum) + 1j * l_bot * (m_sum - bot_sum)
-        walls = np.zeros(p.shape[0])
-        for i in range(ell):
-            walls += np.exp(np.minimum(top[i] - p[:, i], 700.0))
-            walls += np.exp(np.minimum(p[:, i] - top[i + 1], 700.0))
-        for i in range(ell - 1):
-            walls += np.exp(np.minimum(p[:, i] - bot[i], 700.0))
-            walls += np.exp(np.minimum(bot[i] - p[:, i + 1], 700.0))
-        return stable_exp(expo - walls)
+        mid = [p[:, i] for i in range(ell)]
+        expo = _step_exponent_rows(top, mid, l_top) + _step_exponent_rows(mid, bot, l_bot)
+        return stable_exp(expo)
 
-    inner = integrate_box(integrand, box, 0.8 * tol, max_evals)
-    return _with_tail(inner, 2.0 * ell * tau, tol)
+    return _integrate_truncated(integrand, box, tol, max_evals)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ Provided: the rank-one closed form (a Macdonald function of doubled order),
 direct pattern-integral evaluation at ranks one and two, the rank-two
 function by one step from the rank-one closed form, the integral operator
 with a two-Gamma-factor eigenvalue, and the quadratic chain Hamiltonian
-applied by central differences.
+applied by central differences.  The pattern step and the operator's kernel
+are one so step kernel, a middle row between two outer rows, so every
+integral here is written from :func:`_so_step_exponent_rows`.
 """
 
 from __future__ import annotations
@@ -25,19 +27,19 @@ from .errors import RankError, ShiftError
 from .numerics import (
     AccuracyBudget,
     _DEFAULT_BUDGET,
-    _box_scales,
     _macdonald_grid,
     _quadrature_budget,
     gamma_product,
     log_gamma,
     macdonald_k,
 )
-from .gl_whittaker import _kinetic, _stencil
+from .gl_whittaker import _exp_wall, _kinetic, _stencil
 from .quadrature import (
     _DEFAULT_MAX_EVALS,
     QuadratureResult,
-    _with_tail,
-    integrate_box,
+    _integrate_truncated,
+    _rate_reach,
+    _wall_reach,
     stable_exp,
 )
 
@@ -75,6 +77,73 @@ def _as_lam_tuple(lam) -> tuple[complex, ...]:
     return tuple(complex(v) for v in lam)
 
 
+def _checked(lam, x, name: str) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """``lam`` and ``x`` as tuples; :class:`RankError` unless they have equal
+    length one or two."""
+    lam_t = _as_lam_tuple(lam)
+    x_t = tuple(float(v) for v in x)
+    if len(lam_t) != len(x_t):
+        raise RankError("lam and x must have equal length")
+    if len(x_t) not in (1, 2):
+        raise RankError(f"{name} supports one or two variables")
+    return lam_t, x_t
+
+
+def _so_step_exponent_rows(top: list, mid: list, bot: list, lam: complex) -> np.ndarray:
+    """Log of the so step kernel: the row ``mid`` between the rows ``top``
+    and ``bot`` (lists of aligned columns or numbers), with parameter
+    ``lam``.  Both outer rows interlace ``mid`` from below (walls
+    ``e^{r_i - mid_i}`` and ``e^{mid_{i+1} - r_i}``), and ``mid_1`` meets the
+    reflecting wall ``e^{mid_1}``.  With ``len(mid) == len(top) == len(bot)
+    + 1`` this is the pattern step, with ``len(mid) == len(top) + 1 ==
+    len(bot) + 1`` the Baxter kernel."""
+    walls = _exp_wall(mid[0])
+    for row in (top, bot):
+        for i, v in enumerate(row):
+            walls = walls + _exp_wall(v - mid[i])
+            if i + 1 < len(mid):
+                walls = walls + _exp_wall(mid[i + 1] - v)
+    return 1j * lam * (2.0 * sum(mid) - sum(top) - sum(bot)) - walls
+
+
+def _so_step_box(top: list, size: int, r: float, floor: float = -math.inf) -> tuple[list, list]:
+    """Intervals of the middle row (``size`` entries) and of the bottom row
+    of an so step below a row of intervals ``top``, each cut ``r`` past the
+    walls of :func:`_so_step_exponent_rows`; a middle entry with no wall
+    below starts at ``floor``."""
+    mid = [
+        (top[i][0] - r if i < len(top) else floor, r if i == 0 else top[i - 1][1] + r)
+        for i in range(size)
+    ]
+    bot = [(mid[i + 1][0] - r, mid[i][1] + r) for i in range(size - 1)]
+    return mid, bot
+
+
+def _so_steps(lam_t, x, steps: int, lower: Callable, tol: float, max_evals: int) -> QuadratureResult:
+    """``steps`` so steps down from the row ``x``, with parameters
+    ``lam_t[-1], lam_t[-2], ...``, fused into one integral over their middle
+    and bottom rows, times ``lower`` at the last bottom row (a list of
+    columns)."""
+    sizes = [len(x) - k for k in range(steps)]  # the top row of each step
+    r = _wall_reach(tol, 2 * sum(2 * m - 1 for m in sizes), lam_t)
+    box, top = [], [(v, v) for v in x]
+    for m in sizes:
+        mid, top = _so_step_box(top, m, r)
+        box += mid + top
+
+    def f(p: np.ndarray) -> np.ndarray:
+        expo, row, col = 0.0, list(x), 0
+        for k, m in enumerate(sizes):
+            mid = [p[:, col + i] for i in range(m)]
+            bot = [p[:, col + m + i] for i in range(m - 1)]
+            col += 2 * m - 1
+            expo = expo + _so_step_exponent_rows(row, mid, bot, lam_t[-1 - k])
+            row = bot
+        return stable_exp(expo) * lower(row)
+
+    return _integrate_truncated(f, box, tol, max_evals)
+
+
 def so_givental_eval(
     lam,
     x: Sequence[float],
@@ -83,61 +152,13 @@ def so_givental_eval(
 ) -> QuadratureResult:
     """Rank-one or rank-two eigenfunction by direct pattern quadrature.
 
-    Rank one integrates the single auxiliary variable; rank two fuses all
-    four pattern variables into one quadrature.  Spectral parameters may
-    carry a small imaginary part; the value is even under flipping all of
-    them at rank one.
+    Every so step of the pattern, one per rank, is fused into one
+    quadrature: one auxiliary variable at rank one, four at rank two.
+    Spectral parameters may carry a small imaginary part; the value is even
+    under flipping all of them at rank one.
     """
-    lam_t = _as_lam_tuple(lam)
-    x_arr = np.asarray([float(v) for v in x], dtype=float)
-    ell = x_arr.size
-    if len(lam_t) != ell:
-        raise RankError("lam and x must have equal length")
-    if ell not in (1, 2):
-        raise RankError("so_givental_eval supports one or two variables")
-    imag_slack = max(abs(v.imag) for v in lam_t)
-    tau, big, m = _box_scales(tol, imag_slack)
-
-    if ell == 1:
-        la, xv = lam_t[0], x_arr[0]
-
-        def f1(p: np.ndarray) -> np.ndarray:
-            z = p[:, 0]
-            expo = 1j * la * (2.0 * z - xv)
-            expo = expo - np.exp(np.minimum(z, 700.0))
-            expo = expo - np.exp(np.minimum(xv - z, 700.0))
-            return stable_exp(expo)
-
-        box = [(0.5 * xv - m, 0.5 * xv + m)]
-        return _with_tail(integrate_box(f1, box, 0.8 * tol, max_evals), 2.0 * tau, tol)
-
-    la1, la2 = lam_t
-    x1, x2 = x_arr
-    z1_hi = math.log(big) + 2.0
-    z1_lo = x1 - m
-    z2_hi = x1 + m
-    z2_lo = x2 - m
-    xb_hi = z1_hi + m
-    xb_lo = z2_lo - m
-    w_hi = math.log(big) + 2.0
-    w_lo = xb_lo - m
-
-    def f2(p: np.ndarray) -> np.ndarray:
-        z1, z2, xb, w = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-        expo = 1j * la2 * (2.0 * (z1 + z2) - x1 - x2 - xb)
-        expo = expo + 1j * la1 * (2.0 * w - xb)
-        walls = np.exp(np.minimum(z1, 700.0))
-        walls += np.exp(np.minimum(xb - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - xb, 700.0))
-        walls += np.exp(np.minimum(x1 - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - x1, 700.0))
-        walls += np.exp(np.minimum(x2 - z2, 700.0))
-        walls += np.exp(np.minimum(w, 700.0))
-        walls += np.exp(np.minimum(xb - w, 700.0))
-        return stable_exp(expo - walls)
-
-    box = [(z1_lo, z1_hi), (z2_lo, z2_hi), (xb_lo, xb_hi), (w_lo, w_hi)]
-    return _with_tail(integrate_box(f2, box, 0.8 * tol, max_evals), 8.0 * tau, tol)
+    lam_t, x_t = _checked(lam, x, "so_givental_eval")
+    return _so_steps(lam_t, x_t, len(x_t), lambda bot: 1.0, tol, max_evals)
 
 
 def so_recursive_eval(
@@ -146,48 +167,23 @@ def so_recursive_eval(
     tol: float = 1e-8,
     max_evals: int = _DEFAULT_MAX_EVALS,
 ) -> QuadratureResult:
-    """Rank-two eigenfunction by chaining the step kernel onto the rank-one
-    closed form (rank one falls back to the direct integral).
+    """Rank-two eigenfunction by one so step over the rank-one closed form
+    (rank one falls back to the direct integral).
 
-    The chained integral is fused into a single three-dimensional quadrature
-    whose integrand carries the closed-form Macdonald factor, so this follows
-    a genuinely different numerical path from ``so_givental_eval`` and serves
-    as a self-consistency oracle for it.
+    The step is a three-dimensional quadrature whose integrand carries the
+    closed-form Macdonald factor, so this follows a genuinely different
+    numerical path from ``so_givental_eval`` and serves as a
+    self-consistency oracle for it.
     """
-    lam_t = _as_lam_tuple(lam)
-    x_arr = np.asarray([float(v) for v in x], dtype=float)
-    ell = x_arr.size
-    if len(lam_t) != ell:
-        raise RankError("lam and x must have equal length")
-    if ell not in (1, 2):
-        raise RankError("so_recursive_eval supports one or two variables")
-    if ell == 1:
-        return so_givental_eval(lam_t, x_arr, tol, max_evals)
-
-    la1, la2 = lam_t
-    x1, x2 = x_arr
-    tau, big, m = _box_scales(tol, max(abs(la1.imag), abs(la2.imag)))
+    lam_t, x_t = _checked(lam, x, "so_recursive_eval")
+    if len(x_t) == 1:
+        return so_givental_eval(lam_t, x_t, tol, max_evals)
     budget = _quadrature_budget(tol)
-    z2_lo = x2 - m
-    xb_lo = z2_lo - m
 
-    def f(p: np.ndarray) -> np.ndarray:
-        z1, z2, xb = p[:, 0], p[:, 1], p[:, 2]
-        expo = 1j * la2 * (2.0 * (z1 + z2) - x1 - x2 - xb)
-        walls = np.exp(np.minimum(z1, 700.0))
-        walls += np.exp(np.minimum(xb - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - xb, 700.0))
-        walls += np.exp(np.minimum(x1 - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - x1, 700.0))
-        walls += np.exp(np.minimum(x2 - z2, 700.0))
-        return stable_exp(expo - walls) * _closed_form_so3_batch(la1, xb, budget)
+    def lower(bot: list) -> np.ndarray:
+        return _closed_form_so3_batch(lam_t[0], bot[0], budget)
 
-    box = [
-        (x1 - 2.0 * m, math.log(big) + 2.0),
-        (z2_lo, x1 + m),
-        (xb_lo, math.log(big) + 2.0 + m),
-    ]
-    return _with_tail(integrate_box(f, box, 0.8 * tol, max_evals), 6.0 * tau, tol)
+    return _so_steps(lam_t, x_t, 1, lower, tol, max_evals)
 
 
 def so_baxter_eigenvalue(gamma: complex, lam) -> complex:
@@ -210,9 +206,10 @@ def so_baxter_apply(
 ) -> QuadratureResult:
     """Apply the rank-one integral operator to the rank-one eigenfunction.
 
-    The kernel's own two auxiliary variables and the argument of the
-    eigenfunction are fused into one three-dimensional quadrature; the kernel
-    is normalized so that the expected eigenvalue is
+    The kernel is the so step with a middle row one entry longer than its
+    outer rows; its two middle variables and the argument of the
+    eigenfunction are fused into one three-dimensional quadrature.  The
+    kernel is normalized so that the expected eigenvalue is
     ``so_baxter_eigenvalue(gamma, lam)``.
 
     Raises ``ShiftError`` unless ``Re(i gamma +/- i lam) >=``
@@ -233,27 +230,20 @@ def so_baxter_apply(
             f"decay rates ({rate_p:.4f}, {rate_m:.4f}) below the minimum "
             f"{MIN_SO_SPECTRAL_GAP}; lower Im(gamma)"
         )
-    r = (1j * g).real
-    tau, big, m = _box_scales(tol, abs(la.imag))
+    # The second middle entry has no wall below: there the integrand decays
+    # at twice the slowest of the rates.
+    rate = 2.0 * min((1j * g).real, rate_p, rate_m)
+    floor = min(0.0, yv) - _rate_reach(tol, 6, rate)
+    mid, bot = _so_step_box([(yv, yv)], 2, _wall_reach(tol, 6, (g, la)), floor)
     budget = _quadrature_budget(tol)
-    z1_lo, z1_hi = yv - m, math.log(big) + 2.0
-    z2_hi = yv + m
-    z2_lo = -(big + 8.0) / (2.0 * min(r, rate_p, rate_m)) + min(0.0, yv) - 1.0
-    x_lo, x_hi = z2_lo - m, z1_hi + m
     norm = stable_exp(-log_gamma(2j * g))
 
     def f(p: np.ndarray) -> np.ndarray:
-        z1, z2, xv = p[:, 0], p[:, 1], p[:, 2]
-        expo = -1j * g * (yv - 2.0 * (z1 + z2) + xv)
-        walls = np.exp(np.minimum(z1, 700.0))
-        walls += np.exp(np.minimum(yv - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - yv, 700.0))
-        walls += np.exp(np.minimum(xv - z1, 700.0))
-        walls += np.exp(np.minimum(z2 - xv, 700.0))
-        return norm * stable_exp(expo - walls) * _closed_form_so3_batch(la, xv, budget)
+        xv = p[:, 2]
+        expo = _so_step_exponent_rows([yv], [p[:, 0], p[:, 1]], [xv], g)
+        return norm * stable_exp(expo) * _closed_form_so3_batch(la, xv, budget)
 
-    box = [(z1_lo, z1_hi), (z2_lo, z2_hi), (x_lo, x_hi)]
-    return _with_tail(integrate_box(f, box, 0.8 * tol, max_evals), 6.0 * tau, tol)
+    return _integrate_truncated(f, mid + bot, tol, max_evals)
 
 
 def so_toda_apply_h2(

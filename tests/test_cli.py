@@ -62,14 +62,19 @@ class TestEval:
             ("gl2", "0.5,-0.5", "0.3,-0.2", "recursive"),
             ("gl2", "0.5,-0.5", "0.3,-0.2", "mb"),
             ("so3", "0.5", "0.3", "givental"),
+            ("gl3", "0.6,0.1,-0.45", "0.3,-0.2,0.5", "recursive"),
         ],
     )
     def test_budget_caps_quadrature(self, algebra, lam, x, method, capsys):
         # The gl methods once ignored --budget: 180 or 1800 evaluations,
-        # converged, exit 0.
+        # converged, exit 0.  gl3 `recursive` capped only its step, not the
+        # rank-1 level below it, which makes up most of its count: 2,823,768
+        # evaluations under a budget of 1,000,000, converged, exit 0.  It
+        # now takes 708,696, so the cap is set below that.
+        cap = ["--tol", "1e-6", "--budget", "500000"] if algebra == "gl3" else ["--budget", "10"]
         code, out, err = run(
             ["eval", "--algebra", algebra, "--lambda", lam, "--x", x,
-             "--method", method, "--budget", "10", "--format", "json"],
+             "--method", method, "--format", "json"] + cap,
             capsys,
         )
         assert code == 2
@@ -141,10 +146,29 @@ class TestVerify:
         code, out, err = run(["verify", "--suite", "always-budget"], capsys)
         assert code == 2
 
-    def test_deterministic_output(self, capsys):
-        _, out_a, _ = run(["verify", "--suite", "barnes", "--format", "csv"], capsys)
-        _, out_b, _ = run(["verify", "--suite", "barnes", "--format", "csv"], capsys)
-        assert out_a == out_b
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "barnes", "--format", "csv"],
+            ["eval", "--algebra", "gl3", "--lambda", "0.6,0.1,-0.45", "--x", "0.3,-0.2,0.5",
+             "--method", "givental", "--tol", "1e-4", "--format", "json"],
+            ["baxter-apply", "--algebra", "gl", "--gamma=-1.2j", "--lambda", "0.4", "--y", "0.2",
+             "--tol", "1e-8", "--format", "json"],
+            ["baxter-apply", "--algebra", "so3", "--gamma=-1.6j", "--lambda", "0.45", "--y", "0.1",
+             "--tol", "1e-3", "--format", "json"],
+            ["kernel", "--kind", "step", "--lambda", "0.6", "--x-top", "0.3,-0.2", "--x-bot", "0.1",
+             "--sweep", "0:-1:1:21", "--format", "csv"],
+            ["kernel", "--kind", "baxter", "--gamma=-1.2j", "--y", "0.1", "--x", "0.0",
+             "--sweep", "0:-1:1:21", "--format", "csv"],
+        ],
+        ids=["barnes", "eval-gl3-givental", "baxter-apply-gl", "baxter-apply-so3", "kernel-step",
+             "kernel-baxter"],
+    )
+    def test_deterministic_output(self, argv, capsys):
+        code_a, out_a, _ = run(argv, capsys)
+        code_b, out_b, _ = run(argv, capsys)
+        assert code_a == code_b == 0
+        assert out_a == out_b != ""
 
     def test_workers_flag(self, capsys):
         code, out, err = run(

@@ -1,12 +1,22 @@
-"""No contour integral under-reports its error.
+"""No integral under-reports its error.
 
-Each caller of the trapezoid rule is run on seeded draws, and its reported
-``abs_error`` must cover the distance to an independent reference: mpmath's
-Bessel K for the rank-1 spectral-plane model, the rank-1 mixed words and the
-dual operator's base value, the exact multiplier ``exp(-exp(x_last - z))`` of
-the dual operator, the fused coordinate model at a hundredth of the tolerance
-for the rank-2 spectral-plane model and every rank-2 mixed word, and the
-Gamma-product side of the Barnes identity.
+Each evaluator is run on seeded draws over the stated ranges, and its
+reported ``abs_error`` must cover the distance to an independent reference.
+
+Contour integrals (the trapezoid rule): mpmath's Bessel K for the rank-1
+spectral-plane model, the rank-1 mixed words and the dual operator's base
+value, the exact multiplier ``exp(-exp(x_last - z))`` of the dual operator,
+the fused coordinate model at a hundredth of the tolerance for the rank-2
+spectral-plane model and every rank-2 mixed word, and the Gamma-product side
+of the Barnes identity.
+
+Coordinate-space integrals (the adaptive box, cut by the truncation rule):
+mpmath's Bessel K and Gamma products for the gl2 models, the Baxter operator
+in its three conventions, the so operator, the kernel contraction, both
+sides of the rank-lowering identity, the pairing integrals and the spherical
+transform; for the gl3 coordinate models the spectral-plane model, and for
+each so5 model and each commutation ordering the other model or ordering,
+at a tighter tolerance.
 """
 
 import cmath
@@ -15,9 +25,23 @@ import math
 import numpy as np
 import pytest
 
-from toda_whittaker.gl_baxter import dual_baxter_apply
-from toda_whittaker.gl_whittaker import givental_eval, mb_closed_form_batch, mellin_barnes_eval, mixed_eval
-from toda_whittaker.rankin_selberg import barnes_gustafson_check
+from toda_whittaker.gl_baxter import (
+    _double_apply_fused,
+    baxter_apply,
+    baxter_eigenfunction_batch,
+    dual_baxter_apply,
+    lowering_compatibility,
+    spherical_transform_rank2,
+)
+from toda_whittaker.gl_whittaker import (
+    givental_eval,
+    givental_recursive_eval,
+    mb_closed_form_batch,
+    mellin_barnes_eval,
+    mixed_eval,
+)
+from toda_whittaker.rankin_selberg import barnes_gustafson_check, bump_friedberg_integral, double_step_kernel
+from toda_whittaker.so_toda import so_baxter_apply, so_givental_eval, so_recursive_eval
 
 mp = pytest.importorskip("mpmath")
 
@@ -27,6 +51,20 @@ def _mp_gl2(lam, x) -> complex:
     (l1, l2), (x1, x2) = lam, x
     k = mp.besselk(1j * (l1 - l2), 2 * mp.exp(0.5 * (x1 - x2)))
     return complex(2 * mp.exp(0.5j * (l1 + l2) * (x1 + x2)) * k)
+
+
+def _mp_gamma(zs, pi_power: bool = False) -> complex:
+    """``prod Gamma(z)``, or ``prod pi**(-z) Gamma(z)`` when ``pi_power``."""
+    total = mp.mpc(0)
+    for z in zs:
+        z = mp.mpc(complex(z))
+        total += mp.loggamma(z) - (z * mp.log(mp.pi) if pi_power else 0)
+    return complex(mp.exp(total))
+
+
+def _mp_so3(lam, x) -> complex:
+    """so3 closed form ``2 K_{2 i lam}(2 e^{x/2})``."""
+    return complex(2 * mp.besselk(2j * lam, 2 * mp.exp(0.5 * x)))
 
 
 def _covers(res, reference) -> None:
@@ -99,3 +137,155 @@ def test_barnes_identity():
     for lo, hi, tol in draws:
         chk = barnes_gustafson_check(lo, hi, tol)
         assert chk.residual <= chk.abs_error <= tol
+
+
+def test_gl_coordinate_models():
+    # gl2 against mpmath; gl3 against the spectral-plane model at a
+    # hundredth of the tolerance.
+    rng = np.random.default_rng(81)
+    for _ in range(3):
+        lam = tuple(rng.uniform(-1.0, 1.0, size=2))
+        x = tuple(rng.uniform(-1.0, 1.0, size=2))
+        tol = 10.0 ** rng.uniform(-9.0, -4.0)
+        for model in (givental_eval, givental_recursive_eval):
+            _covers(model(lam, x, tol), _mp_gl2(lam, x))
+    for _ in range(2):
+        lam = tuple(rng.uniform(-0.8, 0.8, size=3))
+        x = tuple(rng.uniform(-0.8, 0.8, size=3))
+        tol = 10.0 ** rng.uniform(-6.0, -4.0)
+        reference = mellin_barnes_eval(lam, x, tol / 100.0).value
+        for model in (givental_eval, givental_recursive_eval):
+            _covers(model(lam, x, tol), reference)
+
+
+def _mp_baxter_eigen(gamma, lam, y, conv) -> complex:
+    """Eigenvalue times eigenfunction at ``y``, by mpmath."""
+    bases = [1j * gamma - 1j * v for v in lam]
+    if conv == "lie":
+        eigen = _mp_gamma(bases)
+    elif conv == "iwasawa":
+        eigen = _mp_gamma([0.5 * b for b in bases])
+    else:
+        rho = [0.5 * (len(lam) + 1) - j for j in range(1, len(lam) + 1)]
+        eigen = _mp_gamma([0.5 * (b + r) for b, r in zip(bases, rho)], pi_power=True)
+    if len(lam) == 1:
+        return eigen * cmath.exp(1j * lam[0] * y[0])
+    (s1, s2), d = lam, y[0] - y[1]
+    if conv == "lie":
+        return eigen * _mp_gl2(lam, y)
+    if conv == "iwasawa":
+        return eigen * _mp_gl2((0.5 * s1, 0.5 * s2), (2.0 * y[0], 2.0 * y[1]))
+    k = complex(mp.besselk(0.5j * (s1 - s2) - 0.5, 2 * mp.pi * mp.exp(d)))
+    return eigen * 2.0 * math.exp(0.5 * d) * cmath.exp(0.5j * (s1 + s2) * (y[0] + y[1])) * k
+
+
+@pytest.mark.parametrize("conv", ["lie", "iwasawa", "iwasawa_pi"])
+def test_baxter_operator(conv):
+    rng = np.random.default_rng(["lie", "iwasawa", "iwasawa_pi"].index(conv) + 82)
+    lo, hi = (1.0, 1.4) if conv == "lie" else (2.2, 2.6)
+    draws = []
+    for _ in range(2):
+        draws.append(((float(rng.uniform(0.2, 0.6)),), (float(rng.uniform(-0.4, 0.5)),),
+                      -1j * float(rng.uniform(lo, hi)), 10.0 ** rng.uniform(-9.0, -5.0)))
+    a = float(rng.uniform(0.3, 0.5))
+    draws.append(((a, -a), tuple(rng.uniform(-0.2, 0.2, size=2)),
+                  -1j * float(rng.uniform(lo + 1.0, hi + 1.0)), 10.0 ** rng.uniform(-5.0, -3.0)))
+    for lam, y, gamma, tol in draws:
+        res = baxter_apply(lambda xs, lam=lam: baxter_eigenfunction_batch(lam, xs, conv), y, gamma, conv,
+                           tol, psi_spectral=lam)
+        _covers(res, _mp_baxter_eigen(gamma, lam, y, conv))
+
+
+def test_so_models():
+    # Each so5 model against the other at a tenth of the tolerance.  The
+    # first draw is where the fused model once reported 9.85e-7 with a true
+    # error of 8.1e-6.
+    rng = np.random.default_rng(85)
+    draws = [((0.4, 0.1), (0.0, 0.3), 1e-6)]
+    draws.append((tuple(rng.uniform(-0.8, 0.8, size=2)), tuple(rng.uniform(-0.6, 0.6, size=2)),
+                  10.0 ** rng.uniform(-5.0, -4.0)))
+    for i, (lam, x, tol) in enumerate(draws):
+        _covers(so_givental_eval(lam, x, tol), so_recursive_eval(lam, x, tol / 10.0).value)
+        if i:
+            _covers(so_recursive_eval(lam, x, tol), so_givental_eval(lam, x, tol / 10.0).value)
+    lam, x = (float(rng.uniform(0.1, 1.0)),), (float(rng.uniform(-1.0, 1.0)),)
+    _covers(so_recursive_eval(lam, x, 10.0 ** rng.uniform(-10.0, -6.0)), _mp_so3(lam[0], x[0]))
+
+
+def test_so_operator():
+    rng = np.random.default_rng(86)
+    gamma, lam = -1j * float(rng.uniform(1.5, 1.7)), float(rng.uniform(0.3, 0.5))
+    y, tol = float(rng.uniform(-0.2, 0.2)), 10.0 ** rng.uniform(-4.0, -3.0)
+    eigen = _mp_gamma([1j * gamma + 1j * lam, 1j * gamma - 1j * lam])
+    _covers(so_baxter_apply(gamma, (lam,), (y,), tol), eigen * _mp_so3(lam, y))
+
+
+def test_kernel_contraction():
+    # Two chained step kernels against the closed-form Stade kernel.
+    rng = np.random.default_rng(87)
+    for ell in (1, 2, 2):
+        lam = tuple(rng.uniform(-1.0, 1.0, size=2))
+        top = tuple(rng.uniform(-1.0, 1.0, size=ell + 1))
+        bot = tuple(rng.uniform(-1.0, 1.0, size=ell - 1))
+        tol = 10.0 ** rng.uniform(-8.0, -5.0)
+        order = 1j * (lam[0] - lam[1])
+        ref = cmath.exp(0.5j * (lam[0] + lam[1]) * (sum(top) - sum(bot)))
+        for i in range(ell):
+            a_i = math.exp(top[i]) + (math.exp(bot[i - 1]) if i >= 1 else 0.0)
+            b_i = math.exp(-top[i + 1]) + (math.exp(-bot[i]) if i <= ell - 2 else 0.0)
+            ref *= 2.0 * complex(mp.besselk(order, 2.0 * math.sqrt(a_i * b_i)))
+        _covers(double_step_kernel(top, bot, lam, tol), ref)
+
+
+def test_lowering_identity():
+    # Both sides against Gamma(i gamma - i lam) times the one-variable side
+    # in closed form: the integral of e^{a u - A e^{-u} - B e^{u}} is
+    # 2 (A / B)^{a / 2} K_a(2 sqrt(A B)).
+    rng = np.random.default_rng(88)
+    for _ in range(3):
+        gamma, lam = -1j * float(rng.uniform(1.0, 1.5)), float(rng.uniform(0.1, 0.5))
+        y = (float(rng.uniform(0.0, 0.5)), float(rng.uniform(-0.4, 0.0)))
+        x, tol = float(rng.uniform(-0.3, 0.2)), 10.0 ** rng.uniform(-9.0, -5.0)
+        a, big_a, big_b = 1j * (gamma - lam), math.exp(y[0]), math.exp(-y[1]) + math.exp(-x)
+        inner = 2 * mp.power(big_a / big_b, a / 2) * mp.besselk(a, 2 * mp.sqrt(big_a * big_b))
+        phase = cmath.exp(1j * lam * (y[0] + y[1]) - 1j * gamma * x)
+        ref = _mp_gamma([1j * gamma - 1j * lam]) * phase * complex(inner)
+        chk = lowering_compatibility(gamma, lam, y, x, tol)
+        assert abs(chk.lhs - ref) + abs(chk.rhs - ref) <= chk.abs_error
+
+
+def test_pairing_integrals():
+    rng = np.random.default_rng(89)
+    draws = []
+    for _ in range(3):
+        draws.append((0, (float(rng.uniform(0.0, 0.4)),), (float(rng.uniform(0.0, 0.3)),),
+                      -1j * float(rng.uniform(0.7, 1.2)), 10.0 ** rng.uniform(-10.0, -6.0)))
+    a, b = float(rng.uniform(0.3, 0.5)), float(rng.uniform(0.1, 0.3))
+    draws.append((1, (a, -a), (b, -b), -1j * float(rng.uniform(1.6, 2.0)), 10.0 ** rng.uniform(-5.0, -3.0)))
+    for ell, gamma, lam, t, tol in draws:
+        ref = _mp_gamma([1j * t + 1j * lk - 1j * complex(gj).conjugate() for lk in lam for gj in gamma])
+        _covers(bump_friedberg_integral(ell, gamma, lam, t, tol), ref)
+
+
+def test_spherical_transform():
+    rng = np.random.default_rng(90)
+    for _ in range(2):
+        gamma = tuple(rng.uniform(-0.8, 0.8, size=2))
+        lam, tol = -1j * float(rng.uniform(1.5, 2.0)), 10.0 ** rng.uniform(-6.0, -4.0)
+        z = [0.5 * (1j * lam - 1j * g + r) for g, r in zip(gamma, (0.5, -0.5))]
+        _covers(spherical_transform_rank2(lam, gamma, tol), _mp_gamma(z, pi_power=True))
+
+
+def test_commutation_orderings():
+    # Each fused ordering of two operators against the other ordering at a
+    # tenth of the tolerance.  The first draw is where the ordering
+    # (-1.4i, -0.9i) once reported 9.7e-7 with a true error of 1.2e-5.
+    rng = np.random.default_rng(91)
+    draws = [((-1.4j, -0.9j), (0.4, -0.4), (0.2, -0.1), 1e-6)]
+    draws.append(((-1j * float(rng.uniform(0.8, 1.0)), -1j * float(rng.uniform(1.3, 1.5))),
+                  (float(rng.uniform(0.2, 0.6)),), (float(rng.uniform(-0.3, 0.3)),),
+                  10.0 ** rng.uniform(-7.0, -5.0)))
+    for (ga, gb), lam, y, tol in draws:
+        lam, y = tuple(complex(v) for v in lam), np.asarray(y)
+        res = _double_apply_fused(ga, gb, lam, y, tol, 4_000_000)
+        _covers(res, _double_apply_fused(gb, ga, lam, y, tol / 10.0, 4_000_000).value)

@@ -325,6 +325,14 @@ class TestSphericalRank2:
         with pytest.raises(ShiftError):
             spherical_transform_check_rank2((0.8, -0.8), 0.5j, 1e-5)
 
+    @pytest.mark.parametrize("lam", [-0.4j, -0.7j])
+    def test_transform_shift_gate_counts_the_measure(self, lam):
+        # The measure sinh d grows like e^s up to the weight's wall, so the
+        # pairing decays at Re(i lam) - 1/2 only.  These once returned
+        # residuals of 86 and 8.9e-3 with abs_error 1e-5, marked converged.
+        with pytest.raises(ShiftError):
+            spherical_transform_check_rank2((0.3, -0.6), lam, 1e-5)
+
 
 def test_half_sum_offsets_rank2():
     assert half_sum_offsets(2) == (0.5, -0.5)

@@ -10,7 +10,6 @@ import pytest
 from toda_whittaker.errors import ContourError, RankError
 from toda_whittaker.gl_whittaker import (
     _coordinate_rank1,
-    _halfwidth,
     closed_form_gl2,
     closed_form_gl2_batch,
     givental_eval,
@@ -22,7 +21,7 @@ from toda_whittaker.gl_whittaker import (
     plancherel_measure,
     toda_apply,
 )
-from toda_whittaker.quadrature import ContourSpec
+from toda_whittaker.quadrature import ContourSpec, _wall_reach
 
 from _oracles import K_2I_2, MB_GL2_REF
 
@@ -146,7 +145,7 @@ class TestEvaluators:
         # row by row.
         t = np.arange(-12, 13) / 4.0
         p = 0.7j - np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-        a, tally, once = _halfwidth(1e-6), [0, 0.0], [0, 0.0]
+        a, tally, once = _wall_reach(1e-6, 2), [0, 0.0], [0, 0.0]
         rows = np.concatenate([_coordinate_rank1(q[:1], q[1:], 0.3, -0.2, a, 1e-8, [0, 0.0]) for q in p])
         assert np.array_equal(_coordinate_rank1(p[:, 0], p[:, 1], 0.3, -0.2, a, 1e-8, tally), rows)
         _coordinate_rank1(np.unique(p[:, 0] - p[:, 1]), 0.0, 0.3, -0.2, a, 1e-8, once)

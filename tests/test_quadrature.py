@@ -1,4 +1,5 @@
-"""Deterministic integration: adaptive over boxes and R^d, trapezoid along contours."""
+"""Deterministic integration: adaptive over boxes, cut to a box by one
+truncation rule on R^d, trapezoid along contours."""
 
 import math
 
@@ -8,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_whittaker.errors import BudgetExceeded
+from toda_whittaker.gl_whittaker import givental_eval
+from toda_whittaker.numerics import gamma_product, macdonald_k
 from toda_whittaker.quadrature import (
     ContourSpec,
-    DecayProfile,
-    DoubleExponential,
-    Exponential,
+    _integrate_truncated,
+    _rate_reach,
+    _wall_reach,
     integrate_box,
     integrate_contour,
-    integrate_decaying,
     stable_exp,
 )
+from toda_whittaker.so_toda import so_givental_eval
 
 
 class TestBox:
@@ -84,27 +87,43 @@ class TestBox:
         assert abs(res.value - exact) < 1e-10
 
 
-class TestDecaying:
-    def test_gaussian_full_line(self):
-        profile = DecayProfile([(DoubleExponential(1.0), DoubleExponential(1.0))])
-        res = integrate_decaying(
-            lambda p: np.exp(-p[:, 0] ** 2) + 0j, profile, 1e-10
-        )
-        assert abs(res.value - math.sqrt(math.pi)) < 1e-9
+class TestTruncation:
+    @pytest.mark.parametrize("tol, sides, params", [(1e-3, 2, ()), (1e-8, 6, (0.3j,)), (1e-12, 8, (2j, -1j))])
+    def test_wall_reach_leaves_the_side_budget(self, tol, sides, params):
+        # The tail of exp(-e^u + slack u) past a is at most
+        # exp(-e^a + slack a) / (e^a - slack).
+        a = _wall_reach(tol, sides, params)
+        slack = 1.0 + sum(abs(p.imag) for p in params)
+        tail = math.exp(-math.exp(a) + slack * a) / (math.exp(a) - slack)
+        assert tail <= tol / (10.0 * sides)
 
-    def test_two_sided_exponential(self):
-        profile = DecayProfile([(Exponential(1.0), Exponential(1.0))])
-        res = integrate_decaying(lambda p: np.exp(-np.abs(p[:, 0])) + 0j, profile, 1e-9)
-        assert abs(res.value - 2.0) < 1e-8
+    def test_rate_reach_leaves_the_side_budget(self):
+        for rate in (0.25, 1.0, 3.0):
+            assert math.exp(-rate * _rate_reach(1e-9, 4, rate)) / rate <= 1e-9 / 40.0
 
-    def test_2d_product_gaussian(self):
-        side = (DoubleExponential(1.0), DoubleExponential(1.0))
-        profile = DecayProfile([side, side])
-        res = integrate_decaying(
-            lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2) + 0j, profile, 1e-8
-        )
-        exact = math.sqrt(math.pi) * math.sqrt(2.0 * math.pi)
-        assert abs(res.value - exact) < 1e-7
+    def test_two_walls(self):
+        # integral of exp(-e^u - e^{-u}) over R is 2 K_0(2).
+        tol = 1e-10
+        r = _wall_reach(tol, 2)
+        res = _integrate_truncated(lambda p: np.exp(-2.0 * np.cosh(p[:, 0])) + 0j, [(-r, r)], tol, 10**6)
+        assert res.converged
+        assert abs(res.value - 2.0 * macdonald_k(0.0, 2.0)) <= res.abs_error <= tol
+
+    def test_wall_and_rate(self):
+        # integral of exp(a u - e^u) over R is Gamma(a).
+        tol, a = 1e-9, 0.7 + 0.4j
+        box = [(-_rate_reach(tol, 2, a.real), _wall_reach(tol, 2, (a,)))]
+        res = _integrate_truncated(lambda p: np.exp(a * p[:, 0] - np.exp(p[:, 0])), box, tol, 10**6)
+        assert res.converged
+        assert abs(res.value - gamma_product([a])) <= res.abs_error <= tol
+
+    def test_walls_that_close_the_box(self):
+        # Walls at x_1 = 14 and x_2 = 0 cross before their reaches: the
+        # function is below the tail bound everywhere (these raised
+        # ValueError, "every box side needs lo < hi").
+        for res in (givental_eval((0.5, -0.5), (14.0, 0.0), 1e-8), so_givental_eval((0.5,), (14.0,), 1e-8)):
+            assert res.converged
+            assert abs(res.value) <= res.abs_error
 
 
 class TestContour:
