@@ -122,12 +122,19 @@ def _f(x) -> str:
     return _FLOAT_FMT % float(x)
 
 
+def _json_float(x) -> str:
+    """A float in a JSON record; nan and infinities as Python's json module
+    writes them (NaN, Infinity), so that ``json.loads`` reads them back."""
+    x = float(x)
+    return _f(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _json_scalar(v) -> str:
     if isinstance(v, Fraction) or (isinstance(v, int) and not isinstance(v, bool)):
         fr = Fraction(v)
         return '{"num": "%d", "den": "%d"}' % (fr.numerator, fr.denominator)
     c = complex(v)
-    return '{"re": %s, "im": %s}' % (_f(c.real), _f(c.imag))
+    return '{"re": %s, "im": %s}' % (_json_float(c.real), _json_float(c.imag))
 
 
 def _bool(v: bool) -> str:
@@ -184,8 +191,8 @@ def _record_lines(results: Sequence[CaseResult], fmt: str) -> list[str]:
                     json.dumps(r.case),
                     _json_scalar(r.lhs),
                     _json_scalar(r.rhs),
-                    _f(r.residual),
-                    _f(r.tol),
+                    _json_float(r.residual),
+                    _json_float(r.tol),
                     _bool(r.ok),
                 )
             )
@@ -276,7 +283,7 @@ def _emit_value(fmt: str, value: complex, abs_error: float, evaluations: int, co
     if fmt == "json":
         print(
             '{"value": %s, "abs_error": %s, "evaluations": %d, "converged": %s}'
-            % (_json_scalar(value), _f(abs_error), evaluations, _bool(converged))
+            % (_json_scalar(value), _json_float(abs_error), evaluations, _bool(converged))
         )
         return
     if fmt == "csv":
@@ -421,9 +428,9 @@ def cmd_baxter_apply(args) -> int:
             '"evaluations": %d, "converged": %s}'
             % (
                 _json_scalar(res.value),
-                _f(res.abs_error),
+                _json_float(res.abs_error),
                 _json_scalar(prediction if prediction is not None else 0.0),
-                _f(residual),
+                _json_float(residual),
                 res.evaluations,
                 _bool(res.converged),
             )
@@ -619,7 +626,7 @@ def cmd_kernel(args) -> int:
         rows.append((float(t), evaluate(pt)))
     if fmt == "json":
         for t, v in rows:
-            print('{"t": %s, "value": %s}' % (_f(t), _json_scalar(v)))
+            print('{"t": %s, "value": %s}' % (_json_float(t), _json_scalar(v)))
     else:
         print("t,re,im")
         for t, v in rows:

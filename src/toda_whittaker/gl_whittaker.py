@@ -460,17 +460,29 @@ def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureRe
     hundredth of ``tol``.  Its error adds ten times that (a step kernel's
     mass is at most 10), or ten times the largest last move if larger.
     ``max_evals`` caps the step's evaluations and the rank-1 level's
-    together; the level's are counted when the step returns."""
-    inner_tol, tally = tol / 100.0, [0, 0.0]
+    together; once a batch of the step's nodes passes it, the step stops
+    there, with no estimate (value nan, error inf)."""
+    inner_tol, tally, nodes_seen = tol / 100.0, [0, 0.0], [0]
     a = _wall_reach(inner_tol, 2, lam_t)
     l1, l2 = lam_t[0], lam_t[1]
 
     def lower(nodes: np.ndarray) -> np.ndarray:
         if word == "LR":  # parameter rows, in the spectral-plane sign
-            return _coordinate_rank1(-nodes[:, 0], -nodes[:, 1], x[0], x[1], a, inner_tol, tally)
-        if word == "LL":
-            return _coordinate_rank1(l1, l2, nodes[:, 0], nodes[:, 1], a, inner_tol, tally)
-        return _spectral_rank1(l1, l2, nodes[:, 0], nodes[:, 1], inner_tol, tally)
+            values = _coordinate_rank1(-nodes[:, 0], -nodes[:, 1], x[0], x[1], a, inner_tol, tally)
+        elif word == "LL":
+            values = _coordinate_rank1(l1, l2, nodes[:, 0], nodes[:, 1], a, inner_tol, tally)
+        else:
+            values = _spectral_rank1(l1, l2, nodes[:, 0], nodes[:, 1], inner_tol, tally)
+        nodes_seen[0] += nodes.shape[0]
+        count = nodes_seen[0] + tally[0]
+        if count > max_evals:
+            raise BudgetExceeded(
+                f"evaluation budget {max_evals} exhausted inside the step by its rank-1 level "
+                f"({count} evaluations, tol {tol:.3e})",
+                result=QuadratureResult(complex(math.nan, math.nan), math.inf, count, False),
+                max_evaluations=max_evals,
+            )
+        return values
 
     spent = False
     try:
@@ -480,6 +492,8 @@ def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureRe
         else:
             res = _coordinate_step(lam_t, x, lower, 0.9 * tol, max_evals)
     except BudgetExceeded as exc:
+        if nodes_seen[0] + tally[0] > max_evals:  # raised by lower, every evaluation counted
+            raise
         res, spent = exc.result, True
     err = res.abs_error + 10.0 * max(inner_tol, tally[1])
     evals = res.evaluations + tally[0]

@@ -207,14 +207,16 @@ def gamma_product(zs: Sequence[complex]) -> complex:
 # Im phi = const.  The integrand is scaled by its peak and cut off rel_tol e^{-8}
 # below it; a nested rule per piece (trapezoid on even integrands, Fejer's second
 # rule on finite ones) halves its step until, point by point,
-# |dS| <= rel_tol |S| + 50 eps int|f| + abs_floor.
+# |dS| <= rel_tol |S| + 50 eps int|f| + abs_floor.  A call's points are
+# integrated in blocks of _BLOCK, grouped by path and by whether the order is
+# imaginary; there the integrand is real and is carried in real arithmetic.
 
 _MAX_RE_ORDER = 50.0
 _EPS = float(np.finfo(float).eps)
 _HALF_PI = 0.5 * math.pi
 _SIGMA_CAP = 0.9
 _MAX_LEVEL = 4096  # finest rule, in intervals
-_BLOCK = 256  # points integrated together
+_BLOCK = 4096  # points integrated together
 _UNDERFLOW = -760.0  # real-axis log peaks below this give K = 0
 
 
@@ -240,25 +242,36 @@ def _nested(kind: str, f, width, start, envelope, budget: AccuracyBudget):
     est, mass = np.empty(width.size, dtype=complex), np.empty(width.size)
     for n in sorted(set(start.tolist())):
         rows = np.flatnonzero(start == n)
+        wide = width[rows]
         x, w, old, _ = _rule(kind, n)
-        vals = f(rows, width[rows, None] * x)
-        prev = (vals[:, old] * _rule(kind, n // 2)[1]).sum(axis=1) * width[rows]
+        vals = f(rows, wide[:, None] * x)
+        prev = (vals[:, old] * _rule(kind, n // 2)[1]).sum(axis=1) * wide
+        cur = (vals * w).sum(axis=1) * wide
+        absint = (np.abs(vals) * w).sum(axis=1) * wide
         while True:
-            cur = (vals * w).sum(axis=1) * width[rows]
-            absint = (np.abs(vals) * w).sum(axis=1) * width[rows]
             size = np.maximum(np.abs(cur), envelope[rows])
             ok = np.abs(cur - prev) <= (budget.rel_tol * size + 50.0 * _EPS * absint
                                         + budget.abs_floor)
-            est[rows[ok]], mass[rows[ok]] = cur[ok], absint[ok]
-            if ok.all():
+            done = rows[ok]
+            est[done], mass[done] = cur[ok], absint[ok]
+            if done.size == rows.size:
                 break
-            rows, vals, prev, n = rows[~ok], vals[~ok], cur[~ok], 2 * n
+            left = ~ok
+            rows, wide, prev, absint, n = rows[left], wide[left], cur[left], absint[left], 2 * n
             if n > _MAX_LEVEL:
                 raise ConvergenceError(f"macdonald_k did not converge ({rows.size} point(s))")
             x, w, old, new = _rule(kind, n)
-            merged = np.empty((rows.size, x.size), dtype=complex)
-            merged[:, old], merged[:, new] = vals, f(rows, width[rows, None] * x[new])
-            vals = merged
+            fresh = f(rows, wide[:, None] * x[new])
+            if kind == "trapezoid":  # the old nodes keep half their weight
+                step = wide / n
+                cur = 0.5 * prev + fresh.sum(axis=1) * step
+                absint = 0.5 * absint + np.abs(fresh).sum(axis=1) * step
+            else:
+                merged = np.empty((rows.size, x.size), dtype=vals.dtype)
+                merged[:, old], merged[:, new] = vals[left], fresh
+                vals = merged
+                cur = (vals * w).sum(axis=1) * wide
+                absint = (np.abs(vals) * w).sum(axis=1) * wide
     return est, mass
 
 
@@ -271,12 +284,22 @@ def _intervals(estimate):
 
 def _values(s, base, phase, p, v=None, dv=None):
     """(1/2) e^{ipv} [e^{base + ps} z + e^{base - ps} conj z], z = e^{i phase} t',
-    where base + i phase is phi at order i a, less the scale, at t = s + iv."""
-    z = np.exp(1j * phase) if dv is None else np.exp(1j * phase) * (1.0 + 1j * dv)
+    where base + i phase is phi at order i a, less the scale, at t = s + iv.
+    Where every p is 0 (imaginary order) the values are real: e^base Re z."""
+    cos = np.cos(phase)
     if not p.any():
-        return np.exp(base) * z.real + 0j
-    g = 0.5 * (np.exp(base + p * s) * z + np.exp(base - p * s) * z.conj())
-    return g if v is None else g * np.exp(1j * p * v)
+        return np.exp(base) * (cos if dv is None else cos - np.sin(phase) * dv)
+    sin = np.sin(phase)
+    zr, zi = (cos, sin) if dv is None else (cos - sin * dv, sin + cos * dv)
+    plus, minus = np.exp(base + p * s), np.exp(base - p * s)
+    gr, gi = 0.5 * (plus + minus) * zr, 0.5 * (plus - minus) * zi
+    g = np.empty(gr.shape, dtype=complex)
+    if v is None:
+        g.real, g.imag = gr, gi
+    else:
+        cv, sv = np.cos(p * v), np.sin(p * v)
+        g.real, g.imag = gr * cv - gi * sv, gr * sv + gi * cv
+    return g
 
 
 def _cutoff(y, big_p, scale, depth):
@@ -303,9 +326,14 @@ def _real_axis(p, a, y, depth, budget):
     scale = big_p * top - y * np.cosh(top)
 
     def f(r, s):
-        t = top[r, None]
-        base = -2.0 * y[r, None] * np.sinh(0.5 * (s + t)) * np.sinh(0.5 * (s - t))
-        return _values(s, base - big_p[r, None] * t, a[r, None] * s, p[r, None])
+        if p.any():
+            t = top[r, None]
+            base = -2.0 * y[r, None] * np.sinh(0.5 * (s + t)) * np.sinh(0.5 * (s - t))
+            base -= big_p[r, None] * t
+        else:  # the peak is at 0
+            half = np.sinh(0.5 * s)
+            base = -2.0 * y[r, None] * half * half
+        return _values(s, base, a[r, None] * s, p[r, None])
 
     width = _cutoff(y, big_p, scale, depth + _HALF_PI * a)
     start = _intervals(width * depth / 6.0)
@@ -380,10 +408,11 @@ def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> n
     kind[np.abs(p) * top - y * np.cosh(top) < _UNDERFLOW] = 3  # K underflows to 0
     est, mass, scale = np.zeros(y.size, dtype=complex), np.zeros(y.size), np.zeros(y.size)
     depth = 8.0 - math.log(budget.rel_tol)
-    for k, path in enumerate((_real_axis, _one_saddle, _two_saddles)):
-        i = np.flatnonzero(kind == k)
-        if i.size:
-            est[i], mass[i], scale[i] = path(p[i], a[i], y[i], depth, budget)
+    group = 2 * kind + (p != 0.0)  # the path, and real integrands apart from complex ones
+    for g in sorted(set(group[kind < 3].tolist())):
+        i = np.flatnonzero(group == g)
+        path = (_real_axis, _one_saddle, _two_saddles)[g // 2]
+        est[i], mass[i], scale[i] = path(p[i], a[i], y[i], depth, budget)
     reach = budget.rel_tol * np.maximum(np.abs(est), _envelope(p, a, y, scale))
     with np.errstate(over="ignore", invalid="ignore"):
         out = est * np.exp(scale)

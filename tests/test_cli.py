@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toda_whittaker import cli
+from toda_whittaker import cli, gl_whittaker
 from toda_whittaker.errors import BudgetExceeded
 
 
@@ -79,6 +79,32 @@ class TestEval:
         )
         assert code == 2
         assert json.loads(out)["converged"] is False
+
+    def test_gl3_recursive_stops_within_a_batch_of_its_budget(self, capsys, monkeypatch):
+        # The budget was checked only when the step returned, so this call
+        # ran all 708,696 evaluations before it exited 2.  It now stops at
+        # the first batch of step nodes (each with its rank-1 nodes) that
+        # takes the count past the budget.
+        batches = []
+        rank1 = gl_whittaker._coordinate_rank1
+
+        def counted(p1, p2, u1, u2, a, inner_tol, tally):
+            before = tally[0]
+            values = rank1(p1, p2, u1, u2, a, inner_tol, tally)
+            batches.append(values.size + tally[0] - before)
+            return values
+
+        monkeypatch.setattr(gl_whittaker, "_coordinate_rank1", counted)
+        code, out, err = run(
+            ["eval", "--algebra", "gl3", "--lambda", "0.6,0.1,-0.45", "--x", "0.3,-0.2,0.5",
+             "--tol", "1e-6", "--budget", "500000", "--format", "json"],
+            capsys,
+        )
+        record = json.loads(out)
+        assert code == 2
+        assert record["converged"] is False
+        assert 500_000 < record["evaluations"] <= 500_000 + max(batches)
+        assert sum(batches) == record["evaluations"]
 
     def test_so5_default_is_recursive(self, capsys):
         # The fused 4-d model was the default and spent its whole budget

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from toda_whittaker.errors import ConvergenceError
 from toda_whittaker.numerics import (
+    _BLOCK,
     _DEFAULT_BUDGET,
     AccuracyBudget,
     _macdonald_grid,
@@ -97,6 +98,9 @@ class TestGammaProduct:
         assert gamma_product(zs) == gamma_product(shuffled)
 
 
+_BATCH_ORDERS = (0.4j, 0.5 + 3.0j, -0.5 + 25.0j)
+
+
 class TestMacdonald:
     def test_reference_values(self):
         assert _rel(macdonald_k(1j, 2.0), K_I_2) < 1e-12
@@ -151,6 +155,35 @@ class TestMacdonald:
         assert worst <= 1e-12
         assert raised <= 0.02 * len(points)
 
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-7])
+    def test_matches_mpmath_on_the_real_axis_band(self, rel_tol):
+        """Seeded sweep over orders with |Im nu| in [0, 1] (the real-axis path)
+        and real part -0.5, 0, 0.5, y in [1e-6, 700], at the default rel_tol and
+        at the 1e-7 that looser quadrature tolerances ask for: no value raises,
+        each is within rel_tol of mpmath (of the envelope where y < |Im nu|),
+        and imaginary orders give exactly real values."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20070623)
+        imags = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 10)])
+        ys = np.concatenate([[1e-6, 700.0], 10.0 ** rng.uniform(-6.0, math.log10(700.0), 10)])
+        budget = AccuracyBudget(rel_tol=rel_tol)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for re in (-0.5, 0.0, 0.5):
+                for a in imags:
+                    nu = complex(re, a)
+                    values = _macdonald_grid(nu, ys, budget)
+                    if re == 0.0:
+                        assert not values.imag.any()
+                    for y, value in zip(ys, values):
+                        ref = complex(mpmath.besselk(mpmath.mpc(re, a), y))
+                        scale = abs(ref)
+                        if y < a:
+                            envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * a / 2)
+                            scale = max(scale, envelope)
+                        worst = max(worst, abs(value - ref) / scale)
+        assert worst <= rel_tol
+
     def test_converges_near_a_real_zero(self):
         # K_{33.54i}(0.1766) is 30 times below its envelope: the descent piece
         # of its path nearly cancels, and once never met the convergence test.
@@ -159,12 +192,30 @@ class TestMacdonald:
         envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * abs(nu) / 2)
         assert abs(macdonald_k(nu, y) - 1.8989733440549607e-25) <= 1e-12 * envelope
 
-    @pytest.mark.parametrize("nu", [0.4j, 0.5 + 3.0j, -0.5 + 25.0j])
-    def test_value_does_not_depend_on_the_batch(self, nu):
-        ys = 10.0 ** np.random.default_rng(7).uniform(-6.0, math.log10(700.0), 300)
-        grid = _macdonald_grid(nu, ys, _DEFAULT_BUDGET)
+    @pytest.mark.parametrize(
+        "nu, lead",
+        [pytest.param(nu, 0, id=str(nu)) for nu in _BATCH_ORDERS]
+        + [pytest.param(nu, _BLOCK - 150, id=f"{nu}-across-blocks") for nu in _BATCH_ORDERS],
+    )
+    def test_value_does_not_depend_on_the_batch(self, nu, lead):
+        # With lead > 0 the 300 checked points follow `lead` others, so they
+        # straddle the boundary of two blocks of points integrated together.
+        rng = np.random.default_rng(7)
+        ys = 10.0 ** rng.uniform(-6.0, math.log10(700.0), 300)
+        batch = np.concatenate([10.0 ** rng.uniform(-6.0, math.log10(700.0), lead), ys])
+        grid = _macdonald_grid(nu, batch, _DEFAULT_BUDGET)[lead:]
         assert all(grid[i] == macdonald_k(nu, y) for i, y in enumerate(ys))
-        assert np.array_equal(_macdonald_pairs(np.full(ys.size, nu), ys, _DEFAULT_BUDGET), grid)
+        pairs = _macdonald_pairs(np.full(batch.size, nu), batch, _DEFAULT_BUDGET)
+        assert np.array_equal(pairs[lead:], grid)
+
+    def test_value_does_not_depend_on_the_other_orders(self):
+        # Imaginary orders integrate in real arithmetic, the others in complex;
+        # a batch that mixes them gives each point its own value.
+        rng = np.random.default_rng(11)
+        orders = rng.choice([0.4j, 0.5 + 0.4j, 0.9j, -0.5 + 0.9j, 3.0j, 0.5 + 3.0j], 200)
+        ys = 10.0 ** rng.uniform(-6.0, math.log10(700.0), orders.size)
+        pairs = _macdonald_pairs(orders, ys, _DEFAULT_BUDGET)
+        assert all(pairs[i] == macdonald_k(nu, y) for i, (nu, y) in enumerate(zip(orders, ys)))
 
     def test_unreachable_accuracy_raises(self):
         # K_50(1e-6) is about 1e377: no float holds it.
