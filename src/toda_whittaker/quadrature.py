@@ -28,16 +28,15 @@ Integrands are vectorized: ``f(points)`` receives an ``(m, d)`` array (real
 for the box integrator, complex for the contour integrator) and must
 return an ``(m,)`` complex array. Tolerances are absolute.
 
-Determinism: identical inputs produce bit-identical results. The adaptive
-refinement queue is ordered by (error, creation index), work proceeds in
-fixed-size batches, and the final value and error bound are reduced by
-pairwise summation over subregions in creation order; the trapezoid rule sums
-its nodes in a fixed order.
+Determinism: identical inputs produce bit-identical results.  The adaptive
+engine keeps its regions as arrays in creation order; which regions a
+generation splits depends only on their error estimates, and the value and
+error bound are NumPy sums over the regions in that order.  The trapezoid
+rule sums its nodes in a fixed order.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,6 +57,9 @@ _MAX_DIM = 6
 _DEFAULT_MAX_EVALS = 4_000_000
 _WIDTH_FLOOR = 1e-13
 _TRAPEZOID_CHUNK = 1 << 15
+# Most points in one integrand call of the adaptive engine; this bounds the
+# memory one generation of splits holds at once.
+_CALL_POINTS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,12 @@ class QuadratureResult:
     converged: bool
 
     def __post_init__(self) -> None:
+        # Python scalars, not NumPy ones, so that ``res.converged is False``
+        # holds on every unconverged result.
+        object.__setattr__(self, "value", complex(self.value))
+        object.__setattr__(self, "abs_error", float(self.abs_error))
+        object.__setattr__(self, "evaluations", int(self.evaluations))
+        object.__setattr__(self, "converged", bool(self.converged))
         if self.abs_error < 0.0:
             raise ValueError("abs_error must be non-negative")
         if self.evaluations <= 0:
@@ -296,14 +304,15 @@ def _rule_for(d: int):
 # Adaptive engine
 
 
-def _pairwise(values: list) -> complex:
-    n = len(values)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return values[0]
-    mid = n // 2
-    return _pairwise(values[:mid]) + _pairwise(values[mid:])
+def _halves(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of each region ``(lo[j], hi[j])`` across ``axis[j]``:
+    every lower half, then every upper half."""
+    rows = np.arange(axis.size)
+    mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+    upper_lo, lower_hi = lo.copy(), hi.copy()
+    upper_lo[rows, axis] = mid
+    lower_hi[rows, axis] = mid
+    return np.concatenate([lo, upper_lo]), np.concatenate([lower_hi, hi])
 
 
 def _integrate_adaptive(
@@ -317,125 +326,70 @@ def _integrate_adaptive(
     rule = _rule_for(d)
     template = rule.template
     npts = rule.npts
-    evals = 0
-    next_id = 0
-    live: dict[int, tuple[np.ndarray, np.ndarray, complex, float, int]] = {}
-    heap: list[tuple[float, int]] = []
-    batch = 32 if d == 1 else 12
 
     def evaluate(los: np.ndarray, his: np.ndarray):
-        nonlocal evals
-        k = los.shape[0]
+        """Value, error estimate and split axis of each region, and whether
+        it is wide enough across that axis to be split."""
         centers = 0.5 * (los + his)
         halves = 0.5 * (his - los)
         pts = centers[:, None, :] + halves[:, None, :] * template[None, :, :]
-        vals = np.asarray(f(pts.reshape(k * npts, d)), dtype=complex).reshape(k, npts)
-        evals += k * npts
-        return rule.apply(vals, halves)
+        vals = np.asarray(f(pts.reshape(-1, d)), dtype=complex).reshape(-1, npts)
+        value, error, axis = rule.apply(vals, halves)
+        rows = np.arange(axis.size)
+        a, b = los[rows, axis], his[rows, axis]
+        return value, error, axis, b - a > _WIDTH_FLOOR * (1.0 + np.abs(a) + np.abs(b))
 
-    def finalize(converged_flag_tol: float | None):
-        ids = sorted(live.keys())
-        value = _pairwise([live[i][2] for i in ids])
-        err = float(np.real(_pairwise([live[i][3] for i in ids])))
-        if converged_flag_tol is not None:
-            rounding = 100.0 * _EPS * sum(abs(live[i][2]) for i in ids)
-            conv = err <= max(converged_flag_tol, rounding)
-        else:
-            conv = False
-        return value, err, conv
+    # Seed the regions with a grid.  Large or strongly elongated regions can
+    # hide a narrow peak from the embedded error estimate entirely, so halve
+    # the longest side of the cells while it is longer than six or than four
+    # times the shortest side, as long as the grid fits in one integrand call
+    # and has at most 128 cells.
+    cells = np.ones(d, dtype=int)
+    while 2 * cells.prod() <= min(128, _CALL_POINTS // npts):
+        w = (hi - lo) / cells
+        if w.max() <= min(6.0, 4.0 * w.min()):
+            break
+        cells[np.argmax(w)] *= 2
+    corner = np.indices(cells).reshape(d, -1).T
+    lo, hi = lo + (hi - lo) * corner / cells, lo + (hi - lo) * (corner + 1) / cells
 
-    # Seed the queue. Large or strongly elongated regions can hide a narrow
-    # peak from the embedded error estimate entirely, so bisect the longest
-    # axes first until every seed side is at most six units long and no seed
-    # is more than four times longer than its shortest side (capped at 128
-    # seeds), then evaluate all seeds in one batch.
-    seeds: list[tuple[np.ndarray, np.ndarray]] = [(lo.copy(), hi.copy())]
-    i = 0
-    while i < len(seeds) and len(seeds) < 128:
-        slo, shi = seeds[i]
-        w = shi - slo
-        if w.max() > 6.0 or w.max() > 4.0 * max(float(w.min()), 1e-300):
-            ax = int(np.argmax(w))
-            mid = 0.5 * (slo[ax] + shi[ax])
-            h1 = shi.copy()
-            h1[ax] = mid
-            l2 = slo.copy()
-            l2[ax] = mid
-            seeds[i] = (slo, h1)
-            seeds.append((l2, shi))
-        else:
-            i += 1
-    seed_lo = np.array([p[0] for p in seeds])
-    seed_hi = np.array([p[1] for p in seeds])
-    v0, e0, a0 = evaluate(seed_lo, seed_hi)
-    running = 0.0
-    absint = 0.0
-    for j in range(len(seeds)):
-        live[j] = (seed_lo[j], seed_hi[j], complex(v0[j]), float(e0[j]), int(a0[j]))
-        heapq.heappush(heap, (-float(e0[j]), j))
-        running += float(e0[j])
-        absint += abs(complex(v0[j]))
-    next_id = len(seeds)
-
+    # Every region evaluated, in creation order: bounds, value, error
+    # estimate, split axis, and whether it is open to splitting.  The first
+    # n rows cost n * npts evaluations.  A split region is closed and its
+    # value and error are zeroed, so sums over the first n rows cover the
+    # live regions.  Each generation splits the worst eighth of the open
+    # regions (at least 12) in one integrand call of at most _CALL_POINTS
+    # points.  The growing share keeps the number of generations, and so the
+    # engine's cost, near-linear in the number of regions.
+    val, err, axis, open_ = evaluate(lo, hi)
+    n = val.size
     while True:
-        if running <= max(0.985 * tol, 100.0 * _EPS * absint):
-            value, err, conv = finalize(tol)
-            if conv:
-                return QuadratureResult(value, err, evals, True)
-            running = err
-        if not heap:
-            value, err, conv = finalize(tol)
-            return QuadratureResult(value, err, evals, conv)
-        picked = []
-        while heap and len(picked) < batch:
-            negerr, rid = heapq.heappop(heap)
-            if rid in live:
-                picked.append(rid)
-        if not picked:
-            value, err, conv = finalize(tol)
-            return QuadratureResult(value, err, evals, conv)
-        # Filter out regions too narrow to split further; they stay as leaves.
-        splittable = []
-        for rid in picked:
-            rlo, rhi, _, _, axis = live[rid]
-            width = rhi[axis] - rlo[axis]
-            scale = 1.0 + abs(rlo[axis]) + abs(rhi[axis])
-            if width > _WIDTH_FLOOR * scale:
-                splittable.append(rid)
-        if not splittable:
-            continue
-        cost = 2 * len(splittable) * npts
-        if evals + cost > max_evals:
-            value, err, _ = finalize(None)
-            result = QuadratureResult(value, err, evals, False)
+        total = err[:n].sum()
+        if total <= max(tol, 100.0 * _EPS * np.abs(val[:n]).sum()):
+            return QuadratureResult(val[:n].sum(), total, n * npts, True)
+        picked = np.flatnonzero(open_[:n])
+        if picked.size == 0:
+            return QuadratureResult(val[:n].sum(), total, n * npts, False)
+        k = min(max(12, picked.size // 8), _CALL_POINTS // (2 * npts))
+        if k < picked.size:
+            picked = np.sort(picked[np.argpartition(err[picked], -k)[-k:]])
+        m = 2 * picked.size
+        if (n + m) * npts > max_evals:
             raise BudgetExceeded(
-                f"evaluation budget {max_evals} exhausted (error {err:.3e} > tol {tol:.3e})",
-                result=result,
+                f"evaluation budget {max_evals} exhausted (error {total:.3e} > tol {tol:.3e})",
+                result=QuadratureResult(val[:n].sum(), total, n * npts, False),
                 max_evaluations=max_evals,
             )
-        child_lo = []
-        child_hi = []
-        for rid in splittable:
-            rlo, rhi, rval, rerr, axis = live[rid]
-            mid = 0.5 * (rlo[axis] + rhi[axis])
-            l1, h1 = rlo.copy(), rhi.copy()
-            h1[axis] = mid
-            l2, h2 = rlo.copy(), rhi.copy()
-            l2[axis] = mid
-            child_lo.extend((l1, l2))
-            child_hi.extend((h1, h2))
-            running -= rerr
-            absint -= abs(rval)
-            del live[rid]
-        clo = np.array(child_lo)
-        chi = np.array(child_hi)
-        values, errors, axes = evaluate(clo, chi)
-        for j in range(clo.shape[0]):
-            live[next_id] = (clo[j], chi[j], complex(values[j]), float(errors[j]), int(axes[j]))
-            heapq.heappush(heap, (-float(errors[j]), next_id))
-            running += float(errors[j])
-            absint += abs(complex(values[j]))
-            next_id += 1
+        if n + m > val.size:
+            lo, hi, val, err, axis, open_ = (
+                np.concatenate([a[:n], np.empty_like(a, shape=(n + m,) + a.shape[1:])])
+                for a in (lo, hi, val, err, axis, open_)
+            )
+        new = slice(n, n + m)
+        lo[new], hi[new] = _halves(lo[picked], hi[picked], axis[picked])
+        val[new], err[new], axis[new], open_[new] = evaluate(lo[new], hi[new])
+        val[picked], err[picked], open_[picked] = 0.0, 0.0, False
+        n += m
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +420,15 @@ def integrate_box(
 
     ``f`` must be vectorized: it receives an ``(m, d)`` float array and
     returns an ``(m,)`` complex array. ``tol`` is an absolute tolerance.
+
+    The box is first halved into at most 128 seed regions, none longer than
+    six or than four times its shortest side where that cap allows; each
+    region is integrated by the rule of its dimension, which also estimates
+    its error.  Each generation then halves the worst eighth of the regions
+    still wide enough to split (at least 12 of them) across their roughest
+    axis, in one call of ``f`` with at most 8,192 points, until the error
+    estimates, summed over the regions in creation order, are within
+    ``tol``.
 
     Raises
     ------

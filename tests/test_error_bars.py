@@ -16,7 +16,9 @@ in its three conventions, the so operator, the kernel contraction, both
 sides of the rank-lowering identity, the pairing integrals and the spherical
 transform; for the gl3 coordinate models the spectral-plane model, and for
 each so5 model and each commutation ordering the other model or ordering,
-at a tighter tolerance.
+at a tighter tolerance.  A seeded sweep covers the 2-4-d boxes once more:
+the fused so5 model, the level-2 kernel contraction, the gl3 coordinate model
+and the rank-lowering residual.
 """
 
 import cmath
@@ -40,7 +42,12 @@ from toda_whittaker.gl_whittaker import (
     mellin_barnes_eval,
     mixed_eval,
 )
-from toda_whittaker.rankin_selberg import barnes_gustafson_check, bump_friedberg_integral, double_step_kernel
+from toda_whittaker.rankin_selberg import (
+    barnes_gustafson_check,
+    bump_friedberg_integral,
+    double_step_kernel,
+    stade_kernel,
+)
 from toda_whittaker.so_toda import so_baxter_apply, so_givental_eval, so_recursive_eval
 
 mp = pytest.importorskip("mpmath")
@@ -289,3 +296,38 @@ def test_commutation_orderings():
         lam, y = tuple(complex(v) for v in lam), np.asarray(y)
         res = _double_apply_fused(ga, gb, lam, y, tol, 4_000_000)
         _covers(res, _double_apply_fused(gb, ga, lam, y, tol / 10.0, 4_000_000).value)
+
+
+def _sweep_so5(rng):
+    lam, x = tuple(rng.uniform(-0.8, 0.8, size=2)), tuple(rng.uniform(-0.6, 0.6, size=2))
+    tol = 10.0 ** rng.uniform(-6.0, -4.0)
+    _covers(so_givental_eval(lam, x, tol), so_recursive_eval(lam, x, tol / 10.0).value)
+
+
+def _sweep_double_step(rng):
+    top, bot, lam = rng.uniform(-1.0, 1.0, size=3), rng.uniform(-1.0, 1.0, size=1), rng.uniform(-1.0, 1.0, size=2)
+    _covers(double_step_kernel(top, bot, lam, 10.0 ** rng.uniform(-9.0, -5.0)), stade_kernel(top, bot, lam))
+
+
+def _sweep_gl3(rng):
+    lam, x = tuple(rng.uniform(-0.8, 0.8, size=3)), tuple(rng.uniform(-0.8, 0.8, size=3))
+    tol = 10.0 ** rng.uniform(-7.0, -4.0)
+    _covers(givental_eval(lam, x, tol), mellin_barnes_eval(lam, x, tol / 100.0).value)
+
+
+def _sweep_lowering(rng):
+    gamma, lam = -1j * float(rng.uniform(1.0, 1.5)), float(rng.uniform(0.1, 0.5))
+    y, x = (float(rng.uniform(0.0, 0.5)), float(rng.uniform(-0.4, 0.0))), float(rng.uniform(-0.3, 0.2))
+    chk = lowering_compatibility(gamma, lam, y, x, 10.0 ** rng.uniform(-9.0, -5.0))
+    assert chk.residual <= chk.abs_error
+
+
+@pytest.mark.parametrize("draw, count", [(_sweep_so5, 4), (_sweep_double_step, 10), (_sweep_gl3, 6),
+                                         (_sweep_lowering, 10)], ids=["so5", "double_step", "gl3", "lowering"])
+def test_box_sweep(draw, count):
+    # The 2-4-d boxes over wider draws than the tests above: the order in
+    # which the engine refines its regions decides whether their error bars
+    # hold.
+    rng = np.random.default_rng(92)
+    for _ in range(count):
+        draw(rng)

@@ -8,8 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toda_whittaker import quadrature
 from toda_whittaker.errors import BudgetExceeded
-from toda_whittaker.gl_whittaker import givental_eval
+from toda_whittaker.gl_baxter import (
+    baxter_apply,
+    baxter_eigenfunction_batch,
+    dual_baxter_apply,
+    spherical_transform_rank2,
+)
+from toda_whittaker.gl_whittaker import (
+    givental_eval,
+    givental_recursive_eval,
+    mb_closed_form_batch,
+    mellin_barnes_eval,
+    mixed_eval,
+)
 from toda_whittaker.numerics import gamma_product, macdonald_k
 from toda_whittaker.quadrature import (
     ContourSpec,
@@ -20,7 +33,8 @@ from toda_whittaker.quadrature import (
     integrate_contour,
     stable_exp,
 )
-from toda_whittaker.so_toda import so_givental_eval
+from toda_whittaker.rankin_selberg import bump_friedberg_integral, bump_inner_correlation, double_step_kernel
+from toda_whittaker.so_toda import so_baxter_apply, so_givental_eval, so_recursive_eval
 
 
 class TestBox:
@@ -71,6 +85,28 @@ class TestBox:
         assert info.value.result is not None
         assert info.value.result.evaluations <= 200
         assert not info.value.result.converged
+
+    def test_generations_grow_with_the_region_count(self, monkeypatch):
+        # About 1.7 million evaluations.  Splitting a fixed batch of 12
+        # regions per generation took 2,177 integrand calls here; splitting
+        # the worst eighth of the open regions takes about 220, each of at
+        # most 8,192 points.
+        calls = []
+        box = quadrature.integrate_box
+
+        def counted(f, *args):
+            def g(points):
+                calls.append(points.shape[0])
+                return f(points)
+
+            return box(g, *args)
+
+        monkeypatch.setattr(quadrature, "integrate_box", counted)
+        res = givental_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-9)
+        assert res.converged and res.evaluations > 10**6
+        assert sum(calls) == res.evaluations
+        assert len(calls) <= 300
+        assert max(calls) <= 8192
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -179,6 +215,37 @@ class TestContour:
         assert not res.converged
         assert res.evaluations > 10  # the first step always runs
         assert abs(res.value - math.sqrt(math.pi)) < 1e-3
+
+
+GL2, GL3 = ((0.5, -0.5), (0.3, -0.2)), ((0.6, 0.1, -0.45), (0.3, -0.2, 0.5))
+EVALUATORS = {
+    "integrate_box": lambda: integrate_box(lambda p: p[:, 0] + 0j, [(0.0, 1.0)], 1e-10),
+    "integrate_contour": lambda: integrate_contour(lambda z: np.exp(-z[:, 0] ** 2), ContourSpec([[0.3]]), 2, 1e-9),
+    "givental_eval": lambda: givental_eval(*GL2, 1e-6),
+    "givental_recursive_eval": lambda: givental_recursive_eval(*GL2, 1e-6),
+    "mellin_barnes_eval": lambda: mellin_barnes_eval(*GL2, 1e-6),
+    # It returned converged=np.True_, so ``converged is False`` never fired.
+    "mixed_eval": lambda: mixed_eval("LR", *GL3, 1e-5),
+    "baxter_apply": lambda: baxter_apply(lambda xs: baxter_eigenfunction_batch((0.4,), xs, "lie"), (0.1,), -1.2j,
+                                         "lie", 1e-6, psi_spectral=(0.4,)),
+    "dual_baxter_apply": lambda: dual_baxter_apply(lambda b: mb_closed_form_batch(b, (0.3,)), (0.5,), 0.7, 1e-6),
+    "spherical_transform_rank2": lambda: spherical_transform_rank2(-1.7j, (0.3, -0.3), 1e-4),
+    "bump_friedberg_integral": lambda: bump_friedberg_integral(0, (0.3,), (0.1,), -0.9j, 1e-8),
+    "bump_inner_correlation": lambda: bump_inner_correlation(1, (0.3,), (0.2, -0.2), -0.8j, 0.6, 1e-6),
+    "double_step_kernel": lambda: double_step_kernel((0.1, 0.2), (), (0.3, -0.3), 1e-6),
+    "so_givental_eval": lambda: so_givental_eval((0.5,), (0.3,), 1e-6),
+    "so_recursive_eval": lambda: so_recursive_eval((0.5,), (0.3,), 1e-6),
+    "so_baxter_apply": lambda: so_baxter_apply(-0.8j, (0.5,), (0.2,), 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_results_hold_python_scalars(name):
+    res = EVALUATORS[name]()
+    assert type(res.value) is complex
+    assert type(res.abs_error) is float
+    assert type(res.evaluations) is int
+    assert type(res.converged) is bool
 
 
 def test_stable_exp_clamps_overflow():
