@@ -58,8 +58,7 @@ from .gl_baxter import (
     MIN_SPECTRAL_GAP,
     BaxterConvention,
     CommutationCheck,
-    LoweringCheck,
-    SphericalTransformCheck,
+    IdentityCheck,
     baxter_apply,
     baxter_eigenfunction,
     baxter_eigenfunction_batch,
@@ -97,7 +96,6 @@ from .local_lfactors import (
     verify_tq_identity,
 )
 from .rankin_selberg import (
-    BarnesCheck,
     barnes_gustafson_check,
     bump_friedberg_integral,
     bump_friedberg_prediction,
@@ -111,14 +109,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyBudget",
-    "BarnesCheck",
     "BaxterConvention",
     "BudgetExceeded",
     "CommutationCheck",
     "ContourError",
     "ContourSpec",
     "ConvergenceError",
-    "LoweringCheck",
+    "IdentityCheck",
     "MIN_SO_SPECTRAL_GAP",
     "MIN_SPECTRAL_GAP",
     "PoleError",
@@ -127,7 +124,6 @@ __all__ = [
     "SatakeClass",
     "ShiftError",
     "SingularMatrixError",
-    "SphericalTransformCheck",
     "TodaWhittakerError",
     "TruncatedSeries",
     "__version__",

@@ -50,8 +50,6 @@ from .so_toda import closed_form_so3, so_toda_apply_h2
 __all__ = [
     "CaseResult",
     "SUITES",
-    "SUITE_OPTIONS",
-    "SuiteOptions",
     "barnes",
     "baxter_eigen",
     "bump_friedberg",
@@ -189,97 +187,88 @@ def commute(case, gammas, lam, y, tol, max_evals=_DEFAULT_MAX_EVALS):
 
 
 # ---------------------------------------------------------------------------
-# Suites: each maps options to (case name, thunk) pairs
+# Suites: each maps its options to (case name, thunk) pairs.  A suite's
+# parameters are the ``verify`` options it reads; ``tol=None`` keeps each
+# case's own tolerance.
 
 
-@dataclass(frozen=True)
-class SuiteOptions:
-    """``tol`` replaces each case's default tolerance where set, ``budget``
-    caps each quadrature, ``rank`` selects baxter-eigen cases, and ``n`` and
-    ``trials`` size the tq-padic draws."""
-
-    tol: float | None = None
-    budget: int = _DEFAULT_MAX_EVALS
-    rank: int | None = None
-    n: int = 3
-    trials: int = 20
-
-    def tol_or(self, default: float) -> float:
-        return self.tol if self.tol is not None else default
+def _or(tol, default: float) -> float:
+    return default if tol is None else tol
 
 
 def _thunks(check, specs, *extra):
     return [(spec[0], partial(check, *spec, *extra)) for spec in specs]
 
 
-def _baxter_eigen_suite(o: SuiteOptions):
+def _baxter_eigen_suite(tol=None, budget=_DEFAULT_MAX_EVALS, rank=None):
     specs = [
-        ("rank1-lie", -1.2j, (0.4,), (0.2,), "lie", o.tol_or(1e-8)),
-        ("rank1-iwasawa", -2.4j, (0.8,), (0.4,), "iwasawa", o.tol_or(1e-8)),
-        ("rank1-iwasawa-pi", -2.4j, (0.8,), (0.4,), "iwasawa_pi", o.tol_or(1e-8)),
-        ("rank2-lie", -1.5j, (0.5, -0.5), (0.1, -0.3), "lie", o.tol_or(1e-5)),
+        ("rank1-lie", -1.2j, (0.4,), (0.2,), "lie", _or(tol, 1e-8)),
+        ("rank1-iwasawa", -2.4j, (0.8,), (0.4,), "iwasawa", _or(tol, 1e-8)),
+        ("rank1-iwasawa-pi", -2.4j, (0.8,), (0.4,), "iwasawa_pi", _or(tol, 1e-8)),
+        ("rank2-lie", -1.5j, (0.5, -0.5), (0.1, -0.3), "lie", _or(tol, 1e-5)),
         ("rank2-iwasawa-pi", -3.0j, (0.5, -0.5), (-0.6, 0.9), "iwasawa_pi", 2e-5),
     ]
-    specs = [s for s in specs if o.rank is None or len(s[2]) == o.rank]
-    return _thunks(baxter_eigen, specs, o.budget)
+    specs = [s for s in specs if rank is None or len(s[2]) == rank]
+    return _thunks(baxter_eigen, specs, budget)
 
 
-def _mb_vs_givental_suite(o: SuiteOptions):
+def _mb_vs_givental_suite(tol=None, budget=_DEFAULT_MAX_EVALS):
     specs = [
-        ("gl2", (0.4, -0.3), (0.25, -0.45), o.tol_or(1e-8)),
-        ("gl3", (0.6, 0.1, -0.45), (0.3, 0.0, -0.3), o.tol_or(1e-6)),
+        ("gl2", (0.4, -0.3), (0.25, -0.45), _or(tol, 1e-8)),
+        ("gl3", (0.6, 0.1, -0.45), (0.3, 0.0, -0.3), _or(tol, 1e-6)),
     ]
-    return _thunks(mb_vs_givental, specs, o.budget)
+    return _thunks(mb_vs_givental, specs, budget)
 
 
-def _stade_suite(o: SuiteOptions):
+def _stade_suite(tol=None, budget=_DEFAULT_MAX_EVALS):
     specs = [
-        ("ell1", (0.3, -0.2), (), (0.5, -0.5), o.tol_or(1e-8)),
-        ("ell2", (0.3, 0.0, -0.3), (0.1,), (0.5, -0.5), o.tol_or(1e-7)),
+        ("ell1", (0.3, -0.2), (), (0.5, -0.5), _or(tol, 1e-8)),
+        ("ell2", (0.3, 0.0, -0.3), (0.1,), (0.5, -0.5), _or(tol, 1e-7)),
     ]
-    return _thunks(stade, specs, o.budget)
+    return _thunks(stade, specs, budget)
 
 
-def _bump_friedberg_suite(o: SuiteOptions):
+def _bump_friedberg_suite(tol=None, budget=_DEFAULT_MAX_EVALS):
     pairings = [
-        ("ell0-gamma07", 0, (0.0,), (0.0,), -0.7j, o.tol_or(1e-8)),
-        ("ell0-shifted", 0, (0.3,), (0.1,), -1.0j, o.tol_or(1e-8)),
-        ("ell1-pair", 1, (0.4, -0.4), (0.2, -0.2), -0.8j, max(o.tol_or(1e-4), 1e-5)),
+        ("ell0-gamma07", 0, (0.0,), (0.0,), -0.7j, _or(tol, 1e-8)),
+        ("ell0-shifted", 0, (0.3,), (0.1,), -1.0j, _or(tol, 1e-8)),
+        ("ell1-pair", 1, (0.4, -0.4), (0.2, -0.2), -0.8j, max(_or(tol, 1e-4), 1e-5)),
     ]
-    correlations = [("inner-correlation", (0.3,), (0.2, -0.2), -0.8j, 0.6, o.tol_or(1e-6))]
-    return _thunks(bump_friedberg, pairings, o.budget) + _thunks(
-        inner_correlation, correlations, o.budget
+    correlations = [("inner-correlation", (0.3,), (0.2, -0.2), -0.8j, 0.6, _or(tol, 1e-6))]
+    return _thunks(bump_friedberg, pairings, budget) + _thunks(
+        inner_correlation, correlations, budget
     )
 
 
-def _barnes_suite(o: SuiteOptions):
+def _barnes_suite(tol=1e-8, budget=_DEFAULT_MAX_EVALS):
     specs = [
         ("imaginary-pairs", (-0.5j, -0.7j), (0.5j, 0.6j)),
         ("generic-complex", (0.3 - 0.6j, -0.2 - 0.5j), (0.1 + 0.4j, -0.3 + 0.55j)),
         ("wide-separation", (-0.9j, -1.1j), (0.8j, 1.2j)),
     ]
-    return _thunks(barnes, specs, o.tol_or(1e-8), o.budget)
+    return _thunks(barnes, specs, tol, budget)
 
 
-def _tq_padic_suite(o: SuiteOptions):
+def _tq_padic_suite(n=3, trials=20):
+    """``trials`` seeded draws of at most ``n`` rational Satake parameters."""
     rng = np.random.default_rng(20260822)
     primes = (2, 3, 5, 7, 11)
     specs = []
-    for trial in range(o.trials):
-        n = int(rng.integers(1, min(max(o.n, 1), 5) + 1))
+    for trial in range(trials):
+        size = int(rng.integers(1, n + 1))
         params = []
-        for _ in range(n):
+        for _ in range(size):
             num = 0
             while num == 0:
                 num = int(rng.integers(-9, 10))
             den = int(rng.integers(1, 10))
             params.append(Fraction(num, den))
         p = int(primes[int(rng.integers(0, len(primes)))])
-        specs.append(("trial%02d-n%d-p%d" % (trial, n, p), tuple(params), p))
+        specs.append(("trial%02d-n%d-p%d" % (trial, size, p), tuple(params), p))
     return _thunks(tq_padic, specs)
 
 
-def _toda_suite(o: SuiteOptions):
+def _toda_suite():
     lam2 = (0.5, -0.3)
 
     def gl1_psi(xs: np.ndarray) -> np.ndarray:
@@ -302,33 +291,34 @@ def _toda_suite(o: SuiteOptions):
     return _thunks(toda, specs)
 
 
-def _dual_baxter_suite(o: SuiteOptions):
+def _dual_baxter_suite(tol=None, budget=_DEFAULT_MAX_EVALS):
     specs = [
-        ("rank1", (0.4,), (0.1,), 0.7, o.tol_or(1e-8)),
-        ("rank2", (0.5, -0.3), (0.2, -0.4), 0.9, o.tol_or(1e-5)),
+        ("rank1", (0.4,), (0.1,), 0.7, _or(tol, 1e-8)),
+        ("rank2", (0.5, -0.3), (0.2, -0.4), 0.9, _or(tol, 1e-5)),
     ]
-    return _thunks(dual_baxter, specs, o.budget)
+    return _thunks(dual_baxter, specs, budget)
 
 
-def _spherical_rank2_suite(o: SuiteOptions):
+def _spherical_rank2_suite(tol=1e-5, budget=_DEFAULT_MAX_EVALS):
     specs = [
         ("acceptance-point", (0.8, -0.8), -1.5j),
         ("generic-point", (0.3, -0.6), -1.8j),
         ("constant-zonal", (0.0, 0.0), -1.5j),
     ]
-    return _thunks(spherical_rank2, specs, o.tol_or(1e-5), o.budget)
+    return _thunks(spherical_rank2, specs, tol, budget)
 
 
-def _commute_suite(o: SuiteOptions):
+def _commute_suite(tol=1e-7, budget=_DEFAULT_MAX_EVALS):
     specs = [
         ("rank1", (-0.9j, -1.4j), (0.3,), (0.2,)),
         ("rank2", (-0.9j, -1.4j), (0.4, -0.4), (0.2, -0.1)),
     ]
-    return _thunks(commute, specs, o.tol_or(1e-7), o.budget)
+    return _thunks(commute, specs, tol, budget)
 
 
-#: Suite name -> function of :class:`SuiteOptions` returning the suite's
-#: ``(case name, thunk)`` pairs; each thunk returns a :class:`CaseResult`.
+#: Suite name -> function of the ``verify`` options it reads, as keywords,
+#: returning the suite's ``(case name, thunk)`` pairs; each thunk returns a
+#: :class:`CaseResult`.
 SUITES = {
     "baxter-eigen": _baxter_eigen_suite,
     "mb-vs-givental": _mb_vs_givental_suite,
@@ -340,19 +330,4 @@ SUITES = {
     "dual-baxter": _dual_baxter_suite,
     "spherical-rank2": _spherical_rank2_suite,
     "commute": _commute_suite,
-}
-
-#: Suite name -> the :class:`SuiteOptions` fields its cases read; ``verify``
-#: rejects a flag for any other field.
-SUITE_OPTIONS = {
-    "baxter-eigen": ("tol", "budget", "rank"),
-    "mb-vs-givental": ("tol", "budget"),
-    "stade": ("tol", "budget"),
-    "bump-friedberg": ("tol", "budget"),
-    "barnes": ("tol", "budget"),
-    "tq-padic": ("n", "trials"),
-    "toda": (),
-    "dual-baxter": ("tol", "budget"),
-    "spherical-rank2": ("tol", "budget"),
-    "commute": ("tol", "budget"),
 }

@@ -6,8 +6,16 @@ integral operator and compare with its predicted eigenvalue action),
 ``lfactor`` (local factors, exact or numeric), and ``kernel`` (print kernel
 values, optionally swept along one coordinate for plotting).
 
-Output is text, JSON records (one per line, fixed key order, floats with 17
-significant digits), or CSV.  A ``key=value`` config file supplies defaults
+Every verb prints records, lists of ``(name, value)`` pairs, through one
+writer, :func:`_emit`: JSON (one object per record, fixed key order, floats
+with 17 significant digits, non-finite floats as ``NaN``/``Infinity``), CSV
+(a header and one row per record; a complex or rational value takes two
+columns), or text.  A record whose quadrature ran out of ``--budget`` still
+prints: ``baxter-apply`` prints its closed-form prediction and the residual
+against the partial value, and a ``verify`` case prints NaN sides and limit
+with an infinite residual; both exit 2.  ``verify`` hands a suite the options
+that its parameters name and rejects a flag that the suite does not read;
+``--n`` runs from 1 to 5.  A ``key=value`` config file supplies defaults
 that explicit flags override.  Identical configuration yields byte-identical
 reports.
 """
@@ -17,28 +25,18 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import inspect
 import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .checks import (
-    SUITE_OPTIONS as _SUITE_OPTIONS,
-    SUITES as _SUITES,
-    CaseResult,
-    SuiteOptions,
-)
-from .errors import (
-    BudgetExceeded,
-    ContourError,
-    PoleError,
-    RankError,
-    ShiftError,
-    TodaWhittakerError,
-)
+from .checks import SUITES as _SUITES, CaseResult
+from .errors import BudgetExceeded, RankError, TodaWhittakerError
 from .gl_whittaker import (
     closed_form_gl2,
     givental_eval,
@@ -73,8 +71,17 @@ __all__ = ["main", "entry"]
 
 _FLOAT_FMT = "%.17g"
 _FORMATS = ("json", "csv", "text")
-#: The options of ``verify`` that only some suites read (see ``SUITE_OPTIONS``).
-_VERIFY_OPTIONS = ("tol", "budget", "rank", "n", "trials")
+
+#: Numeric option -> (conversion, the check a value must pass, what the check
+#: asks of it).  ``eval`` and ``baxter-apply`` read ``tol`` and ``budget``;
+#: ``verify`` hands a suite the options that its parameters name.
+_OPTIONS = {
+    "tol": (float, lambda v: v > 0.0, "be positive"),
+    "budget": (int, lambda v: v >= 1, "be at least 1"),
+    "rank": (int, lambda v: True, ""),
+    "n": (int, lambda v: 1 <= v <= 5, "be between 1 and 5"),
+    "trials": (int, lambda v: v >= 1, "be at least 1"),
+}
 
 
 class _UsageError(Exception):
@@ -129,80 +136,84 @@ def _json_float(x) -> str:
     return _f(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _json_scalar(v) -> str:
-    if isinstance(v, Fraction) or (isinstance(v, int) and not isinstance(v, bool)):
-        fr = Fraction(v)
-        return '{"num": "%d", "den": "%d"}' % (fr.numerator, fr.denominator)
-    c = complex(v)
-    return '{"re": %s, "im": %s}' % (_json_float(c.real), _json_float(c.imag))
-
-
-def _bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
 def _complex_str(v) -> str:
     c = complex(v)
     sign = "-" if c.imag < 0 or (c.imag == 0.0 and math.copysign(1.0, c.imag) < 0) else "+"
     return "%s %s %sj" % (_f(c.real), sign, _f(abs(c.imag)))
 
 
-def _emit_scalar(fmt: str, value) -> None:
-    """Print one complex or exact rational value; a rational prints as a
-    fraction in text and as ``num``/``den`` in JSON."""
-    if fmt == "json":
-        print('{"value": %s}' % _json_scalar(value))
-    elif fmt == "csv":
-        print("re,im")
-        print("%s,%s" % (_f(value.real), _f(value.imag)))
-    elif isinstance(value, Fraction):
-        print(value)
-    else:
-        print(_complex_str(value))
+def _cell(fmt: str, value) -> str:
+    """``value`` as ``fmt`` prints it; its type decides how.  A complex or
+    rational value is one JSON object, two CSV cells, or ``a + bj`` text."""
+    if isinstance(value, (complex, Fraction)):
+        if fmt == "csv":
+            return "%s,%s" % (_f(value.real), _f(value.imag))
+        if fmt == "text":
+            return _complex_str(value)
+        if isinstance(value, Fraction):
+            return '{"num": "%d", "den": "%d"}' % (value.numerator, value.denominator)
+        return '{"re": %s, "im": %s}' % (_json_float(value.real), _json_float(value.imag))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return "%d" % value
+    if isinstance(value, float):
+        return _json_float(value) if fmt == "json" else _f(value)
+    return json.dumps(value) if fmt == "json" else str(value)
 
 
-def _record_lines(results: Sequence[CaseResult], fmt: str) -> list[str]:
-    lines = []
+def _column(name: str, value) -> str:
+    """The CSV header of one field: ``re,im`` for a complex or rational
+    ``value`` field, ``name_re,name_im`` for any other."""
+    if not isinstance(value, (complex, Fraction)):
+        return name
+    return "re,im" if name == "value" else "%s_re,%s_im" % (name, name)
+
+
+def _emit(fmt: str, records: Sequence[Sequence[tuple[str, object]]], text=None) -> None:
+    """Print ``records``, each a list of ``(name, value)`` pairs: one JSON
+    object per record, or a CSV header and one row per record, or in text
+    ``text(record)`` where given and ``name = value`` lines otherwise."""
     if fmt == "csv":
-        lines.append("case,lhs_re,lhs_im,rhs_re,rhs_im,residual,tol,pass")
-        for r in results:
-            lc, rc = complex(r.lhs), complex(r.rhs)
-            lines.append(
-                ",".join(
-                    [
-                        r.case,
-                        _f(lc.real),
-                        _f(lc.imag),
-                        _f(rc.real),
-                        _f(rc.imag),
-                        _f(r.residual),
-                        _f(r.tol),
-                        _bool(r.ok),
-                    ]
-                )
-            )
-        return lines
-    if fmt == "json":
-        for r in results:
-            lines.append(
-                '{"case": %s, "lhs": %s, "rhs": %s, "residual": %s, '
-                '"tol": %s, "pass": %s}'
-                % (
-                    json.dumps(r.case),
-                    _json_scalar(r.lhs),
-                    _json_scalar(r.rhs),
-                    _json_float(r.residual),
-                    _json_float(r.tol),
-                    _bool(r.ok),
-                )
-            )
-        return lines
-    for r in results:
-        lines.append(
-            "%-32s %s  residual=%.3e  tol=%.3e"
-            % (r.case, "PASS" if r.ok else "FAIL", r.residual, r.tol)
-        )
-    return lines
+        print(",".join(_column(name, value) for name, value in records[0]))
+    for record in records:
+        if fmt == "json":
+            print("{%s}" % ", ".join('"%s": %s' % (name, _cell(fmt, v)) for name, v in record))
+        elif fmt == "csv":
+            print(",".join(_cell(fmt, v) for _, v in record))
+        elif text is not None:
+            print(text(record))
+        else:
+            for name, value in record:
+                print("%s = %s" % (name, _cell(fmt, value)))
+
+
+def _bare_value(record) -> str:
+    """Text of a one-value record: a rational as a fraction, else ``a + bj``."""
+    value = record[0][1]
+    return str(value) if isinstance(value, Fraction) else _complex_str(value)
+
+
+def _result_record(res, *middle) -> list[tuple[str, object]]:
+    """A quadrature result as a record, with ``middle`` after its error."""
+    return [
+        ("value", res.value),
+        ("abs_error", res.abs_error),
+        *middle,
+        ("evaluations", res.evaluations),
+        ("converged", res.converged),
+    ]
+
+
+def _within_budget(call, *args, **kwargs):
+    """``call``'s result, or the partial, unconverged result carried by the
+    ``BudgetExceeded`` it raises."""
+    try:
+        return call(*args, **kwargs)
+    except BudgetExceeded as exc:
+        if exc.result is None:
+            raise
+        return exc.result
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +222,19 @@ def _record_lines(results: Sequence[CaseResult], fmt: str) -> list[str]:
 
 def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise _UsageError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip().lower().replace("-", "_")] = val.strip().strip('"')
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file: {exc}")
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _UsageError(f"config line without '=': {line!r}")
+        key, val = line.split("=", 1)
+        cfg[key.strip().lower().replace("-", "_")] = val.strip().strip('"')
     return cfg
 
 
@@ -240,6 +255,17 @@ def _resolve(args, attr: str, conv, default, cfg_key: str | None = None):
         raise _UsageError(f"invalid value for --{flag}: {val!r}")
 
 
+def _option(args, name: str, default=None):
+    """The numeric option ``name`` (see ``_OPTIONS``), checked, or ``default``."""
+    conv, check, requirement = _OPTIONS[name]
+    value = _resolve(args, name, conv, None)
+    if value is None:
+        return default
+    if not check(value):
+        raise _UsageError(f"--{name} must {requirement}")
+    return value
+
+
 def _format_option(args) -> str:
     fmt = _resolve(args, "format", str, "text")
     if fmt not in _FORMATS:
@@ -247,69 +273,61 @@ def _format_option(args) -> str:
     return fmt
 
 
-def _common_options(args) -> tuple[float | None, int, str]:
-    """``--tol``, ``--budget`` and ``--format`` of the verbs that integrate."""
-    tol = _resolve(args, "tol", float, None)
-    if tol is not None and tol <= 0.0:
-        raise _UsageError("--tol must be positive")
-    budget = _resolve(args, "budget", int, _DEFAULT_MAX_EVALS)
-    if budget < 1:
-        raise _UsageError("--budget must be at least 1")
-    return tol, budget, _format_option(args)
-
-
 # ---------------------------------------------------------------------------
 # eval
 
 
-_EVAL_RANK = {"gl1": 1, "gl2": 2, "gl3": 3, "so3": 1, "so5": 2}
-_EVAL_METHODS = {
-    "gl1": ("closed", "givental", "recursive"),
-    "gl2": ("closed", "givental", "recursive", "mb"),
-    "gl3": ("givental", "recursive", "mb"),
-    "so3": ("closed", "givental", "recursive"),
-    "so5": ("givental", "recursive"),
-}
-_EVAL_AUTO = {
-    "gl1": "closed",
-    "gl2": "closed",
-    "gl3": "recursive",
-    "so3": "closed",
-    "so5": "recursive",
-}
+def _closed(form, rel_err: float):
+    """A closed form as an ``eval`` method: no evaluations, and an error of
+    ``rel_err`` relative to the value."""
+
+    def method(lam, x, tol, max_evals):
+        value = complex(form(lam, x))
+        return SimpleNamespace(
+            value=value, abs_error=rel_err * abs(value), evaluations=0, converged=True
+        )
+
+    return method
 
 
-def _emit_value(fmt: str, value: complex, abs_error: float, evaluations: int, converged: bool) -> None:
-    if fmt == "json":
-        print(
-            '{"value": %s, "abs_error": %s, "evaluations": %d, "converged": %s}'
-            % (_json_scalar(value), _json_float(abs_error), evaluations, _bool(converged))
-        )
-        return
-    if fmt == "csv":
-        print("re,im,abs_error,evaluations,converged")
-        print(
-            ",".join(
-                [_f(value.real), _f(value.imag), _f(abs_error), str(evaluations), _bool(converged)]
-            )
-        )
-        return
-    print("value = %s" % _complex_str(value))
-    print("abs_error = %s" % _f(abs_error))
-    print("evaluations = %d" % evaluations)
-    print("converged = %s" % _bool(converged))
+#: Algebra -> (rank, method -> evaluator ``(lam, x, tol, max_evals)``); the
+#: first method is the default.
+_EVAL = {
+    "gl1": (1, {
+        "closed": _closed(lambda lam, x: cmath.exp(1j * lam[0] * x[0]), 2e-16),
+        "givental": givental_eval,
+        "recursive": givental_recursive_eval,
+    }),
+    "gl2": (2, {
+        "closed": _closed(closed_form_gl2, 1e-11),
+        "givental": givental_eval,
+        "recursive": givental_recursive_eval,
+        "mb": mellin_barnes_eval,
+    }),
+    "gl3": (3, {
+        "recursive": givental_recursive_eval,
+        "givental": givental_eval,
+        "mb": mellin_barnes_eval,
+    }),
+    "so3": (1, {
+        "closed": _closed(lambda lam, x: closed_form_so3(lam[0], x[0]), 1e-11),
+        "givental": so_givental_eval,
+        "recursive": so_recursive_eval,
+    }),
+    "so5": (2, {"recursive": so_recursive_eval, "givental": so_givental_eval}),
+}
 
 
 def cmd_eval(args) -> int:
-    tol, budget, fmt = _common_options(args)
-    tol = tol if tol is not None else 1e-8
+    fmt = _format_option(args)
+    tol = _option(args, "tol", 1e-8)
+    budget = _option(args, "budget", _DEFAULT_MAX_EVALS)
     algebra = _resolve(args, "algebra", str, None)
     if algebra is None:
         raise _UsageError("--algebra is required")
-    if algebra not in _EVAL_RANK:
+    if algebra not in _EVAL:
         raise RankError(
-            f"unsupported algebra tag {algebra!r}: expected one of "
-            + ", ".join(sorted(_EVAL_RANK))
+            f"unsupported algebra tag {algebra!r}: expected one of " + ", ".join(sorted(_EVAL))
         )
     lam = _resolve(args, "lam", _parse_clist, None, cfg_key="lambda")
     x = _resolve(args, "x", _parse_rlist, None)
@@ -317,58 +335,22 @@ def cmd_eval(args) -> int:
         raise _UsageError("--lambda is required")
     if x is None:
         raise _UsageError("--x is required")
-    rank = _EVAL_RANK[algebra]
+    rank, methods = _EVAL[algebra]
     if len(lam) != rank:
         raise _UsageError(f"--lambda must have {rank} entries for {algebra}")
     if len(x) != rank:
         raise _UsageError(f"--x must have {rank} entries for {algebra}")
     method = _resolve(args, "method", str, "auto")
     if method == "auto":
-        method = _EVAL_AUTO[algebra]
-    if method not in _EVAL_METHODS[algebra]:
+        method = next(iter(methods))
+    if method not in methods:
         raise _UsageError(
             f"--method {method!r} not available for {algebra} "
-            f"(choose from {', '.join(_EVAL_METHODS[algebra])})"
+            f"(choose from {', '.join(methods)})"
         )
-
-    exit_code = 0
-    if method == "closed":
-        if algebra == "gl1":
-            value = cmath.exp(1j * lam[0] * x[0])
-            err = 2e-16 * abs(value)
-        elif algebra == "gl2":
-            value = closed_form_gl2(lam, x)
-            err = 1e-11 * abs(value)
-        else:  # so3
-            value = closed_form_so3(lam[0], x[0])
-            err = 1e-11 * abs(value)
-        evals, converged = 0, True
-    else:
-        so_chain = algebra in ("so3", "so5")
-        try:
-            if method == "givental":
-                res = (
-                    so_givental_eval(lam, x, tol, budget)
-                    if so_chain
-                    else givental_eval(lam, x, tol, budget)
-                )
-            elif method == "recursive":
-                res = (
-                    so_recursive_eval(lam, x, tol, budget)
-                    if so_chain
-                    else givental_recursive_eval(lam, x, tol, budget)
-                )
-            else:
-                res = mellin_barnes_eval(lam, x, tol, max_evals=budget)
-        except BudgetExceeded as exc:
-            res = exc.result
-            if res is None:
-                raise
-        value, err, evals, converged = res.value, res.abs_error, res.evaluations, res.converged
-        if not converged:
-            exit_code = 2
-    _emit_value(fmt, complex(value), err, evals, converged)
-    return exit_code
+    res = _within_budget(methods[method], lam, x, tol, max_evals=budget)
+    _emit(fmt, [_result_record(res)])
+    return 0 if res.converged else 2
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +358,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baxter_apply(args) -> int:
-    tol, budget, fmt = _common_options(args)
-    tol = tol if tol is not None else 1e-6
+    fmt = _format_option(args)
+    tol = _option(args, "tol", 1e-6)
+    budget = _option(args, "budget", _DEFAULT_MAX_EVALS)
     algebra = _resolve(args, "algebra", str, "gl")
     if algebra not in ("gl", "so3"):
         raise RankError(f"unsupported algebra tag {algebra!r}: expected gl or so3")
@@ -392,83 +375,59 @@ def cmd_baxter_apply(args) -> int:
         raise _UsageError("--y is required")
     gamma = gamma_t[0]
 
-    exit_code = 0
-    try:
-        if algebra == "so3":
-            if len(lam) != 1 or len(y) != 1:
-                raise _UsageError("so3 operator application takes scalar --lambda and --y")
-            res = so_baxter_apply(gamma, lam, y, tol, budget)
-            base = closed_form_so3(lam[0], y[0])
-            prediction = so_baxter_eigenvalue(gamma, lam) * base
-        else:
-            conv = _resolve(args, "convention", str, "lie")
-            if conv not in ("lie", "iwasawa", "iwasawa_pi"):
-                raise _UsageError("--convention must be lie, iwasawa, or iwasawa_pi")
-            if len(y) != len(lam):
-                raise _UsageError("--y and --lambda must have the same length")
-
-            def psi(xs: np.ndarray) -> np.ndarray:
-                return baxter_eigenfunction_batch(lam, xs, conv)
-
-            res = baxter_apply(psi, y, gamma, conv, tol, psi_spectral=lam, max_evals=budget)
-            prediction = baxter_eigenvalue(gamma, lam, conv) * baxter_eigenfunction(lam, y, conv)
-    except BudgetExceeded as exc:
-        if exc.result is None:
-            raise
-        res = exc.result
-        prediction = None
-        exit_code = 2
-    if not res.converged:
-        exit_code = 2
-
-    residual = abs(res.value - prediction) if prediction is not None else float("inf")
-    if fmt == "json":
-        print(
-            '{"value": %s, "abs_error": %s, "prediction": %s, "residual": %s, '
-            '"evaluations": %d, "converged": %s}'
-            % (
-                _json_scalar(res.value),
-                _json_float(res.abs_error),
-                _json_scalar(prediction if prediction is not None else 0.0),
-                _json_float(residual),
-                res.evaluations,
-                _bool(res.converged),
-            )
-        )
-    elif fmt == "csv":
-        print("re,im,abs_error,prediction_re,prediction_im,residual,evaluations,converged")
-        pc = complex(prediction) if prediction is not None else 0j
-        print(
-            ",".join(
-                [
-                    _f(res.value.real),
-                    _f(res.value.imag),
-                    _f(res.abs_error),
-                    _f(pc.real),
-                    _f(pc.imag),
-                    _f(residual),
-                    str(res.evaluations),
-                    _bool(res.converged),
-                ]
-            )
-        )
+    # The prediction is a closed form, so it stands when the budget runs out.
+    if algebra == "so3":
+        if len(lam) != 1 or len(y) != 1:
+            raise _UsageError("so3 operator application takes scalar --lambda and --y")
+        prediction = so_baxter_eigenvalue(gamma, lam) * closed_form_so3(lam[0], y[0])
+        res = _within_budget(so_baxter_apply, gamma, lam, y, tol, budget)
     else:
-        print("value = %s" % _complex_str(res.value))
-        print("abs_error = %s" % _f(res.abs_error))
-        if prediction is not None:
-            print("prediction = %s" % _complex_str(prediction))
-            print("residual = %s" % _f(residual))
-        print("evaluations = %d" % res.evaluations)
-        print("converged = %s" % _bool(res.converged))
-    return exit_code
+        conv = _resolve(args, "convention", str, "lie")
+        if conv not in ("lie", "iwasawa", "iwasawa_pi"):
+            raise _UsageError("--convention must be lie, iwasawa, or iwasawa_pi")
+        if len(y) != len(lam):
+            raise _UsageError("--y and --lambda must have the same length")
+        prediction = baxter_eigenvalue(gamma, lam, conv) * baxter_eigenfunction(lam, y, conv)
+
+        def psi(xs: np.ndarray) -> np.ndarray:
+            return baxter_eigenfunction_batch(lam, xs, conv)
+
+        res = _within_budget(
+            baxter_apply, psi, y, gamma, conv, tol, psi_spectral=lam, max_evals=budget
+        )
+    prediction = complex(prediction)
+    residual = abs(res.value - prediction)
+    _emit(fmt, [_result_record(res, ("prediction", prediction), ("residual", residual))])
+    return 0 if res.converged else 2
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
+def _case_record(r: CaseResult) -> list[tuple[str, object]]:
+    def side(v):
+        return v if isinstance(v, Fraction) else complex(v)
+
+    return [
+        ("case", r.case),
+        ("lhs", side(r.lhs)),
+        ("rhs", side(r.rhs)),
+        ("residual", float(r.residual)),
+        ("tol", float(r.tol)),
+        ("pass", bool(r.ok)),
+    ]
+
+
+def _table_line(record) -> str:
+    r = dict(record)
+    return "%-32s %s  residual=%.3e  tol=%.3e" % (
+        r["case"], "PASS" if r["pass"] else "FAIL", r["residual"], r["tol"]
+    )
+
+
 def cmd_verify(args) -> int:
-    tol, budget, fmt = _common_options(args)
+    fmt = _format_option(args)
     suite = _resolve(args, "suite", str, None)
     if suite is None:
         raise _UsageError("--suite is required")
@@ -476,17 +435,12 @@ def cmd_verify(args) -> int:
         raise _UsageError(
             f"unknown suite {suite!r}: expected one of " + ", ".join(sorted(_SUITES))
         )
-    reads = _SUITE_OPTIONS.get(suite, ())
-    for opt in _VERIFY_OPTIONS:
-        if getattr(args, opt) is not None and opt not in reads:
-            raise _UsageError(f"suite {suite!r} does not read --{opt}")
-    rank = _resolve(args, "rank", int, None)
-    n = _resolve(args, "n", int, SuiteOptions.n)
-    trials = _resolve(args, "trials", int, SuiteOptions.trials)
-    if trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    opts = SuiteOptions(tol=tol, budget=budget, rank=rank, n=n, trials=trials)
-    thunks = _SUITES[suite](opts)
+    reads = inspect.signature(_SUITES[suite]).parameters
+    for name in _OPTIONS:
+        if getattr(args, name) is not None and name not in reads:
+            raise _UsageError(f"suite {suite!r} does not read --{name}")
+    given = {name: _option(args, name) for name in reads}
+    thunks = _SUITES[suite](**{k: v for k, v in given.items() if v is not None})
     if not thunks:
         raise _UsageError("no cases selected (check --rank)")
 
@@ -496,11 +450,12 @@ def cmd_verify(args) -> int:
         try:
             results.append(fn())
         except BudgetExceeded:
+            # No value to report: NaN sides and limit, infinite residual.
             budget_hit = True
-            results.append(CaseResult(name, 0.0, 0.0, 1e300, 0.0, False))
+            nan = complex(math.nan, math.nan)
+            results.append(CaseResult(name, nan, nan, math.inf, math.nan, False))
 
-    for line in _record_lines(results, fmt):
-        print(line)
+    _emit(fmt, [_case_record(r) for r in results], _table_line)
     passed = sum(1 for r in results if r.ok)
     print("passed %d/%d cases" % (passed, len(results)), file=sys.stderr)
     if budget_hit:
@@ -525,28 +480,28 @@ def cmd_lfactor(args) -> int:
         alpha = _resolve(args, "alpha", _parse_clist, None)
         if alpha is None:
             raise _UsageError("--alpha is required at the archimedean place")
-        _emit_scalar(fmt, archimedean_lfactor(alpha, _parse_complex(s_raw)))
-        return 0
+        value = archimedean_lfactor(alpha, _parse_complex(s_raw))
+    else:
+        try:
+            p = int(place)
+        except ValueError:
+            raise _UsageError(f"--place must be 'inf' or a prime integer, got {place!r}")
+        satake = _resolve(args, "satake", _parse_fraction_list, None)
+        if satake is None:
+            raise _UsageError("--satake is required at a finite place")
+        sigma = SatakeClass(satake, p)
 
-    try:
-        p = int(place)
-    except ValueError:
-        raise _UsageError(f"--place must be 'inf' or a prime integer, got {place!r}")
-    satake = _resolve(args, "satake", _parse_fraction_list, None)
-    if satake is None:
-        raise _UsageError("--satake is required at a finite place")
-    sigma = SatakeClass(satake, p)
-
-    s_frac: Fraction | None
-    try:
-        s_frac = Fraction(s_raw)
-    except (ValueError, ZeroDivisionError):
-        s_frac = None
-    if s_frac is not None and s_frac.denominator == 1:
-        _emit_scalar(fmt, local_lfactor_p_exact(sigma, int(s_frac)))
-        return 0
-    s_val = _parse_complex(s_raw) if s_frac is None else complex(float(s_frac))
-    _emit_scalar(fmt, local_lfactor_p(sigma, s_val))
+        s_frac: Fraction | None
+        try:
+            s_frac = Fraction(s_raw)
+        except (ValueError, ZeroDivisionError):
+            s_frac = None
+        if s_frac is not None and s_frac.denominator == 1:
+            value = local_lfactor_p_exact(sigma, int(s_frac))
+        else:
+            s_val = _parse_complex(s_raw) if s_frac is None else complex(float(s_frac))
+            value = local_lfactor_p(sigma, s_val)
+    _emit(fmt, [[("value", value)]], _bare_value)
     return 0
 
 
@@ -613,7 +568,7 @@ def cmd_kernel(args) -> int:
         base = list(xt)
 
     if sweep is None:
-        _emit_scalar(fmt, evaluate(base))
+        _emit(fmt, [[("value", complex(evaluate(base)))]], _bare_value)
         return 0
 
     idx, start, stop, count = sweep
@@ -623,14 +578,9 @@ def cmd_kernel(args) -> int:
     for t in np.linspace(start, stop, count):
         pt = list(base)
         pt[idx] = float(t)
-        rows.append((float(t), evaluate(pt)))
-    if fmt == "json":
-        for t, v in rows:
-            print('{"t": %s, "value": %s}' % (_json_float(t), _json_scalar(v)))
-    else:
-        print("t,re,im")
-        for t, v in rows:
-            print("%s,%s,%s" % (_f(t), _f(v.real), _f(v.imag)))
+        rows.append([("t", float(t)), ("value", complex(evaluate(pt)))])
+    # A sweep is a table for plotting, so text prints it as CSV.
+    _emit("csv" if fmt == "text" else fmt, rows)
     return 0
 
 
@@ -681,7 +631,7 @@ def _build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="run an identity-verification suite")
     pv.add_argument("--suite", help="suite name; one of " + ", ".join(sorted(_SUITES)))
     pv.add_argument("--rank", help="restrict suite cases to this rank (baxter-eigen)")
-    pv.add_argument("--n", help="maximum parameter-multiset size (tq-padic)")
+    pv.add_argument("--n", help="maximum parameter-multiset size, 1 to 5 (tq-padic)")
     pv.add_argument("--trials", help="number of random trials (tq-padic)")
     _add_accuracy(pv)
     _add_common(pv)
@@ -712,40 +662,22 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "func", None) is None:
+            raise _UsageError(
+                "a command is required (eval, baxter-apply, verify, lfactor, kernel)"
+            )
+        args._config_dict = _load_config(args.config) if args.config else {}
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        print(
-            "error: a command is required (eval, baxter-apply, verify, lfactor, kernel)",
-            file=sys.stderr,
-        )
-        return 1
-    config_path = getattr(args, "config", None)
-    try:
-        args._config_dict = _load_config(config_path) if config_path else {}
-    except OSError as exc:
-        print(f"error: cannot read config file: {exc}", file=sys.stderr)
-        return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:
         print(f"BudgetExceeded: {exc}", file=sys.stderr)
         return 2
-    except (PoleError, RankError, ShiftError, ContourError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, TodaWhittakerError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -64,14 +64,13 @@ __all__ = [
     "dual_baxter_apply",
     "mb_closed_form_batch",
     "CommutationCheck",
+    "IdentityCheck",
     "commutation_residual",
-    "LoweringCheck",
     "lowering_compatibility",
     "spherical_function_rank2",
     "gaussian_zonal_function",
     "spherical_transform_rank2",
     "universal_baxter_phi",
-    "SphericalTransformCheck",
     "spherical_transform_check_rank2",
 ]
 
@@ -325,6 +324,19 @@ def dual_baxter_apply(
 
 
 @dataclass(frozen=True)
+class IdentityCheck:
+    """Both sides of an identity, with the quadrature error behind them."""
+
+    lhs: complex
+    rhs: complex
+    abs_error: float
+
+    @property
+    def residual(self) -> float:
+        return abs(self.lhs - self.rhs)
+
+
+@dataclass(frozen=True)
 class CommutationCheck:
     """Both orderings of a double application, with the quadrature error."""
 
@@ -397,19 +409,6 @@ def commutation_residual(
     return CommutationCheck(r_ab.value, r_ba.value, r_ab.abs_error + r_ba.abs_error)
 
 
-@dataclass(frozen=True)
-class LoweringCheck:
-    """Both sides of the rank-lowering compatibility identity."""
-
-    lhs: complex
-    rhs: complex
-    abs_error: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
 def lowering_compatibility(
     gamma: complex,
     lam: complex,
@@ -417,7 +416,7 @@ def lowering_compatibility(
     x: float,
     tol: float = 1e-7,
     max_evals: int = _DEFAULT_MAX_EVALS,
-) -> LoweringCheck:
+) -> IdentityCheck:
     """Check that the two-variable operator slides through the rank-lowering
     step kernel onto the one-variable operator, up to one Gamma factor.
 
@@ -458,7 +457,7 @@ def lowering_compatibility(
     factor = cmath.exp(log_gamma(1j * gamma - 1j * lam))
     rhs = factor * rhs_int.value
     err = lhs.abs_error + abs(factor) * rhs_int.abs_error
-    return LoweringCheck(lhs.value, rhs, err)
+    return IdentityCheck(lhs.value, rhs, err)
 
 
 # ---------------------------------------------------------------------------
@@ -710,26 +709,12 @@ def universal_baxter_phi(g_matrix, lam: complex) -> complex:
     return float(2**n) * cmath.exp(complex(min(expo.real, 709.0), expo.imag))
 
 
-@dataclass(frozen=True)
-class SphericalTransformCheck:
-    """Zonal-average value and its Gamma-product prediction, with the
-    quadrature error of the left side."""
-
-    lhs: complex
-    rhs: complex
-    abs_error: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
 def spherical_transform_check_rank2(
     gamma,
     lam: complex,
     tol: float = 1e-5,
     max_evals: int = _DEFAULT_MAX_EVALS,
-) -> SphericalTransformCheck:
+) -> IdentityCheck:
     """Check the rank-2 symmetric-space reduction.
 
     The left side pairs the Gaussian-type zonal weight against the rank-2
@@ -740,4 +725,4 @@ def spherical_transform_check_rank2(
     """
     inner = spherical_transform_rank2(lam, gamma, tol, max_evals)
     rhs = baxter_eigenvalue(lam, gamma, convention="iwasawa_pi")
-    return SphericalTransformCheck(inner.value, rhs, inner.abs_error)
+    return IdentityCheck(inner.value, rhs, inner.abs_error)

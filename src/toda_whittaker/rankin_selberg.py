@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContourError, RankError, ShiftError
-from .gl_baxter import _LIE, MIN_SPECTRAL_GAP, _kernel_exponent_rows
+from .gl_baxter import _LIE, MIN_SPECTRAL_GAP, IdentityCheck, _kernel_exponent_rows
 from .gl_whittaker import _step_exponent_rows, closed_form_gl2_batch
 from .numerics import (
     _quadrature_budget,
@@ -51,7 +50,6 @@ __all__ = [
     "stade_kernel",
     "double_step_kernel",
     "barnes_gustafson_check",
-    "BarnesCheck",
 ]
 
 def _eigenfunction_rows(lam: tuple[complex, ...], xs: np.ndarray, budget) -> np.ndarray:
@@ -279,25 +277,12 @@ def double_step_kernel(
     return _integrate_truncated(integrand, box, tol, max_evals)
 
 
-@dataclass(frozen=True)
-class BarnesCheck:
-    """Both sides of the four-factor contour identity, with quadrature error."""
-
-    lhs: complex
-    rhs: complex
-    abs_error: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
 def barnes_gustafson_check(
     lambda2,
     gamma2,
     tol: float = 1e-8,
     max_evals: int = _DEFAULT_MAX_EVALS,
-) -> BarnesCheck:
+) -> IdentityCheck:
     """Check the first contour identity for four Gamma factors.
 
     The left side integrates ``(1/2 pi) Gamma(i u - i a_1) Gamma(i u - i a_2)
@@ -352,4 +337,4 @@ def barnes_gustafson_check(
     inner = integrate_contour(
         integrand, ContourSpec([[offset]]), 4, 0.9 * tol, max_evals
     )
-    return BarnesCheck(inner.value, rhs, inner.abs_error + 0.1 * tol)
+    return IdentityCheck(inner.value, rhs, inner.abs_error + 0.1 * tol)

@@ -55,7 +55,7 @@ def _rel(a: complex, b: complex) -> float:
 
 def _run_suite(name):
     """Every case of a ``verify`` suite at its default options."""
-    return [run() for _, run in checks.SUITES[name](checks.SuiteOptions())]
+    return [run() for _, run in checks.SUITES[name]()]
 
 
 # The expensive rank-2 pi-convention operator application is shared between

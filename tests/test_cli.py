@@ -1,17 +1,58 @@
 """Command-line interface: verbs, exit codes, formats, and config handling."""
 
+import inspect
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from toda_whittaker import cli, gl_whittaker
 from toda_whittaker.errors import BudgetExceeded
+from toda_whittaker.gl_baxter import baxter_eigenfunction, baxter_eigenvalue
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestEmit:
+    RECORDS = [
+        [("value", complex(1.5, -0.0)), ("ratio", Fraction(3, 4)), ("gap", math.nan),
+         ("big", math.inf), ("count", 7), ("ok", True), ("case", "a-b")],
+        [("value", complex(-2.0, 0.25)), ("ratio", Fraction(-1, 3)), ("gap", 0.1),
+         ("big", -math.inf), ("count", 0), ("ok", False), ("case", "c")],
+    ]
+
+    def test_json(self, capsys):
+        cli._emit("json", self.RECORDS)
+        assert capsys.readouterr().out == (
+            '{"value": {"re": 1.5, "im": -0}, "ratio": {"num": "3", "den": "4"}, "gap": NaN, '
+            '"big": Infinity, "count": 7, "ok": true, "case": "a-b"}\n'
+            '{"value": {"re": -2, "im": 0.25}, "ratio": {"num": "-1", "den": "3"}, '
+            '"gap": 0.10000000000000001, "big": -Infinity, "count": 0, "ok": false, "case": "c"}\n'
+        )
+
+    def test_csv(self, capsys):
+        cli._emit("csv", self.RECORDS)
+        assert capsys.readouterr().out == (
+            "re,im,ratio_re,ratio_im,gap,big,count,ok,case\n"
+            "1.5,-0,0.75,0,nan,inf,7,true,a-b\n"
+            "-2,0.25,-0.33333333333333331,0,0.10000000000000001,-inf,0,false,c\n"
+        )
+
+    def test_text(self, capsys):
+        cli._emit("text", self.RECORDS[:1])
+        assert capsys.readouterr().out == (
+            "value = 1.5 - 0j\nratio = 0.75 + 0j\ngap = nan\nbig = inf\n"
+            "count = 7\nok = true\ncase = a-b\n"
+        )
+
+    def test_text_layout_of_a_verb(self, capsys):
+        cli._emit("text", self.RECORDS, lambda record: record[-1][1].upper())
+        assert capsys.readouterr().out == "A-B\nC\n"
 
 
 class TestEval:
@@ -153,7 +194,7 @@ class TestVerify:
         monkeypatch.setitem(
             cli._SUITES,
             "always-fail",
-            lambda o: [
+            lambda: [
                 ("boom", lambda: cli.CaseResult("boom", 0.0, 1.0, 1.0, 1e-8, False))
             ],
         )
@@ -162,15 +203,29 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_budget_hit_exits_2(self, capsys, monkeypatch):
+        # The record once made up its numbers: lhs 0, rhs 0, residual 1e300
+        # and tol 0.  It has none, so they print as NaN and Infinity.
         def _raise():
             raise BudgetExceeded("out of evaluations", result=0.0,
                                  max_evaluations=10)
 
         monkeypatch.setitem(
-            cli._SUITES, "always-budget", lambda o: [("slow", _raise)]
+            cli._SUITES, "always-budget", lambda: [("slow", _raise)]
         )
-        code, out, err = run(["verify", "--suite", "always-budget"], capsys)
+        code, out, err = run(["verify", "--suite", "always-budget", "--format", "json"], capsys)
         assert code == 2
+        record = json.loads(out)
+        assert record["case"] == "slow" and record["pass"] is False
+        assert all(math.isnan(record[side][part]) for side in ("lhs", "rhs") for part in ("re", "im"))
+        assert math.isnan(record["tol"]) and record["residual"] == math.inf
+
+    @pytest.mark.parametrize("n", ["0", "6", "-3"])
+    def test_n_out_of_range_fails(self, n, capsys):
+        # These once ran as n = 1 (0, -3) and n = 5 (6), with exit 0.
+        code, out, err = run(["verify", "--suite", "tq-padic", "--n=" + n], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--n must be between 1 and 5" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -224,8 +279,14 @@ class TestVerify:
         code, out, err = run(["verify", "--suite", "toda", "--config", str(cfg)], capsys)
         assert code == 0
 
-    def test_every_suite_declares_its_options(self):
-        assert set(cli._SUITE_OPTIONS) == set(cli._SUITES)
+    def test_suite_parameters_are_verify_options(self):
+        # A suite reads the options its parameters name: each must be a
+        # verify flag, and each verify option must be read by some suite.
+        args = cli._build_parser().parse_args(["verify"])
+        reads = [set(inspect.signature(suite).parameters) for suite in cli._SUITES.values()]
+        assert all(params <= set(cli._OPTIONS) for params in reads)
+        assert set().union(*reads) == set(cli._OPTIONS)
+        assert all(hasattr(args, name) for name in cli._OPTIONS)
 
 
 class TestLFactor:
@@ -351,3 +412,22 @@ class TestConfigAndDispatch:
         assert code == 0
         payload = json.loads(out)
         assert payload["residual"] < 1e-5
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_baxter_apply_budget_hit_keeps_its_prediction(self, fmt, capsys):
+        # The prediction is a closed form; it was printed as 0 with an
+        # infinite residual (json, csv) or left out (text) once the budget
+        # ran out.
+        code, out, err = run(
+            ["baxter-apply", "--gamma=-1.2j", "--lambda", "0.4", "--y", "0.2",
+             "--tol", "1e-12", "--budget", "50", "--format", fmt],
+            capsys,
+        )
+        assert code == 2
+        prediction = baxter_eigenvalue(-1.2j, (0.4,), "lie") * baxter_eigenfunction((0.4,), (0.2,), "lie")
+        assert cli._f(prediction.real) in out and cli._f(prediction.imag) in out
+        assert "inf" not in out.lower()
+        if fmt == "json":
+            record = json.loads(out)
+            value = complex(record["value"]["re"], record["value"]["im"])
+            assert record["residual"] == abs(value - prediction)
