@@ -59,7 +59,7 @@ class ShiftError(TodaWhittakerError, ValueError):
 
 
 class BudgetExceeded(TodaWhittakerError, RuntimeError):
-    """An adaptive integration ran out of its evaluation budget.
+    """An integration ran out of its evaluation budget.
 
     Attributes
     ----------

@@ -49,6 +49,7 @@ from .quadrature import (
     _integrate_truncated,
     _rate_reach,
     _wall_reach,
+    integrate_box,
     stable_exp,
 )
 
@@ -683,7 +684,12 @@ def spherical_transform_rank2(
         weight = _zonal_weight_rows(lam, xs) * 2.0 * np.sinh(dv)
         return math.pi * 0.5 * weight * _spherical_rows((g[0], g[1]), xs)
 
-    return _integrate_truncated(f, box, tol, max_evals)
+    # The side d = 0 is the chamber's wall, where the integrand does not
+    # vanish and the trapezoid rule of _integrate_truncated is only second
+    # order: the adaptive engine takes the box, with the same accounting.
+    inner = integrate_box(f, box, 0.9 * tol, max_evals)
+    err = inner.abs_error + tol / 10.0
+    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
 
 
 def universal_baxter_phi(g_matrix, lam: complex) -> complex:

@@ -9,9 +9,11 @@ coordinate step of a pattern into one integral and is the reference;
 :func:`mellin_barnes_eval` a spectral step over the rank below in closed
 form, and in :func:`mixed_eval` ``word[-1]`` picks the top step and
 ``word[0]`` the model in which the rank below is computed at its nodes.
-Spectral variables always go to the trapezoid rule and a step's coordinate
-variables to the adaptive box; a rank-1 level below a step is computed on
-fixed grids (Gauss-Legendre rules, or the trapezoid rule if spectral).
+Spectral variables always go to the trapezoid rule, and so do a step's
+coordinate variables (a 1-D or 2-D box on the lattice of
+:func:`~toda_whittaker.quadrature._integrate_truncated`); a rank-1 level
+below a step is computed on fixed grids (Gauss-Legendre rules, or the
+trapezoid rule if spectral).
 
 Spectral parameters are plain sequences in the Givental convention. The
 spectral-plane model uses globally negated parameters internally (the two
@@ -215,7 +217,7 @@ def givental_recursive_eval(
     lam, x, tol: float = 1e-8, max_evals: int = _DEFAULT_MAX_EVALS
 ) -> QuadratureResult:
     """Same function as :func:`givental_eval`, computed as one coordinate
-    step, an adaptive integral over the next row down, over the rank below.
+    step, an integral over the next row down, over the rank below.
     At rank 2 the rank below is the rank-1 coordinate model, integrated at
     each node of the step on Gauss-Legendre rules that double until the node
     is settled.  ``max_evals`` caps the evaluations of the step and of the
@@ -438,10 +440,11 @@ def _spectral_rank1(l1: complex, l2: complex, y1, y2, inner_tol: float, tally: l
     ``exp(i y2 (l1 + l2)) / (2 pi)`` times
     ``integral Gamma(iu + i l1) Gamma(iu + i l2) e^{iu (y2 - y1)} du`` along
     its default contour, by the trapezoid rule of nested steps 1/2, 1/4, ...,
-    whose Gamma row is computed once for all rows."""
+    whose Gamma row is computed once for all rows.  The integral is taken
+    once per distinct ``y2 - y1``; on a lattice many rows share one."""
     c = default_contour((l1, l2)).flat[0]
     radius, _ = _trapezoid_radius(inner_tol, 1, 2)
-    delta = y2 - y1
+    delta, inverse = np.unique(y2 - y1, return_inverse=True)
 
     def estimate(k: int, rows: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, int]:
         j = np.arange(-(radius << k), (radius << k) + 1)
@@ -451,7 +454,7 @@ def _spectral_rank1(l1: complex, l2: complex, y1, y2, inner_tol: float, tally: l
         return (new if prev is None else 0.5 * prev + new), u.size
 
     integral = _settle(estimate, delta.size, _TRAPEZOID_STEPS, inner_tol, tally)
-    return np.exp(1j * y2 * (l1 + l2)) / (2.0 * math.pi) * integral
+    return np.exp(1j * y2 * (l1 + l2)) / (2.0 * math.pi) * integral[inverse]
 
 
 def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureResult:

@@ -426,8 +426,11 @@ def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> n
 
 
 def _macdonald_grid(nu: complex, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
-    """K_nu(y_i) for one order and an array of positive arguments."""
-    return _macdonald(complex(nu), y, budget)
+    """K_nu(y_i) for one order and a 1-D array of positive arguments,
+    evaluated once per distinct argument: on a lattice in the relative
+    coordinate, many nodes share one."""
+    values, inverse = np.unique(y, return_inverse=True)
+    return _macdonald(complex(nu), values, budget)[inverse]
 
 
 def _macdonald_pairs(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:

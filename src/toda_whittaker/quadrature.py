@@ -1,11 +1,8 @@
 """Deterministic quadrature in one to six dimensions.
 
-Two engines, one per job: adaptive cubature over real boxes, and the
-trapezoid rule along contours.
+Two engines: the trapezoid rule on a dyadic lattice, and adaptive cubature
+over real boxes.
 
-* :func:`integrate_box` — adaptive integration over an explicit box, using a
-  Gauss–Kronrod 7/15 pair in one dimension and an embedded degree-7/5
-  fully-symmetric cubature rule in dimensions two through six.
 * :func:`integrate_contour` — integration over horizontal lines in the complex
   plane (fixed imaginary offsets) by the tensor trapezoid rule, halving a
   dyadic step until two successive sums agree; the lines are truncated using
@@ -13,6 +10,9 @@ trapezoid rule along contours.
   the caller.  Its integrands are analytic in a strip around the lines and
   decay exponentially, where the trapezoid rule converges geometrically
   (Trefethen and Weideman, SIAM Review 56, 2014).
+* :func:`integrate_box` — adaptive integration over an explicit box, using a
+  Gauss–Kronrod 7/15 pair in one dimension and an embedded degree-7/5
+  fully-symmetric cubature rule in dimensions two through six.
 
 Coordinate-space integrals run over the whole of R^d and are cut to a box by
 one truncation rule.  Each side the box truncates ends either behind a
@@ -20,19 +20,24 @@ double-exponential wall ``exp(-e^u)`` (cut at :func:`_wall_reach` past the
 wall's foot) or in a single exponential tail (cut at :func:`_rate_reach`);
 either way the neglected tail is at most ``tol / 10`` split over the truncated
 sides.  :func:`_integrate_truncated` integrates the box to ``0.9 tol`` and
-adds ``tol / 10`` for the tails, so the reported error covers both.
+adds ``tol / 10`` for the tails, so the reported error covers both.  Its
+integrands are entire and vanish at every side of the box, so one- and
+two-dimensional boxes take the contours' trapezoid rule on the lattice
+``2**-k Z^d``; boxes of three or more dimensions take the adaptive engine,
+and so does the one box with a true edge, the spherical transform's
+chamber.
 
 Integrand contract
 ------------------
 Integrands are vectorized: ``f(points)`` receives an ``(m, d)`` array (real
-for the box integrator, complex for the contour integrator) and must
+for the box integrators, complex for the contour integrator) and must
 return an ``(m,)`` complex array. Tolerances are absolute.
 
-Determinism: identical inputs produce bit-identical results.  The adaptive
-engine keeps its regions as arrays in creation order; which regions a
-generation splits depends only on their error estimates, and the value and
-error bound are NumPy sums over the regions in that order.  The trapezoid
-rule sums its nodes in a fixed order.
+Determinism: identical inputs produce bit-identical results.  The trapezoid
+rule sums its nodes in a fixed order.  The adaptive engine keeps its regions
+as arrays in creation order; which regions a generation splits depends only
+on their error estimates, and the value and error bound are NumPy sums over
+the regions in that order.
 """
 
 from __future__ import annotations
@@ -478,39 +483,59 @@ def _rate_reach(tol: float, sides: int, rate: float) -> float:
 def _integrate_truncated(
     f: Callable[[np.ndarray], np.ndarray], box, tol: float, max_evals: int
 ) -> QuadratureResult:
-    """:func:`integrate_box` over a box cut by :func:`_wall_reach` and
+    """An integral over R^d of ``f``, cut to a box by :func:`_wall_reach` and
     :func:`_rate_reach`: the box to ``0.9 tol``, plus ``tol / 10`` for the
     tails it truncates; converged if the sum is within ``tol``.
+
+    One- and two-dimensional boxes go to the trapezoid rule on the dyadic
+    lattice ``2**-k Z^d`` (see :func:`integrate_contour`), each node
+    evaluated once; boxes of three or more dimensions go to
+    :func:`integrate_box`.  The lattice needs ``f`` to vanish to within the
+    tail bound on every side of the box, as it does past the walls and
+    tails: the sum over the nodes in the box then converges geometrically.
+    A box with a true edge, where the domain itself ends and ``f`` does not
+    vanish, would get only second order, so its caller takes
+    :func:`integrate_box` instead.
 
     Where the walls of a side cross before their reaches (``lo >= hi``),
     every point of that axis lies past one of them, so the whole integral
     is within the tail bound of zero; that side is kept one unit wide."""
     box = [(lo, max(hi, lo + 1.0)) for lo, hi in box]
-    inner = integrate_box(f, box, 0.9 * tol, max_evals)
-    err = inner.abs_error + tol / 10.0
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    if len(box) > 2:
+        inner = integrate_box(f, box, 0.9 * tol, max_evals)
+        err = inner.abs_error + tol / 10.0
+        return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    lo, hi = np.asarray(box, dtype=float).T
+    return _trapezoid(f, lo, hi, tol / 10.0, tol, max_evals)
+
+
+def _lattice(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The first index and the number of indices, per axis, of the nodes
+    ``2**-k j`` in the box ``[lo, hi]``.  The even indices at ``k + 1`` are
+    the doubled indices at ``k``."""
+    first = np.ceil(lo * 2.0**k).astype(int)
+    return first, tuple(int(n) for n in np.floor(hi * 2.0**k).astype(int) - first + 1)
 
 
 def _trapezoid_level(
-    g: Callable[[np.ndarray], np.ndarray], k: int, radius: int, d: int, first: bool
+    g: Callable[[np.ndarray], np.ndarray], k: int, lo: np.ndarray, hi: np.ndarray, first: bool
 ) -> tuple[complex, complex, int]:
-    """Sum of ``g`` over the nodes of step ``2**-k`` in the cube
-    ``[-radius, radius]**d`` -- all of them on the ``first`` level, else
-    those the level of step ``2**(1-k)`` lacks -- in C order and in chunks
-    of at most ``_TRAPEZOID_CHUNK`` enumerated nodes.
+    """Sum of ``g`` over the nodes ``2**-k j`` in the box ``[lo, hi]`` --
+    all of them on the ``first`` level, else those with an odd index, which
+    the level of step ``2**(1-k)`` lacks -- in C order and in chunks of at
+    most ``_TRAPEZOID_CHUNK`` enumerated nodes.
 
     Returns that sum, the part of it on the nodes of the step twice as long
     (``first`` level only; zero otherwise) and the number of nodes
     evaluated."""
-    half = radius << k
-    side = 2 * half + 1
-    total = side**d
+    corner, shape = _lattice(lo, hi, k)
+    total = math.prod(shape)
     step = 2.0**-k
     s_new = s_coarse = 0j
     count = 0
-    for lo in range(0, total, _TRAPEZOID_CHUNK):
-        flat = np.arange(lo, min(lo + _TRAPEZOID_CHUNK, total))
-        idx = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - half
+    for start in range(0, total, _TRAPEZOID_CHUNK):
+        flat = np.arange(start, min(start + _TRAPEZOID_CHUNK, total))
+        idx = np.stack(np.unravel_index(flat, shape), axis=1) + corner
         odd = (idx & 1).any(axis=1)
         if not first:
             idx = idx[odd]
@@ -520,6 +545,42 @@ def _trapezoid_level(
             s_coarse += vals[~odd].sum()
         count += idx.shape[0]
     return s_new, s_coarse, count
+
+
+def _trapezoid(
+    g: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tail: float,
+    tol: float,
+    max_evals: int,
+) -> QuadratureResult:
+    """The trapezoid rule on the nodes ``2**-k j`` in the box ``[lo, hi]``
+    for ``k = 1, 2, ...``: the sum ``T_h`` of ``g`` over them times ``h**d``.
+    Each halving evaluates only the nodes with an odd index.  The error is
+    ``|T_h - T_2h| + tail``; halving stops at the first ``h <= 1/4`` where
+    it is within ``tol``, or raises :class:`BudgetExceeded` before a halving
+    that would take the node count past ``max_evals``."""
+    k, d = 1, lo.size
+    # The first step is 1/2; its nodes on integers give T_1.
+    total, previous, evals = _trapezoid_level(g, k, lo, hi, True)
+    while True:
+        value = 2.0 ** (-k * d) * total
+        err = abs(value - previous) + tail
+        if k > 1 and err <= tol:
+            return QuadratureResult(value, err, evals, True)
+        if math.prod(_lattice(lo, hi, k + 1)[1]) > max_evals:
+            raise BudgetExceeded(
+                f"evaluation budget {max_evals} exhausted at step {2.0**-k} "
+                f"(error {err:.3e}, tol {tol:.3e})",
+                result=QuadratureResult(value, err, evals, False),
+                max_evaluations=max_evals,
+            )
+        k += 1
+        s_new, _, count = _trapezoid_level(g, k, lo, hi, False)
+        total += s_new
+        evals += count
+        previous = value
 
 
 def _trapezoid_radius(tol: float, d: int, gamma_decay_count: int) -> tuple[int, float]:
@@ -550,11 +611,13 @@ def integrate_contour(
 
     The rule: the sum ``T_h`` of ``f`` over every node of step ``h`` in the
     cube ``[-radius, radius]**d``, scaled by ``h**d``, for ``h = 1/2, 1/4,
-    ...``.  The steps are dyadic, so each halving evaluates only the nodes
-    the step before lacks, and node coordinates (and their differences) are
-    exact.  On integrands analytic in a strip around the contour the error
-    falls like ``exp(-2 pi w / h)``, ``w`` the distance to the nearest
-    singularity.
+    ...``.  The nodes are integer multiples of ``h``, so each halving
+    evaluates only the nodes the step before lacks, and node coordinates
+    (and their differences) are exact.  The same halving loop integrates the
+    truncated 1-D and 2-D boxes of the coordinate-space integrals, on the
+    lattice nodes inside each box.  On integrands analytic in a strip around
+    the contour the error falls like ``exp(-2 pi w / h)``, ``w`` the
+    distance to the nearest singularity.
 
     Error estimate: ``abs_error`` is ``|T_h - T_2h|`` plus the bound on the
     truncated tails (``T_1`` is summed from the nodes of step ``1/2`` that
@@ -584,24 +647,4 @@ def integrate_contour(
     def g(t: np.ndarray) -> np.ndarray:
         return np.asarray(f(t + 1j * offsets[None, :]), dtype=complex)
 
-    # The first step is 1/2; its nodes on integers give T_1.
-    k = 1
-    total, previous, evals = _trapezoid_level(g, k, radius, d, True)
-    while True:
-        value = 2.0 ** (-k * d) * total
-        err = abs(value - previous) + tail
-        if k > 1 and err <= tol:
-            return QuadratureResult(value, err, evals, True)
-        half = radius << (k + 1)
-        if evals + (2 * half + 1) ** d - (half + 1) ** d > max_evals:
-            raise BudgetExceeded(
-                f"evaluation budget {max_evals} exhausted at step {2.0**-k} "
-                f"(error {err:.3e}, tol {tol:.3e})",
-                result=QuadratureResult(value, err, evals, False),
-                max_evaluations=max_evals,
-            )
-        k += 1
-        s_new, _, count = _trapezoid_level(g, k, radius, d, False)
-        total += s_new
-        evals += count
-        previous = value
+    return _trapezoid(g, np.full(d, -float(radius)), np.full(d, float(radius)), tail, tol, max_evals)

@@ -10,15 +10,17 @@ the fused coordinate model at a hundredth of the tolerance for the rank-2
 spectral-plane model and every rank-2 mixed word, and the Gamma-product side
 of the Barnes identity.
 
-Coordinate-space integrals (the adaptive box, cut by the truncation rule):
+Coordinate-space integrals (cut to a box by the truncation rule; the
+trapezoid rule on the 1-D and 2-D boxes, the adaptive engine on the others):
 mpmath's Bessel K and Gamma products for the gl2 models, the Baxter operator
 in its three conventions, the so operator, the kernel contraction, both
 sides of the rank-lowering identity, the pairing integrals and the spherical
 transform; for the gl3 coordinate models the spectral-plane model, and for
 each so5 model and each commutation ordering the other model or ordering,
-at a tighter tolerance.  A seeded sweep covers the 2-4-d boxes once more:
-the fused so5 model, the level-2 kernel contraction, the gl3 coordinate model
-and the rank-lowering residual.
+at a tighter tolerance.  A seeded sweep covers the 1-4-d boxes once more:
+the fused so5 model, the level-2 kernel contraction, the gl3 coordinate model,
+the rank-lowering residual, and the Baxter operator at one and two variables
+in its three conventions against its eigenvalue times its eigenfunction.
 """
 
 import cmath
@@ -30,7 +32,9 @@ import pytest
 from toda_whittaker.gl_baxter import (
     _double_apply_fused,
     baxter_apply,
+    baxter_eigenfunction,
     baxter_eigenfunction_batch,
+    baxter_eigenvalue,
     dual_baxter_apply,
     lowering_compatibility,
     spherical_transform_rank2,
@@ -322,12 +326,29 @@ def _sweep_lowering(rng):
     assert chk.residual <= chk.abs_error
 
 
-@pytest.mark.parametrize("draw, count", [(_sweep_so5, 4), (_sweep_double_step, 10), (_sweep_gl3, 6),
-                                         (_sweep_lowering, 10)], ids=["so5", "double_step", "gl3", "lowering"])
+def _sweep_baxter(n):
+    def draw(rng):
+        lam, y = tuple(rng.uniform(-0.6, 0.6, size=n)), tuple(rng.uniform(-0.5, 0.5, size=n))
+        tol = 10.0 ** rng.uniform(-9.0, -4.0)
+        for conv in ("lie", "iwasawa", "iwasawa_pi"):
+            gamma = -1j * (float(rng.uniform(0.0, 0.4)) + (1.0 if conv == "lie" else 2.2) + n - 1)
+            res = baxter_apply(lambda xs: baxter_eigenfunction_batch(lam, xs, conv), y, gamma, conv, tol,
+                               psi_spectral=lam)
+            _covers(res, baxter_eigenvalue(gamma, lam, conv) * baxter_eigenfunction(lam, y, conv))
+
+    return draw
+
+
+@pytest.mark.parametrize(
+    "draw, count",
+    [(_sweep_so5, 4), (_sweep_double_step, 10), (_sweep_gl3, 6), (_sweep_lowering, 10),
+     (_sweep_baxter(2), 10), (_sweep_baxter(1), 4)],
+    ids=["so5", "double_step", "gl3", "lowering", "baxter_rank2", "baxter_rank1"],
+)
 def test_box_sweep(draw, count):
-    # The 2-4-d boxes over wider draws than the tests above: the order in
-    # which the engine refines its regions decides whether their error bars
-    # hold.
+    # The 1-4-d boxes over wider draws than the tests above: the order in
+    # which the adaptive engine refines its regions, or the step at which
+    # the lattice stops, decides whether their error bars hold.
     rng = np.random.default_rng(92)
     for _ in range(count):
         draw(rng)

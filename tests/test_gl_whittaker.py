@@ -10,6 +10,7 @@ import pytest
 from toda_whittaker.errors import ContourError, RankError
 from toda_whittaker.gl_whittaker import (
     _coordinate_rank1,
+    _spectral_rank1,
     closed_form_gl2,
     closed_form_gl2_batch,
     givental_eval,
@@ -150,6 +151,26 @@ class TestEvaluators:
         assert np.array_equal(_coordinate_rank1(p[:, 0], p[:, 1], 0.3, -0.2, a, 1e-8, tally), rows)
         _coordinate_rank1(np.unique(p[:, 0] - p[:, 1]), 0.0, 0.3, -0.2, a, 1e-8, once)
         assert tally[0] == once[0]  # the nodes of the 49 distinct differences
+
+    def test_rl_rank1_dedupe_keeps_the_bits(self):
+        # RL integrates its rank-1 spectral level once per distinct
+        # difference of its lattice rows, with the same bits as row by row.
+        t = np.arange(-8, 9) / 4.0
+        y = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        l1, l2, tally, once = 0.6, 0.1, [0, 0.0], [0, 0.0]
+        rows = np.concatenate([_spectral_rank1(l1, l2, q[:1], q[1:], 1e-8, [0, 0.0]) for q in y])
+        assert np.array_equal(_spectral_rank1(l1, l2, y[:, 0], y[:, 1], 1e-8, tally), rows)
+        _spectral_rank1(l1, l2, 0.0, np.unique(y[:, 1] - y[:, 0]), 1e-8, once)
+        assert tally == once  # the nodes of the 33 distinct differences
+
+    def test_rl_converges_at_its_default_tol(self):
+        # It raised BudgetExceeded here: its rank-1 level was summed afresh
+        # at each of the step's adaptive nodes (4,177,636 evaluations
+        # against the default 4,000,000).
+        lam, x = (0.6, 0.1, -0.45), (0.3, -0.2, 0.5)
+        res = mixed_eval("RL", lam, x)
+        assert res.converged and res.evaluations <= 4_000_000
+        assert abs(res.value - mellin_barnes_eval(lam, x, 1e-10).value) <= res.abs_error
 
     def test_words_of_one_model_are_the_plain_evaluators(self):
         lam, x = (0.6, 0.1, -0.45), (0.3, -0.2, 0.5)

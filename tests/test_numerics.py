@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toda_whittaker import numerics
 from toda_whittaker.errors import ConvergenceError
+from toda_whittaker.gl_whittaker import closed_form_gl2_batch
 from toda_whittaker.numerics import (
     _BLOCK,
     _DEFAULT_BUDGET,
@@ -216,6 +218,19 @@ class TestMacdonald:
         ys = 10.0 ** rng.uniform(-6.0, math.log10(700.0), orders.size)
         pairs = _macdonald_pairs(orders, ys, _DEFAULT_BUDGET)
         assert all(pairs[i] == macdonald_k(nu, y) for i, (nu, y) in enumerate(zip(orders, ys)))
+
+    def test_one_value_per_distinct_argument_on_lattice_rows(self, monkeypatch):
+        # On lattice rows the relative coordinate x_1 - x_2 takes few
+        # values: the kernel runs once per distinct one, with the same bits
+        # as row by row.
+        t = np.arange(-12, 13) / 8.0
+        xs = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        lam = (0.6, -0.35)
+        rows = np.concatenate([closed_form_gl2_batch(lam, xs[i:i + 1]) for i in range(len(xs))])
+        points, kernel = [], numerics._macdonald
+        monkeypatch.setattr(numerics, "_macdonald", lambda nu, y, b: points.append(y.size) or kernel(nu, y, b))
+        assert np.array_equal(closed_form_gl2_batch(lam, xs), rows)
+        assert points == [np.unique(xs[:, 0] - xs[:, 1]).size] == [49]
 
     def test_unreachable_accuracy_raises(self):
         # K_50(1e-6) is about 1e377: no float holds it.

@@ -1,5 +1,6 @@
 """Deterministic integration: adaptive over boxes, cut to a box by one
-truncation rule on R^d, trapezoid along contours."""
+truncation rule on R^d, trapezoid along contours and on the truncated 1-D
+and 2-D boxes."""
 
 import math
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_whittaker import quadrature
+from toda_whittaker import gl_baxter, quadrature
 from toda_whittaker.errors import BudgetExceeded
 from toda_whittaker.gl_baxter import (
+    _double_apply_fused,
     baxter_apply,
     baxter_eigenfunction_batch,
     dual_baxter_apply,
@@ -160,6 +162,86 @@ class TestTruncation:
         for res in (givental_eval((0.5, -0.5), (14.0, 0.0), 1e-8), so_givental_eval((0.5,), (14.0,), 1e-8)):
             assert res.converged
             assert abs(res.value) <= res.abs_error
+
+
+def _gaussian_2d(p):
+    return np.exp(-(p[:, 0] - 0.3) ** 2 - 0.5 * (p[:, 1] + 0.2) ** 2 + 0.4j * p[:, 0]) + 0j
+
+
+class TestLattice:
+    """The trapezoid rule on the truncated 1-D and 2-D boxes."""
+
+    BOX = [(-6.7, 7.3), (-8.2, 8.1)]
+
+    def test_gaussian_2d(self):
+        # integral of exp(-(u - 0.3)^2 - (v + 0.2)^2 / 2 + 0.4i u) over R^2.
+        exact = math.sqrt(2.0) * math.pi * np.exp(0.12j - 0.04)
+        for tol in (1e-4, 1e-8, 1e-12):
+            res = _integrate_truncated(_gaussian_2d, self.BOX, tol, 10**6)
+            assert res.converged
+            assert abs(res.value - exact) <= res.abs_error <= tol
+
+    def test_evaluations_are_the_last_steps_nodes_in_the_box(self):
+        # Each node is evaluated once; together they are every node of the
+        # last step that lies in the box, on multiples of the step anchored
+        # at 0 (not at the box corner).
+        rows = []
+
+        def f(p):
+            rows.append(p.copy())
+            return _gaussian_2d(p)
+
+        res = _integrate_truncated(f, self.BOX, 1e-10, 10**6)
+        pts = np.concatenate(rows)
+        step = min(np.diff(np.unique(pts[:, 0])).min(), np.diff(np.unique(pts[:, 1])).min())
+        assert len(rows) > 1 and math.log2(step) == round(math.log2(step)) <= -2
+        assert np.array_equal(pts / step, np.round(pts / step))
+        count = 1
+        for lo, hi in self.BOX:
+            count *= math.floor(hi / step) - math.ceil(lo / step) + 1
+        assert res.evaluations == pts.shape[0] == np.unique(pts, axis=0).shape[0] == count
+
+    def test_repeated_calls_are_bit_identical(self):
+        a = _integrate_truncated(_gaussian_2d, self.BOX, 1e-9, 10**6)
+        b = _integrate_truncated(_gaussian_2d, self.BOX, 1e-9, 10**6)
+        assert (a.value, a.abs_error, a.evaluations) == (b.value, b.abs_error, b.evaluations)
+
+    def test_budget_exceeded_carries_the_partial_result(self):
+        with pytest.raises(BudgetExceeded) as info:
+            _integrate_truncated(_gaussian_2d, self.BOX, 1e-12, 500)
+        res = info.value.result
+        assert not res.converged
+        assert res.evaluations > 500  # the first step always runs
+        assert abs(res.value - math.sqrt(2.0) * math.pi * np.exp(0.12j - 0.04)) < 1e-2
+
+    def test_engine_choice(self, monkeypatch):
+        # 1-D and 2-D boxes go to the lattice; 3-D and 4-D boxes and the
+        # spherical chamber, whose side d = 0 is a true edge, go to the
+        # adaptive engine.
+        used = []
+        for module, name in ((quadrature, "integrate_box"), (gl_baxter, "integrate_box"), (quadrature, "_trapezoid")):
+            engine = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, engine=engine, name=name: used.append(name) or engine(*a))
+        expected = {
+            "integrate_box": [
+                lambda: givental_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-4),  # 3-D
+                lambda: so_givental_eval((0.4, 0.1), (0.0, 0.3), 1e-3),  # 4-D
+                lambda: _double_apply_fused(-1.4j, -0.9j, (0.4, -0.4), np.array([0.2, -0.1]), 1e-3, 10**6),
+                lambda: spherical_transform_rank2(-1.7j, (0.3, -0.3), 1e-4),
+            ],
+            "_trapezoid": [
+                lambda: givental_eval((0.5, -0.5), (0.3, -0.2), 1e-8),  # 1-D
+                lambda: givental_recursive_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-4),  # 2-D
+                lambda: baxter_apply(lambda xs: baxter_eigenfunction_batch((0.4, -0.4), xs, "lie"), (0.1, -0.1),
+                                     -2.2j, "lie", 1e-6, psi_spectral=(0.4, -0.4)),  # 2-D
+                lambda: bump_friedberg_integral(0, (0.3,), (0.1,), -0.9j, 1e-8),  # 1-D
+            ],
+        }
+        for name, calls in expected.items():
+            for call in calls:
+                used.clear()
+                call()
+                assert used == [name]
 
 
 class TestContour:
