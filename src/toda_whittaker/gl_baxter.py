@@ -49,7 +49,6 @@ from .quadrature import (
     _integrate_truncated,
     _rate_reach,
     _wall_reach,
-    integrate_box,
     stable_exp,
 )
 
@@ -179,7 +178,9 @@ def baxter_apply(
     ``psi`` is vectorized: ``(m, n)`` float rows in, ``(m,)`` complex out.
     ``psi_spectral`` (optional) states the spectral content of ``psi``; it
     sharpens the truncation of the one non-wall tail, widens the wall
-    truncation by its imaginary parts, and activates the spectral-gap
+    truncation by its imaginary parts, bounds how fast ``psi`` oscillates
+    (which lets one or two variables go to the trapezoid lattice; without
+    it the adaptive engine takes the box), and activates the spectral-gap
     validation: every ``Re(i*gamma - i*lam_j)`` must be at least
     :data:`MIN_SPECTRAL_GAP`, else :class:`ShiftError` is raised.
     """
@@ -220,7 +221,8 @@ def baxter_apply(
         expo = _kernel_exponent_rows(y_arr, points, gamma, conv)
         return stable_exp(expo) * np.asarray(psi(points), dtype=complex)
 
-    return _integrate_truncated(f, box, tol, max_evals)
+    params = (gamma,) + lam_t if psi_spectral is not None else None
+    return _integrate_truncated(f, box, tol, max_evals, params)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +384,7 @@ def _double_apply_fused(
         expo = expo - 2.0 * np.cosh(ws).sum(axis=1)
         return stable_exp(expo)
 
-    return _integrate_truncated(integrand, box, tol, max_evals)
+    return _integrate_truncated(integrand, box, tol, max_evals, (gamma_out, gamma_in) + lam)
 
 
 def commutation_residual(
@@ -447,14 +449,14 @@ def lowering_compatibility(
     # at y_2 and x, with a tail of rate ``rate`` beyond.
     r, foot = _wall_reach(tol, 4, params), max(y2, x)
     box = [(y1 - r, min(y2, x) + r), (foot - r, foot + _rate_reach(tol, 4, rate))]
-    lhs = _integrate_truncated(f_lhs, box, tol, max_evals)
+    lhs = _integrate_truncated(f_lhs, box, tol, max_evals, params)
 
     def f_rhs(p: np.ndarray) -> np.ndarray:
         step = _step_exponent_rows([y1, y2], [p[:, 0]], lam)
         return stable_exp(step + _kernel_exponent_rows(p, np.full_like(p, x), gamma, _LIE))
 
     r = _wall_reach(tol, 2, params)
-    rhs_int = _integrate_truncated(f_rhs, [(y1 - r, min(y2, x) + r)], tol, max_evals)
+    rhs_int = _integrate_truncated(f_rhs, [(y1 - r, min(y2, x) + r)], tol, max_evals, params)
     factor = cmath.exp(log_gamma(1j * gamma - 1j * lam))
     rhs = factor * rhs_int.value
     err = lhs.abs_error + abs(factor) * rhs_int.abs_error
@@ -684,12 +686,10 @@ def spherical_transform_rank2(
         weight = _zonal_weight_rows(lam, xs) * 2.0 * np.sinh(dv)
         return math.pi * 0.5 * weight * _spherical_rows((g[0], g[1]), xs)
 
-    # The side d = 0 is the chamber's wall, where the integrand does not
-    # vanish and the trapezoid rule of _integrate_truncated is only second
-    # order: the adaptive engine takes the box, with the same accounting.
-    inner = integrate_box(f, box, 0.9 * tol, max_evals)
-    err = inner.abs_error + tol / 10.0
-    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    # The side d = 0 is the chamber's wall, where the integrand's first
+    # derivative in d does not vanish and the lattice is only second order:
+    # no params, so the adaptive engine takes the box.
+    return _integrate_truncated(f, box, tol, max_evals)
 
 
 def universal_baxter_phi(g_matrix, lam: complex) -> complex:

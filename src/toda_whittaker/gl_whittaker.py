@@ -188,7 +188,7 @@ def givental_eval(
         return stable_exp(expo + 1j * lam_t[0] * rows[-1][0])
 
     box = _pattern_box(x, _wall_reach(tol, n * (n - 1), lam_t), n - 1)
-    return _integrate_truncated(f, box, tol, max_evals)
+    return _integrate_truncated(f, box, tol, max_evals, lam_t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,7 +210,7 @@ def _coordinate_step(lam_t, x, lower: Callable, tol: float, max_evals: int) -> Q
         return stable_exp(expo) * lower(rows)
 
     box = _pattern_box(x, _wall_reach(tol, 2 * (len(x) - 1), lam_t), 1)
-    return _integrate_truncated(f, box, tol, max_evals)
+    return _integrate_truncated(f, box, tol, max_evals, lam_t)
 
 
 def givental_recursive_eval(

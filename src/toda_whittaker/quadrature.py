@@ -22,10 +22,10 @@ either way the neglected tail is at most ``tol / 10`` split over the truncated
 sides.  :func:`_integrate_truncated` integrates the box to ``0.9 tol`` and
 adds ``tol / 10`` for the tails, so the reported error covers both.  Its
 integrands are entire and vanish at every side of the box, so one- and
-two-dimensional boxes take the contours' trapezoid rule on the lattice
-``2**-k Z^d``; boxes of three or more dimensions take the adaptive engine,
-and so does the one box with a true edge, the spherical transform's
-chamber.
+two-dimensional boxes whose caller bounds their frequencies take the
+contours' trapezoid rule on the lattice ``2**-k Z^d``; boxes of three or
+more dimensions take the adaptive engine, and so does the one box with a
+true edge, the spherical transform's chamber.
 
 Integrand contract
 ------------------
@@ -481,32 +481,36 @@ def _rate_reach(tol: float, sides: int, rate: float) -> float:
 
 
 def _integrate_truncated(
-    f: Callable[[np.ndarray], np.ndarray], box, tol: float, max_evals: int
+    f: Callable[[np.ndarray], np.ndarray], box, tol: float, max_evals: int, params=None
 ) -> QuadratureResult:
     """An integral over R^d of ``f``, cut to a box by :func:`_wall_reach` and
     :func:`_rate_reach`: the box to ``0.9 tol``, plus ``tol / 10`` for the
     tails it truncates; converged if the sum is within ``tol``.
 
-    One- and two-dimensional boxes go to the trapezoid rule on the dyadic
-    lattice ``2**-k Z^d`` (see :func:`integrate_contour`), each node
-    evaluated once; boxes of three or more dimensions go to
-    :func:`integrate_box`.  The lattice needs ``f`` to vanish to within the
-    tail bound on every side of the box, as it does past the walls and
-    tails: the sum over the nodes in the box then converges geometrically.
-    A box with a true edge, where the domain itself ends and ``f`` does not
-    vanish, would get only second order, so its caller takes
-    :func:`integrate_box` instead.
+    ``params``, when given, are spectral parameters whose real parts bound
+    the phases of ``f``: along each axis every plane wave ``e^{i w t}`` in it
+    has ``|Re w|`` at most the spread of those real parts.  A one- or
+    two-dimensional box with ``params`` goes to the trapezoid rule on the
+    dyadic lattice ``2**-k Z^d`` (see :func:`_trapezoid`), each node
+    evaluated once; every other box goes to :func:`integrate_box`.  The
+    lattice needs ``f`` to vanish to within the tail bound on every side of
+    the box, as it does past the walls and tails: the sum over the nodes in
+    the box then converges geometrically.  At a true edge, where the domain
+    itself ends and the first derivative of ``f`` across it does not
+    vanish, the lattice is only second order, so a box with one passes no
+    ``params``.
 
     Where the walls of a side cross before their reaches (``lo >= hi``),
     every point of that axis lies past one of them, so the whole integral
     is within the tail bound of zero; that side is kept one unit wide."""
     box = [(lo, max(hi, lo + 1.0)) for lo, hi in box]
-    if len(box) > 2:
+    if params is None or len(box) > 2:
         inner = integrate_box(f, box, 0.9 * tol, max_evals)
         err = inner.abs_error + tol / 10.0
         return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    re = [complex(p).real for p in params]
     lo, hi = np.asarray(box, dtype=float).T
-    return _trapezoid(f, lo, hi, tol / 10.0, tol, max_evals)
+    return _trapezoid(f, lo, hi, tol / 10.0, tol, max_evals, max(re) - min(re))
 
 
 def _lattice(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -554,20 +558,31 @@ def _trapezoid(
     tail: float,
     tol: float,
     max_evals: int,
+    frequency: float = 0.0,
 ) -> QuadratureResult:
     """The trapezoid rule on the nodes ``2**-k j`` in the box ``[lo, hi]``
     for ``k = 1, 2, ...``: the sum ``T_h`` of ``g`` over them times ``h**d``.
     Each halving evaluates only the nodes with an odd index.  The error is
     ``|T_h - T_2h| + tail``; halving stops at the first ``h <= 1/4`` where
     it is within ``tol``, or raises :class:`BudgetExceeded` before a halving
-    that would take the node count past ``max_evals``."""
+    that would take the node count past ``max_evals``.
+
+    ``frequency`` bounds ``|Re w|`` of the plane waves ``e^{i w t}`` in
+    ``g`` along each axis.  The error of ``T_h`` is the sum of such a wave's
+    aliases ``w + 2 pi m / h``, ``m != 0``, each the larger the nearer it
+    lies to zero; ``T_2h - T_h`` holds only the aliases ``w + pi m / h`` of
+    odd ``m``, so once ``|w|`` passes ``3 pi / (2 h)`` it misses the one
+    nearest zero and under-reports.  Halving therefore also runs on until
+    ``h <= pi / (2 frequency)``: there every alias the difference misses
+    lies at least ``3 pi / (2 h)`` from zero and the nearest one it holds
+    at most ``pi / h``."""
     k, d = 1, lo.size
     # The first step is 1/2; its nodes on integers give T_1.
     total, previous, evals = _trapezoid_level(g, k, lo, hi, True)
     while True:
         value = 2.0 ** (-k * d) * total
         err = abs(value - previous) + tail
-        if k > 1 and err <= tol:
+        if k > 1 and frequency * 2.0**-k <= 0.5 * math.pi and err <= tol:
             return QuadratureResult(value, err, evals, True)
         if math.prod(_lattice(lo, hi, k + 1)[1]) > max_evals:
             raise BudgetExceeded(

@@ -136,7 +136,7 @@ def bump_friedberg_integral(
         top = _eigenfunction_rows(shifted, p, budget)
         return damping * top * np.conj(_eigenfunction_rows(gamma, p, budget))
 
-    return _integrate_truncated(integrand, box, tol, max_evals)
+    return _integrate_truncated(integrand, box, tol, max_evals, shifted + gamma)
 
 
 def bump_inner_correlation_prediction(gamma_bot, lambda_top, t, x_last) -> complex:
@@ -202,7 +202,7 @@ def bump_inner_correlation(
         pts = np.column_stack([p[:, 0], np.full(p.shape[0], x_last)])
         return np.conj(_eigenfunction_rows((g,), p, budget)) * _eigenfunction_rows(shifted, pts, budget)
 
-    return _integrate_truncated(integrand, box, tol, max_evals)
+    return _integrate_truncated(integrand, box, tol, max_evals, shifted + (g,))
 
 
 def stade_kernel(x_top: Sequence[float], x_bot: Sequence[float], lam_pair) -> complex:
@@ -274,7 +274,7 @@ def double_step_kernel(
         expo = _step_exponent_rows(top, mid, l_top) + _step_exponent_rows(mid, bot, l_bot)
         return stable_exp(expo)
 
-    return _integrate_truncated(integrand, box, tol, max_evals)
+    return _integrate_truncated(integrand, box, tol, max_evals, (l_bot, l_top))
 
 
 def barnes_gustafson_check(

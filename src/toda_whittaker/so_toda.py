@@ -141,7 +141,8 @@ def _so_steps(lam_t, x, steps: int, lower: Callable, tol: float, max_evals: int)
             row = bot
         return stable_exp(expo) * lower(row)
 
-    return _integrate_truncated(f, box, tol, max_evals)
+    # Each phase is a sum of two parameters, up to sign.
+    return _integrate_truncated(f, box, tol, max_evals, lam_t + tuple(-v for v in lam_t))
 
 
 def so_givental_eval(
@@ -243,7 +244,7 @@ def so_baxter_apply(
         expo = _so_step_exponent_rows([yv], [p[:, 0], p[:, 1]], [xv], g)
         return norm * stable_exp(expo) * _closed_form_so3_batch(la, xv, budget)
 
-    return _integrate_truncated(f, mid + bot, tol, max_evals)
+    return _integrate_truncated(f, mid + bot, tol, max_evals, (g, la, -g, -la))
 
 
 def so_toda_apply_h2(

@@ -339,16 +339,48 @@ def _sweep_baxter(n):
     return draw
 
 
+def _fast_lam(rng, n):
+    """Parameters a draw's integrand oscillates fast in: at n = 2 with
+    ``|l1 - l2|`` in [10, 30], at n = 1 with ``|l|`` there."""
+    spread = float(rng.uniform(10.0, 30.0) * rng.choice([-1.0, 1.0]))
+    if n == 1:
+        return (spread,)
+    c = float(rng.uniform(-1.0, 1.0))
+    return (c + 0.5 * spread, c - 0.5 * spread)
+
+
+def _sweep_fast_gl2(rng):
+    lam, x = _fast_lam(rng, 2), tuple(rng.uniform(-0.5, 0.5, size=2))
+    _covers(givental_eval(lam, x, 10.0 ** rng.uniform(-8.0, -4.0)), _mp_gl2(lam, x))
+
+
+def _sweep_fast_baxter(n):
+    def draw(rng):
+        lam, y = _fast_lam(rng, n), tuple(rng.uniform(-0.5, 0.5, size=n))
+        tol = 10.0 ** rng.uniform(-8.0, -4.0)
+        for conv in ("lie", "iwasawa", "iwasawa_pi"):
+            gamma = -1j * ((1.0 if conv == "lie" else 2.2) + n - 1) + float(rng.uniform(-1.0, 1.0))
+            res = baxter_apply(lambda xs: baxter_eigenfunction_batch(lam, xs, conv), y, gamma, conv, tol,
+                               psi_spectral=lam)
+            _covers(res, baxter_eigenvalue(gamma, lam, conv) * baxter_eigenfunction(lam, y, conv))
+
+    return draw
+
+
 @pytest.mark.parametrize(
     "draw, count",
     [(_sweep_so5, 4), (_sweep_double_step, 10), (_sweep_gl3, 6), (_sweep_lowering, 10),
-     (_sweep_baxter(2), 10), (_sweep_baxter(1), 4)],
-    ids=["so5", "double_step", "gl3", "lowering", "baxter_rank2", "baxter_rank1"],
+     (_sweep_baxter(2), 10), (_sweep_baxter(1), 4),
+     (_sweep_fast_gl2, 8), (_sweep_fast_baxter(1), 6), (_sweep_fast_baxter(2), 2)],
+    ids=["so5", "double_step", "gl3", "lowering", "baxter_rank2", "baxter_rank1",
+         "fast_gl2", "fast_baxter_rank1", "fast_baxter_rank2"],
 )
 def test_box_sweep(draw, count):
     # The 1-4-d boxes over wider draws than the tests above: the order in
     # which the adaptive engine refines its regions, or the step at which
-    # the lattice stops, decides whether their error bars hold.
+    # the lattice stops, decides whether their error bars hold.  The fast
+    # draws oscillate past pi / h at h = 1/4, where the lattice once stopped
+    # on a difference that held none of the aliases near zero.
     rng = np.random.default_rng(92)
     for _ in range(count):
         draw(rng)

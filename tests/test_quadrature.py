@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_whittaker import gl_baxter, quadrature
+from toda_whittaker import quadrature
 from toda_whittaker.errors import BudgetExceeded
 from toda_whittaker.gl_baxter import (
     _double_apply_fused,
@@ -172,12 +172,13 @@ class TestLattice:
     """The trapezoid rule on the truncated 1-D and 2-D boxes."""
 
     BOX = [(-6.7, 7.3), (-8.2, 8.1)]
+    PARAMS = (0.0, 0.4)  # the Gaussian's one phase, 0.4 u
 
     def test_gaussian_2d(self):
         # integral of exp(-(u - 0.3)^2 - (v + 0.2)^2 / 2 + 0.4i u) over R^2.
         exact = math.sqrt(2.0) * math.pi * np.exp(0.12j - 0.04)
         for tol in (1e-4, 1e-8, 1e-12):
-            res = _integrate_truncated(_gaussian_2d, self.BOX, tol, 10**6)
+            res = _integrate_truncated(_gaussian_2d, self.BOX, tol, 10**6, self.PARAMS)
             assert res.converged
             assert abs(res.value - exact) <= res.abs_error <= tol
 
@@ -191,7 +192,7 @@ class TestLattice:
             rows.append(p.copy())
             return _gaussian_2d(p)
 
-        res = _integrate_truncated(f, self.BOX, 1e-10, 10**6)
+        res = _integrate_truncated(f, self.BOX, 1e-10, 10**6, self.PARAMS)
         pts = np.concatenate(rows)
         step = min(np.diff(np.unique(pts[:, 0])).min(), np.diff(np.unique(pts[:, 1])).min())
         assert len(rows) > 1 and math.log2(step) == round(math.log2(step)) <= -2
@@ -202,24 +203,37 @@ class TestLattice:
         assert res.evaluations == pts.shape[0] == np.unique(pts, axis=0).shape[0] == count
 
     def test_repeated_calls_are_bit_identical(self):
-        a = _integrate_truncated(_gaussian_2d, self.BOX, 1e-9, 10**6)
-        b = _integrate_truncated(_gaussian_2d, self.BOX, 1e-9, 10**6)
+        a = _integrate_truncated(_gaussian_2d, self.BOX, 1e-9, 10**6, self.PARAMS)
+        b = _integrate_truncated(_gaussian_2d, self.BOX, 1e-9, 10**6, self.PARAMS)
         assert (a.value, a.abs_error, a.evaluations) == (b.value, b.abs_error, b.evaluations)
 
     def test_budget_exceeded_carries_the_partial_result(self):
         with pytest.raises(BudgetExceeded) as info:
-            _integrate_truncated(_gaussian_2d, self.BOX, 1e-12, 500)
+            _integrate_truncated(_gaussian_2d, self.BOX, 1e-12, 500, self.PARAMS)
         res = info.value.result
         assert not res.converged
         assert res.evaluations > 500  # the first step always runs
         assert abs(res.value - math.sqrt(2.0) * math.pi * np.exp(0.12j - 0.04)) < 1e-2
 
+    def test_high_frequency_waits_for_a_fine_enough_step(self):
+        # integral of exp(-t^2 + 25i t) over R is sqrt(pi) e^{-156}.  At
+        # h = 1/4 the alias 25 - 8 pi of T_h lies near zero while
+        # |T_2h - T_h| holds only the alias 25 - 4 pi: stopping there
+        # reported converged at tol 1e-8 with a true error of 1.76.
+        f = lambda p: np.exp(-p[:, 0] ** 2 + 25j * p[:, 0])
+        for tol in (1e-4, 1e-8):
+            res = _integrate_truncated(f, [(-7.0, 7.0)], tol, 10**6, (25.0, 0.0))
+            assert res.converged
+            assert abs(res.value) <= res.abs_error <= tol
+            assert res.evaluations >= 14 * 16  # h <= pi / 50 < 1/8
+
     def test_engine_choice(self, monkeypatch):
-        # 1-D and 2-D boxes go to the lattice; 3-D and 4-D boxes and the
-        # spherical chamber, whose side d = 0 is a true edge, go to the
-        # adaptive engine.
+        # 1-D and 2-D boxes with a frequency bound go to the lattice; 3-D and
+        # 4-D boxes, the spherical chamber, whose side d = 0 is a true edge,
+        # and an operator applied to a function of unknown frequency go to
+        # the adaptive engine.
         used = []
-        for module, name in ((quadrature, "integrate_box"), (gl_baxter, "integrate_box"), (quadrature, "_trapezoid")):
+        for module, name in ((quadrature, "integrate_box"), (quadrature, "_trapezoid")):
             engine = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, engine=engine, name=name: used.append(name) or engine(*a))
         expected = {
@@ -228,6 +242,8 @@ class TestLattice:
                 lambda: so_givental_eval((0.4, 0.1), (0.0, 0.3), 1e-3),  # 4-D
                 lambda: _double_apply_fused(-1.4j, -0.9j, (0.4, -0.4), np.array([0.2, -0.1]), 1e-3, 10**6),
                 lambda: spherical_transform_rank2(-1.7j, (0.3, -0.3), 1e-4),
+                lambda: baxter_apply(lambda xs: baxter_eigenfunction_batch((0.4,), xs, "lie"), (0.1,), -1.2j,
+                                     "lie", 1e-6),  # 1-D, no psi_spectral
             ],
             "_trapezoid": [
                 lambda: givental_eval((0.5, -0.5), (0.3, -0.2), 1e-8),  # 1-D
