@@ -623,18 +623,12 @@ def spherical_function_rank2(gamma, x) -> complex:
     return complex(_spherical_rows((g[0], g[1]), xs)[0])
 
 
-def _zonal_weight_rows(lam: complex, xs: np.ndarray) -> np.ndarray:
-    """:func:`gaussian_zonal_function` at ``(m, 2)`` position rows."""
-    x1, x2 = xs[:, 0], xs[:, 1]
-    expo = -(x1 + x2) * (1j * lam + 0.5) - math.pi * (_exp_wall(-2.0 * x1) + _exp_wall(-2.0 * x2))
-    return 4.0 * stable_exp(expo)
-
-
 def gaussian_zonal_function(lam: complex, x) -> complex:
     """Gaussian-type zonal weight evaluated on the inverse group element:
     ``4 exp(-(x1 + x2)(i lam + 1/2) - pi (e^{-2 x1} + e^{-2 x2}))``."""
-    xs = np.asarray([[float(x[0]), float(x[1])]], dtype=float)
-    return complex(_zonal_weight_rows(complex(lam), xs)[0])
+    x1, x2 = float(x[0]), float(x[1])
+    walls = _exp_wall(-2.0 * x1) + _exp_wall(-2.0 * x2)
+    return complex(4.0 * stable_exp(-(x1 + x2) * (1j * complex(lam) + 0.5) - math.pi * walls))
 
 
 def spherical_transform_rank2(
@@ -650,46 +644,65 @@ def spherical_transform_rank2(
     ``baxter_eigenvalue(lam, gamma, "iwasawa_pi")`` -- the reduction of the
     operator family to the rank-2 symmetric space.
 
-    The weight decays like ``exp(-(Re(i lam) + 1/2) s)`` in the
-    center-of-mass ``s = x1 + x2``, but the measure ``sinh d`` grows like
-    ``e^s`` up to the weight's wall at ``d`` about ``s``, so the pairing
-    converges only at ``rate = Re(i lam) - 1/2 - max |Im gamma_j|`` and
-    :class:`ShiftError` is raised unless that exceeds 0.2; in practice take
-    ``Re(i lam) >= 1`` and real ``gamma``.
+    In the center of mass ``s = x1 + x2`` and ``d = x2 - x1 >= 0`` the
+    pairing is ``(pi / 2) int int w(x) 2 sinh d phi(x) ds dd``, with the
+    weight ``w = 4 exp(-s (i lam + 1/2) - 2 pi cosh d e^{-s})`` and the zonal
+    function ``phi(x) = e^{i (gamma_1 + gamma_2) s / 2} phi(-d/2, d/2)``
+    (:func:`spherical_function_rank2`).  So ``s`` enters only through
+    ``exp(-c s - A e^{-s})``, ``c = i lam + 1/2 - i (gamma_1 + gamma_2) / 2``,
+    ``A = 2 pi cosh d``, whose integral over ``s`` is Euler's
+    ``Gamma(c) A^{-c}`` for ``Re c > 0`` (DLMF 5.2.1).  What is left is one
+    integral over ``d``,
 
-    The integrand evaluates the zonal function in closed form
-    (:func:`spherical_function_rank2`, relative accuracy 1e-12), so the
-    quadrature tolerance is the only error left; its
-    :class:`ConvergenceError` passes through where that accuracy is out of
-    reach.
+        4 pi Gamma(c) int_0^inf sinh d (2 pi cosh d)^{-c} phi(-d/2, d/2) dd,
+
+    a Mellin transform of the Legendre function ``phi(-d/2, d/2) =
+    P_a(cosh d)`` in ``t = cosh d``: the identity still checks that
+    transform against the Gamma product ``Gamma(z_1) Gamma(z_2)
+    pi^{-z_1 - z_2}``.
+
+    Its rate: ``phi`` is a circle average of plane waves whose radial
+    coordinates lie between ``-d/2`` and ``d/2``, so
+    ``|phi(-d/2, d/2)| <= e^{|Im(gamma_1 - gamma_2)| d / 2}``, and
+    ``sinh d (cosh d)^{-Re c} <= 2^{Re c - 1} e^{(1 - Re c) d}``.  The
+    integrand decays at least at ``Re c - 1 - |Im(gamma_1 - gamma_2)| / 2
+    = Re(i lam) - 1/2 + min Im gamma_j``, hence at
+    ``rate = Re(i lam) - 1/2 - max |Im gamma_j|``, and is at most
+    ``B e^{-rate d}``, ``B = 2 pi |Gamma(c)| pi^{-Re c}``.
+    :class:`ShiftError` is raised unless ``rate`` exceeds 0.2; in practice
+    take ``Re(i lam) >= 1`` and real ``gamma``.  The integral is cut where
+    that bound leaves a tail below ``tol / 10``.
+
+    The integrand evaluates the zonal function in closed form (relative
+    accuracy 1e-12), so the quadrature tolerance is the only error left;
+    its :class:`ConvergenceError` passes through where that accuracy is out
+    of reach.
     """
     lam = complex(lam)
     g = _as_params(gamma)
     if len(g) != 2:
         raise RankError("spherical_transform_rank2 needs exactly two parameters")
-    srate = (1j * lam).real - 0.5 - max(abs(v.imag) for v in g)
-    if srate <= 0.2:
+    rate = (1j * lam).real - 0.5 - max(abs(v.imag) for v in g)
+    if rate <= 0.2:
         raise ShiftError(
-            f"center-of-mass decay rate {srate:.4f} too small; increase Re(i lam)"
+            f"decay rate {rate:.4f} too small; increase Re(i lam)"
         )
-    # Three truncated sides: the walls pi e^{-2 x_j} >= 2 pi e^{-s} below s,
-    # the rate above it, and the wall pi e^{-2 x_1} = pi e^{d - s} above d.
-    params, s_hi = (lam,) + g, _rate_reach(tol, 3, srate)
-    box = [
-        (-_wall_reach(tol, 3, params, shift=math.log(2.0 * math.pi)), s_hi),
-        (0.0, s_hi + _wall_reach(tol, 3, params, shift=math.log(math.pi))),
-    ]
+    c = 1j * lam + 0.5 - 0.5j * (g[0] + g[1])
+    log_gamma_c = log_gamma(c)
+    scale = 4.0 * math.pi * cmath.exp(log_gamma_c - c * math.log(2.0 * math.pi))
+    bound = 2.0 * math.pi * math.exp(log_gamma_c.real - c.real * math.log(math.pi)) / rate
 
     def f(p: np.ndarray) -> np.ndarray:
-        sv, dv = p[:, 0], p[:, 1]
-        xs = np.column_stack([0.5 * (sv - dv), 0.5 * (sv + dv)])
-        weight = _zonal_weight_rows(lam, xs) * 2.0 * np.sinh(dv)
-        return math.pi * 0.5 * weight * _spherical_rows((g[0], g[1]), xs)
+        d = p[:, 0]
+        log_cosh = d + np.log1p(np.exp(-2.0 * d)) - math.log(2.0)
+        measure = -0.5 * np.expm1(-2.0 * d) * np.exp(d - c * log_cosh)  # sinh d (cosh d)^{-c}
+        return scale * measure * _spherical_rows((g[0], g[1]), np.column_stack([-0.5 * d, 0.5 * d]))
 
     # The side d = 0 is the chamber's wall, where the integrand's first
     # derivative in d does not vanish and the lattice is only second order:
-    # no params, so the adaptive engine takes the box.
-    return _integrate_truncated(f, box, tol, max_evals)
+    # no params, so the adaptive engine takes the integral.
+    reach = _rate_reach(tol / max(1.0, bound), 1, rate)
+    return _integrate_truncated(f, [(0.0, reach)], tol, max_evals)
 
 
 def universal_baxter_phi(g_matrix, lam: complex) -> complex:

@@ -36,6 +36,7 @@ from .numerics import (
     AccuracyBudget,
     log_gamma_array,
     macdonald_k,
+    _fold_orders,
     _macdonald_grid,
     _macdonald_pairs,
     _DEFAULT_BUDGET,
@@ -270,7 +271,10 @@ def _spectral_step(
     def f(betas: np.ndarray) -> np.ndarray:
         expo = np.zeros(betas.shape[0], dtype=complex)
         for j in range(betas.shape[1]):
-            values, inverse = np.unique(betas[:, j], return_inverse=True)
+            # The column's imaginary part is its contour offset, so its
+            # distinct values are those of its real part.
+            _, first, inverse = np.unique(betas[:, j].real, return_index=True, return_inverse=True)
+            values = betas[first, j]
             column = np.zeros(values.size, dtype=complex)
             for p in params:
                 column += log_gamma_array(1j * values - 1j * p)
@@ -289,8 +293,9 @@ def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     These carry the opposite sign of the spectral parameter relative to the
     coordinate-space normalization: one variable gives ``exp(-i beta x)``.
     Two variables need one Macdonald function per distinct order
-    ``i (beta_1 - beta_2)``; rows on a grid share their orders, so each
-    distinct order is evaluated once."""
+    ``i (beta_1 - beta_2)`` up to sign (``K_nu = K_-nu``); rows on a grid
+    share their orders, and on a contour pair they come in ``+-`` pairs, so
+    each distinct folded order is evaluated once."""
     betas = np.asarray(betas, dtype=complex)
     if betas.ndim != 2 or betas.shape[1] not in (1, 2):
         raise RankError(f"betas must be an (m, 1) or (m, 2) array, got shape {betas.shape}")
@@ -299,7 +304,7 @@ def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     if betas.shape[1] == 1:
         return np.exp(-1j * betas[:, 0] * float(x[0]))
     x1, x2 = float(x[0]), float(x[1])
-    orders, inverse = np.unique(1j * (betas[:, 0] - betas[:, 1]), return_inverse=True)
+    orders, inverse = np.unique(_fold_orders(1j * (betas[:, 0] - betas[:, 1])), return_inverse=True)
     yv = np.full(orders.size, 2.0 * math.exp(0.5 * (x1 - x2)))
     kvals = _macdonald_pairs(orders, yv, _DEFAULT_BUDGET)[inverse]
     phase = np.exp(-0.5j * (betas[:, 0] + betas[:, 1]) * (x1 + x2))

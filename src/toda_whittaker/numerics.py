@@ -401,8 +401,16 @@ def _macdonald(nu, y, budget: AccuracyBudget) -> np.ndarray:
     return out
 
 
+def _fold_orders(nu: np.ndarray) -> np.ndarray:
+    """Each order as the one of ``nu``, ``-nu`` with ``Im >= 0``: K is even in
+    its order (DLMF 10.27.3), and the kernel sees only the folded order, so
+    ``K_nu`` and ``K_-nu`` are the same bits."""
+    return np.where(nu.imag < 0.0, -nu, nu)
+
+
 def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
-    p, a = np.where(nu.imag < 0.0, -nu.real, nu.real) + 0.0, np.abs(nu.imag)
+    folded = _fold_orders(nu)
+    p, a = folded.real + 0.0, np.abs(folded.imag)
     top = np.arcsinh(np.abs(p) / y)
     kind = np.where(a <= 1.0, 0, np.where(a <= 1.1 * y, 1, 2))
     kind[np.abs(p) * top - y * np.cosh(top) < _UNDERFLOW] = 3  # K underflows to 0

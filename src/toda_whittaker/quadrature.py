@@ -9,7 +9,10 @@ over real boxes.
   the Gamma-function decay rate ``exp(-pi * count * |Re z| / 2)`` supplied by
   the caller.  Its integrands are analytic in a strip around the lines and
   decay exponentially, where the trapezoid rule converges geometrically
-  (Trefethen and Weideman, SIAM Review 56, 2014).
+  (Trefethen and Weideman, SIAM Review 56, 2014).  Every node of the first
+  step that may stop is evaluated in one integrand call, and the sums of the
+  coarser steps are read off those values, so an integrand that evaluates
+  each distinct value once per call sees every coarse node once.
 * :func:`integrate_box` — adaptive integration over an explicit box, using a
   Gauss–Kronrod 7/15 pair in one dimension and an embedded degree-7/5
   fully-symmetric cubature rule in dimensions two through six.
@@ -24,8 +27,8 @@ adds ``tol / 10`` for the tails, so the reported error covers both.  Its
 integrands are entire and vanish at every side of the box, so one- and
 two-dimensional boxes whose caller bounds their frequencies take the
 contours' trapezoid rule on the lattice ``2**-k Z^d``; boxes of three or
-more dimensions take the adaptive engine, and so does the one box with a
-true edge, the spherical transform's chamber.
+more dimensions take the adaptive engine, and so does the one integral with
+a true edge, the spherical transform's over the chamber's radius ``d >= 0``.
 
 Integrand contract
 ------------------
@@ -523,32 +526,44 @@ def _lattice(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, tuple[
 
 def _trapezoid_level(
     g: Callable[[np.ndarray], np.ndarray], k: int, lo: np.ndarray, hi: np.ndarray, first: bool
-) -> tuple[complex, complex, int]:
-    """Sum of ``g`` over the nodes ``2**-k j`` in the box ``[lo, hi]`` --
-    all of them on the ``first`` level, else those with an odd index, which
-    the level of step ``2**(1-k)`` lacks -- in C order and in chunks of at
-    most ``_TRAPEZOID_CHUNK`` enumerated nodes.
+) -> tuple[list, int]:
+    """Sums of ``g`` over the nodes ``2**-k j`` in the box ``[lo, hi]``, in C
+    order and in chunks of at most ``_TRAPEZOID_CHUNK`` enumerated nodes.
 
-    Returns that sum, the part of it on the nodes of the step twice as long
-    (``first`` level only; zero otherwise) and the number of nodes
-    evaluated."""
+    On the ``first`` lattice every node is evaluated, in one call of ``g``
+    per chunk, and the sums of the coarser steps are read off those values
+    by index masks (a node lies on the lattice of step ``2**-i`` when every
+    index of it is divisible by ``2**(k - i)``): the sums over the nodes of
+    step 2, of step 1, of step 1/2, and then for each step ``2**-i``,
+    ``i = 2, ..., k``, over the nodes it adds to step ``2**(1 - i)``.  Each
+    is summed over the same values in the same order as if its step were
+    evaluated on its own.  Otherwise only the nodes with an odd index are
+    evaluated, those the step ``2**(1 - k)`` lacks, and their sum is the
+    one entry.
+
+    Returns those sums and the number of nodes evaluated."""
     corner, shape = _lattice(lo, hi, k)
     total = math.prod(shape)
     step = 2.0**-k
-    s_new = s_coarse = 0j
+    sums = [0j] * (k + 2 if first else 1)
     count = 0
     for start in range(0, total, _TRAPEZOID_CHUNK):
         flat = np.arange(start, min(start + _TRAPEZOID_CHUNK, total))
         idx = np.stack(np.unravel_index(flat, shape), axis=1) + corner
-        odd = (idx & 1).any(axis=1)
-        if not first:
-            idx = idx[odd]
-        vals = g(idx * step)
-        s_new += vals.sum()
+        low = np.bitwise_or.reduce(idx, axis=1)
         if first:
-            s_coarse += vals[~odd].sum()
+            vals = g(idx * step)
+            # on[i + 1]: the nodes on the lattice of step 2**-i, i = -1, ..., k.
+            on = [(low & ((1 << (k - i)) - 1)) == 0 for i in range(-1, k + 1)]
+            parts = on[:3] + [on[i] & ~on[i - 1] for i in range(3, k + 2)]
+        else:
+            idx = idx[(low & 1) == 1]
+            vals = g(idx * step)
+            parts = [slice(None)]
+        for i, part in enumerate(parts):
+            sums[i] += vals[part].sum()
         count += idx.shape[0]
-    return s_new, s_coarse, count
+    return sums, count
 
 
 def _trapezoid(
@@ -562,10 +577,9 @@ def _trapezoid(
 ) -> QuadratureResult:
     """The trapezoid rule on the nodes ``2**-k j`` in the box ``[lo, hi]``
     for ``k = 1, 2, ...``: the sum ``T_h`` of ``g`` over them times ``h**d``.
-    Each halving evaluates only the nodes with an odd index.  The error is
-    ``|T_h - T_2h| + tail``; halving stops at the first ``h <= 1/4`` where
-    it is within ``tol``, or raises :class:`BudgetExceeded` before a halving
-    that would take the node count past ``max_evals``.
+    Halving stops at the first ``h <= 1/4`` whose error is within ``tol``,
+    or raises :class:`BudgetExceeded` before a halving that would take the
+    node count past ``max_evals``.
 
     ``frequency`` bounds ``|Re w|`` of the plane waves ``e^{i w t}`` in
     ``g`` along each axis.  The error of ``T_h`` is the sum of such a wave's
@@ -575,14 +589,46 @@ def _trapezoid(
     nearest zero and under-reports.  Halving therefore also runs on until
     ``h <= pi / (2 frequency)``: there every alias the difference misses
     lies at least ``3 pi / (2 h)`` from zero and the nearest one it holds
-    at most ``pi / h``."""
-    k, d = 1, lo.size
-    # The first step is 1/2; its nodes on integers give T_1.
-    total, previous, evals = _trapezoid_level(g, k, lo, hi, True)
+    at most ``pi / h``.
+
+    No step before the first one that may stop, ``2**-k0``, can end the
+    loop, so every node of that step is evaluated at once (the finest step
+    up to it within ``max_evals``; step 1/2 always); ``T_2``, ``T_1``, ...,
+    ``T_{2**-k0}`` are read off those values (see :func:`_trapezoid_level`)
+    and each later halving evaluates only the nodes with an odd index.
+
+    The error is ``d_1 + tail``, ``d_1 = |T_h - T_2h|``.  That difference
+    understates the error of ``T_h`` when ``T_2h`` happens to be accurate,
+    so once the two differences before it fall (``d_2 < d_3``, with
+    ``d_2 = |T_2h - T_4h|``, ``d_3 = |T_4h - T_8h|``) the error is at least
+    a hundredth of ``d_2**3 / d_3**2``, which is what ``d_1`` would be on
+    the geometric convergence ``d_2`` and ``d_3`` show."""
+    d = lo.size
+    k0 = 2
+    while frequency * 2.0**-k0 > 0.5 * math.pi:
+        k0 += 1
+    top = k0
+    while top > 1 and math.prod(_lattice(lo, hi, top)[1]) > max_evals:
+        top -= 1
+    sums, evals = _trapezoid_level(g, top, lo, hi, True)
+    previous = sums[1]  # T_1
+    moves = [abs(previous - 2.0**d * sums[0])]  # |T_1 - T_2|
+    total, k = 0j, 0
     while True:
+        k += 1
+        if k <= top:
+            total += sums[k + 1]
+        else:
+            (s_new,), count = _trapezoid_level(g, k, lo, hi, False)
+            total += s_new
+            evals += count
         value = 2.0 ** (-k * d) * total
-        err = abs(value - previous) + tail
-        if k > 1 and frequency * 2.0**-k <= 0.5 * math.pi and err <= tol:
+        moves.append(abs(value - previous))
+        move = moves[-1]
+        if len(moves) > 2 and moves[-2] < moves[-3]:
+            move = max(move, 0.01 * moves[-2] * (moves[-2] / moves[-3]) ** 2)
+        err = move + tail
+        if k >= k0 and err <= tol:
             return QuadratureResult(value, err, evals, True)
         if math.prod(_lattice(lo, hi, k + 1)[1]) > max_evals:
             raise BudgetExceeded(
@@ -591,10 +637,6 @@ def _trapezoid(
                 result=QuadratureResult(value, err, evals, False),
                 max_evaluations=max_evals,
             )
-        k += 1
-        s_new, _, count = _trapezoid_level(g, k, lo, hi, False)
-        total += s_new
-        evals += count
         previous = value
 
 
@@ -626,17 +668,22 @@ def integrate_contour(
 
     The rule: the sum ``T_h`` of ``f`` over every node of step ``h`` in the
     cube ``[-radius, radius]**d``, scaled by ``h**d``, for ``h = 1/2, 1/4,
-    ...``.  The nodes are integer multiples of ``h``, so each halving
-    evaluates only the nodes the step before lacks, and node coordinates
-    (and their differences) are exact.  The same halving loop integrates the
-    truncated 1-D and 2-D boxes of the coordinate-space integrals, on the
-    lattice nodes inside each box.  On integrands analytic in a strip around
+    ...``.  The nodes are integer multiples of ``h``, so every node is
+    evaluated once, and node coordinates (and their differences) are exact.
+    The same halving loop integrates the truncated 1-D and 2-D boxes of the
+    coordinate-space integrals, on the lattice nodes inside each box.  On integrands analytic in a strip around
     the contour the error falls like ``exp(-2 pi w / h)``, ``w`` the
     distance to the nearest singularity.
 
+    Every node of step ``1/4``, the first that may stop, is evaluated in
+    one call of ``f`` (in chunks of 32,768 nodes), and ``T_2``, ``T_1`` and
+    ``T_1/2`` are summed from those of its nodes that lie on their steps.
+    Each later halving evaluates only the nodes the step before lacks.
+
     Error estimate: ``abs_error`` is ``|T_h - T_2h|`` plus the bound on the
-    truncated tails (``T_1`` is summed from the nodes of step ``1/2`` that
-    lie on integers).  Halving stops at the first ``h <= 1/4`` where
+    truncated tails, raised where the two differences before it show a
+    geometric convergence that ``|T_h - T_2h|`` falls far short of (see
+    :func:`_trapezoid`).  Halving stops at the first ``h <= 1/4`` where
     ``abs_error <= tol``; ``evaluations`` is the number of nodes evaluated,
     which is the node count at the last step.  Sums run in a fixed order,
     so repeated calls give identical bits.
@@ -645,8 +692,9 @@ def integrate_contour(
     ------
     BudgetExceeded
         When the next halving would take the node count past ``max_evals``
-        (step ``1/2`` is always evaluated); the exception carries the last
-        step's estimate with ``converged=False``.
+        (step ``1/2`` is always evaluated, and step ``1/4`` with it when its
+        nodes fit); the exception carries the last step's estimate with
+        ``converged=False``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -232,8 +232,8 @@ def so_baxter_apply(
             f"{MIN_SO_SPECTRAL_GAP}; lower Im(gamma)"
         )
     # The second middle entry has no wall below: there the integrand decays
-    # at twice the slowest of the rates.
-    rate = 2.0 * min((1j * g).real, rate_p, rate_m)
+    # at the slowest of the rates.
+    rate = min((1j * g).real, rate_p, rate_m)
     floor = min(0.0, yv) - _rate_reach(tol, 6, rate)
     mid, bot = _so_step_box([(yv, yv)], 2, _wall_reach(tol, 6, (g, la)), floor)
     budget = _quadrature_budget(tol)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from toda_whittaker import gl_whittaker
 from toda_whittaker.errors import ContourError, RankError
 from toda_whittaker.gl_whittaker import (
     _coordinate_rank1,
@@ -22,6 +23,7 @@ from toda_whittaker.gl_whittaker import (
     plancherel_measure,
     toda_apply,
 )
+from toda_whittaker.numerics import _DEFAULT_BUDGET
 from toda_whittaker.quadrature import ContourSpec, _wall_reach
 
 from _oracles import K_2I_2, MB_GL2_REF
@@ -132,13 +134,25 @@ class TestEvaluators:
         with pytest.raises(ValueError):
             mellin_barnes_eval(lam, x, 1e-5, contour=ContourSpec([[-1.0, -1.0]]))
 
-    def test_mb_closed_form_dedupe_keeps_the_bits(self):
-        # One Macdonald value per distinct order, the same bits as row by row.
+    def test_mb_closed_form_dedupe_keeps_the_bits(self, monkeypatch):
+        # One Macdonald value per distinct order up to sign: on a contour
+        # pair the orders i (t_1 - t_2) come in +- pairs, and K_nu = K_-nu.
+        # The kernel sees each folded order once, and the values have the
+        # same bits as row by row and as the kernel at the unfolded orders.
         t = np.arange(-24, 25) / 4.0
         grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2) - 0.7j
         x = (0.3, -0.2)
         rows = np.concatenate([mb_closed_form_batch(grid[i:i + 1], x) for i in range(len(grid))])
-        assert np.array_equal(mb_closed_form_batch(grid, x), rows)
+        kernel, seen = gl_whittaker._macdonald_pairs, []
+        monkeypatch.setattr(gl_whittaker, "_macdonald_pairs", lambda nu, y, b: seen.append(nu) or kernel(nu, y, b))
+        batch = mb_closed_form_batch(grid, x)
+        assert np.array_equal(batch, rows)
+        (orders,) = seen
+        assert orders.size == t.size and np.array_equal(np.sort(orders.imag), t - t[0])
+        unfolded = 1j * (grid[:, 0] - grid[:, 1])
+        k = kernel(unfolded, np.full(len(grid), 2.0 * math.exp(0.25)), _DEFAULT_BUDGET)
+        phase = np.exp(-0.5j * (grid[:, 0] + grid[:, 1]) * (x[0] + x[1]))
+        assert np.array_equal(batch, 2.0 * phase * k)
 
     def test_lr_rank1_dedupe_keeps_the_bits(self):
         # LR integrates its rank-1 coordinate level once per distinct

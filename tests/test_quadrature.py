@@ -192,7 +192,9 @@ class TestLattice:
             rows.append(p.copy())
             return _gaussian_2d(p)
 
-        res = _integrate_truncated(f, self.BOX, 1e-10, 10**6, self.PARAMS)
+        # At tol 1e-12 the loop halves past the first step that may stop,
+        # 1/4, whose nodes are all evaluated in one call.
+        res = _integrate_truncated(f, self.BOX, 1e-12, 10**6, self.PARAMS)
         pts = np.concatenate(rows)
         step = min(np.diff(np.unique(pts[:, 0])).min(), np.diff(np.unique(pts[:, 1])).min())
         assert len(rows) > 1 and math.log2(step) == round(math.log2(step)) <= -2
@@ -201,6 +203,54 @@ class TestLattice:
         for lo, hi in self.BOX:
             count *= math.floor(hi / step) - math.ceil(lo / step) + 1
         assert res.evaluations == pts.shape[0] == np.unique(pts, axis=0).shape[0] == count
+
+    def _level_sum(self, k, new):
+        """The sum of the Gaussian over the nodes ``2**-k j`` in the box,
+        in C order, or over those of them with an odd index (``new``),
+        evaluated on their own."""
+        lo, hi = np.asarray(self.BOX).T
+        first = np.ceil(lo * 2.0**k).astype(int)
+        shape = tuple(np.floor(hi * 2.0**k).astype(int) - first + 1)
+        idx = np.indices(shape).reshape(2, -1).T + first
+        if new:
+            idx = idx[(idx & 1).any(axis=1)]
+        return _gaussian_2d(idx * 2.0**-k).sum(), idx.shape[0]
+
+    def test_a_stop_at_the_first_step_is_one_call(self):
+        # The first step that may stop is 1/4: every node of it is
+        # evaluated in one call, and at tol 1e-8 the loop stops there.
+        rows = []
+        res = _integrate_truncated(lambda p: rows.append(p) or _gaussian_2d(p), self.BOX, 1e-8, 10**6,
+                                   self.PARAMS)
+        half, n_half = self._level_sum(1, False)
+        quarter, n_quarter = self._level_sum(2, True)
+        assert len(rows) == 1 and res.evaluations == rows[0].shape[0] == n_half + n_quarter
+        assert res.value == (half + quarter) / 16.0
+
+    def test_level_sums_are_the_per_level_sums(self):
+        # The sums read off the first lattice by index masks are those of
+        # each step evaluated on its own, bit for bit: over the nodes of
+        # steps 2, 1 and 1/2, then over the nodes steps 1/4 and 1/8 add.
+        lo, hi = np.asarray(self.BOX).T
+        sums, count = quadrature._trapezoid_level(_gaussian_2d, 3, lo, hi, True)
+        expected = [self._level_sum(-1, False)[0], self._level_sum(0, False)[0], self._level_sum(1, False)[0],
+                    self._level_sum(2, True)[0], self._level_sum(3, True)[0]]
+        assert sums == expected
+        assert count == self._level_sum(3, False)[1]
+
+    def test_a_cap_below_the_first_step_raises_with_step_half(self):
+        # A cap between the node counts of steps 1/2 and 1/4: step 1/2 is
+        # evaluated, alone, and its estimate is the one raised.
+        half, n_half = self._level_sum(1, False)
+        ones = self._level_sum(0, False)[0]
+        rows = []
+        with pytest.raises(BudgetExceeded) as info:
+            _integrate_truncated(lambda p: rows.append(p) or _gaussian_2d(p), self.BOX, 1e-8, n_half + 1,
+                                 self.PARAMS)
+        res = info.value.result
+        assert len(rows) == 1 and res.evaluations == n_half < n_half + self._level_sum(2, True)[1]
+        assert res.value == half / 4.0
+        assert res.abs_error == abs(half / 4.0 - ones) + 1e-9
 
     def test_repeated_calls_are_bit_identical(self):
         a = _integrate_truncated(_gaussian_2d, self.BOX, 1e-9, 10**6, self.PARAMS)
@@ -229,9 +279,9 @@ class TestLattice:
 
     def test_engine_choice(self, monkeypatch):
         # 1-D and 2-D boxes with a frequency bound go to the lattice; 3-D and
-        # 4-D boxes, the spherical chamber, whose side d = 0 is a true edge,
-        # and an operator applied to a function of unknown frequency go to
-        # the adaptive engine.
+        # 4-D boxes, the spherical transform's integral over d >= 0, a true
+        # edge, and an operator applied to a function of unknown frequency go
+        # to the adaptive engine.
         used = []
         for module, name in ((quadrature, "integrate_box"), (quadrature, "_trapezoid")):
             engine = getattr(module, name)
@@ -292,7 +342,9 @@ class TestContour:
             rows.append(z.copy())
             return np.exp(-z[:, 0] ** 2 - z[:, 1] ** 2)
 
-        res = integrate_contour(f, ContourSpec([[0.2, 0.2]]), 2, 1e-9)
+        # At tol 1e-12 the loop halves past step 1/4, the first that may
+        # stop, whose nodes are all evaluated in one call.
+        res = integrate_contour(f, ContourSpec([[0.2, 0.2]]), 2, 1e-12)
         pts = np.concatenate(rows)
         side = np.unique(pts[:, 0]).size
         assert len(rows) > 1
