@@ -236,15 +236,28 @@ def givental_recursive_eval(
 # Spectral-plane model
 
 
+def _distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(z, return_inverse=True)`` for complex ``z`` at half the
+    cost, by a float sort on the imaginary parts, then the real parts."""
+    order = np.lexsort((z.real, z.imag))
+    ordered = z[order]
+    new = np.ones(z.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(z.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def _plancherel_rows(betas: np.ndarray) -> np.ndarray:
     """Spectral density along contour rows, via the reflection identity
-    ``1/(Gamma(w) Gamma(-w)) = -w sin(pi w)/pi`` (entire, no poles)."""
+    ``1/(Gamma(w) Gamma(-w)) = -w sin(pi w)/pi`` (entire, no poles), once
+    per distinct ``w = i (beta_j - beta_k)``: rows on a grid share them."""
     m, n = betas.shape
     value = np.full(m, 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
     for j in range(n):
         for k in range(j + 1, n):
-            w = 1j * (betas[:, j] - betas[:, k])
-            value *= -w * np.sin(math.pi * w) / math.pi
+            w, inverse = _distinct(1j * (betas[:, j] - betas[:, k]))
+            value *= (-w * np.sin(math.pi * w) / math.pi)[inverse]
     return value
 
 
@@ -304,9 +317,8 @@ def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     if betas.shape[1] == 1:
         return np.exp(-1j * betas[:, 0] * float(x[0]))
     x1, x2 = float(x[0]), float(x[1])
-    orders, inverse = np.unique(_fold_orders(1j * (betas[:, 0] - betas[:, 1])), return_inverse=True)
-    yv = np.full(orders.size, 2.0 * math.exp(0.5 * (x1 - x2)))
-    kvals = _macdonald_pairs(orders, yv, _DEFAULT_BUDGET)[inverse]
+    orders, inverse = _distinct(_fold_orders(1j * (betas[:, 0] - betas[:, 1])))
+    kvals = _macdonald_pairs(orders, 2.0 * math.exp(0.5 * (x1 - x2)), _DEFAULT_BUDGET)[inverse]
     phase = np.exp(-0.5j * (betas[:, 0] + betas[:, 1]) * (x1 + x2))
     return 2.0 * phase * kvals
 

@@ -441,8 +441,8 @@ def _macdonald_grid(nu: complex, y: np.ndarray, budget: AccuracyBudget) -> np.nd
     return _macdonald(complex(nu), values, budget)[inverse]
 
 
-def _macdonald_pairs(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
-    """K_{nu_i}(y_i) for paired arrays of orders and positive arguments."""
+def _macdonald_pairs(nu: np.ndarray, y, budget: AccuracyBudget) -> np.ndarray:
+    """K_{nu_i}(y_i) for broadcastable arrays of orders and positive arguments."""
     return _macdonald(nu, y, budget)
 
 

@@ -12,8 +12,8 @@ direct pattern-integral evaluation at ranks one and two, the rank-two
 function by one step from the rank-one closed form, the integral operator
 with a two-Gamma-factor eigenvalue, and the quadratic chain Hamiltonian
 applied by central differences.  The pattern step and the operator's kernel
-are one so step kernel, a middle row between two outer rows, so every
-integral here is written from :func:`_so_step_exponent_rows`.
+are one so step kernel (:func:`_so_step_exponent_rows`), a middle row between
+two outer rows; the operator's middle row is integrated in closed form.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ import numpy as np
 from .errors import RankError, ShiftError
 from .numerics import (
     AccuracyBudget,
-    _DEFAULT_BUDGET,
     _macdonald_grid,
     _quadrature_budget,
     gamma_product,
-    log_gamma,
     macdonald_k,
 )
 from .gl_whittaker import _exp_wall, _kinetic, _stencil
@@ -54,7 +52,7 @@ __all__ = [
 ]
 
 
-#: Minimum decay rate required of the conditionally convergent directions in
+#: Minimum decay rate required of the conditionally convergent direction of
 #: ``so_baxter_apply``; see that function.
 MIN_SO_SPECTRAL_GAP = 0.25
 
@@ -64,9 +62,7 @@ def closed_form_so3(lam: complex, x: float) -> complex:
     return 2.0 * macdonald_k(2j * complex(lam), 2.0 * math.exp(0.5 * float(x)))
 
 
-def _closed_form_so3_batch(
-    lam: complex, xs: np.ndarray, budget: AccuracyBudget = _DEFAULT_BUDGET
-) -> np.ndarray:
+def _closed_form_so3_batch(lam: complex, xs: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
     args = 2.0 * np.exp(np.clip(0.5 * np.asarray(xs, dtype=float), -370.0, 350.0))
     return 2.0 * _macdonald_grid(2j * complex(lam), args, budget)
 
@@ -106,19 +102,6 @@ def _so_step_exponent_rows(top: list, mid: list, bot: list, lam: complex) -> np.
     return 1j * lam * (2.0 * sum(mid) - sum(top) - sum(bot)) - walls
 
 
-def _so_step_box(top: list, size: int, r: float, floor: float = -math.inf) -> tuple[list, list]:
-    """Intervals of the middle row (``size`` entries) and of the bottom row
-    of an so step below a row of intervals ``top``, each cut ``r`` past the
-    walls of :func:`_so_step_exponent_rows`; a middle entry with no wall
-    below starts at ``floor``."""
-    mid = [
-        (top[i][0] - r if i < len(top) else floor, r if i == 0 else top[i - 1][1] + r)
-        for i in range(size)
-    ]
-    bot = [(mid[i + 1][0] - r, mid[i][1] + r) for i in range(size - 1)]
-    return mid, bot
-
-
 def _so_steps(lam_t, x, steps: int, lower: Callable, tol: float, max_evals: int) -> QuadratureResult:
     """``steps`` so steps down from the row ``x``, with parameters
     ``lam_t[-1], lam_t[-2], ...``, fused into one integral over their middle
@@ -126,9 +109,11 @@ def _so_steps(lam_t, x, steps: int, lower: Callable, tol: float, max_evals: int)
     columns)."""
     sizes = [len(x) - k for k in range(steps)]  # the top row of each step
     r = _wall_reach(tol, 2 * sum(2 * m - 1 for m in sizes), lam_t)
+    # Each step's middle and bottom rows, cut r past the walls of the step.
     box, top = [], [(v, v) for v in x]
-    for m in sizes:
-        mid, top = _so_step_box(top, m, r)
+    for _ in sizes:
+        mid = [(top[i][0] - r, r if i == 0 else top[i - 1][1] + r) for i in range(len(top))]
+        top = [(mid[i + 1][0] - r, mid[i][1] + r) for i in range(len(top) - 1)]
         box += mid + top
 
     def f(p: np.ndarray) -> np.ndarray:
@@ -198,6 +183,13 @@ def so_baxter_eigenvalue(gamma: complex, lam) -> complex:
     return gamma_product(zs)
 
 
+def _so_baxter_kernel(g: complex, y: float, xs: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
+    """``Q(y, x)`` of :func:`so_baxter_apply` at ``xs``: ``e^{i g (x + y - t)}``
+    times the rank-one eigenfunction at ``g`` and ``t = log(e^x + e^y)``."""
+    t = np.logaddexp(xs, y)
+    return stable_exp(1j * g * (xs + y - t)) * _closed_form_so3_batch(g, t, budget)
+
+
 def so_baxter_apply(
     gamma: complex,
     lam,
@@ -207,44 +199,40 @@ def so_baxter_apply(
 ) -> QuadratureResult:
     """Apply the rank-one integral operator to the rank-one eigenfunction.
 
-    The kernel is the so step with a middle row one entry longer than its
-    outer rows; its two middle variables and the argument of the
-    eigenfunction are fused into one three-dimensional quadrature.  The
-    kernel is normalized so that the expected eigenvalue is
-    ``so_baxter_eigenvalue(gamma, lam)``.
+    The kernel is the so step from ``[y]`` to ``[x]`` with the middle row
+    ``[z_0, z_1]``, over ``Gamma(2 i gamma)`` so that the expected
+    eigenvalue is ``so_baxter_eigenvalue(gamma, lam)``.  The middle entries
+    couple to the outer rows only, so each integrates in closed form: ``z_1``
+    by Euler's integral, ``Gamma(2 i gamma) (e^{-y} + e^{-x})^{-2 i gamma}``,
+    and ``z_0`` by DLMF 10.32.10, ``2 s^{i gamma} K_{2 i gamma}(2 sqrt(s))``
+    with ``s = e^x + e^y``.  That leaves ``Q(y, x) = 2 e^{i gamma (x + y)}
+    s^{-i gamma} K_{2 i gamma}(2 sqrt(s))``, integrated over ``x`` against
+    the eigenfunction ``2 K_{2 i lam}(2 e^{x/2})``.
 
     Raises ``ShiftError`` unless ``Re(i gamma +/- i lam) >=``
-    ``MIN_SO_SPECTRAL_GAP``: the two center-of-mass directions only decay at
-    those rates, so the parameter needs a negative imaginary part.
+    ``MIN_SO_SPECTRAL_GAP``: as ``x -> -infinity`` the integrand only decays
+    at those rates, so the parameter needs a negative imaginary part.
     """
-    lam_t = _as_lam_tuple(lam)
-    y_arr = np.asarray([float(v) for v in y], dtype=float)
-    if y_arr.size != 1 or len(lam_t) != 1:
+    lam_t, y_t = _as_lam_tuple(lam), tuple(float(v) for v in y)
+    if len(y_t) != 1 or len(lam_t) != 1:
         raise RankError("so_baxter_apply supports exactly one variable")
-    g = complex(gamma)
-    la = lam_t[0]
-    yv = y_arr[0]
-    rate_p = (1j * g + 1j * la).real
-    rate_m = (1j * g - 1j * la).real
+    g, (la,), (yv,) = complex(gamma), lam_t, y_t
+    rate_p, rate_m = (1j * g + 1j * la).real, (1j * g - 1j * la).real
     if min(rate_p, rate_m) < MIN_SO_SPECTRAL_GAP:
         raise ShiftError(
             f"decay rates ({rate_p:.4f}, {rate_m:.4f}) below the minimum "
             f"{MIN_SO_SPECTRAL_GAP}; lower Im(gamma)"
         )
-    # The second middle entry has no wall below: there the integrand decays
-    # at the slowest of the rates.
-    rate = min((1j * g).real, rate_p, rate_m)
-    floor = min(0.0, yv) - _rate_reach(tol, 6, rate)
-    mid, bot = _so_step_box([(yv, yv)], 2, _wall_reach(tol, 6, (g, la)), floor)
+    # Above, the two Macdonald factors make the wall exp(-4 e^{x/2}); below
+    # 0 and y the integrand decays at the slower of the two rates.
+    hi = _wall_reach(tol, 2, (g, la), 0.5, math.log(4.0))
+    lo = min(0.0, yv) - _rate_reach(tol, 2, min(rate_p, rate_m))
     budget = _quadrature_budget(tol)
-    norm = stable_exp(-log_gamma(2j * g))
 
     def f(p: np.ndarray) -> np.ndarray:
-        xv = p[:, 2]
-        expo = _so_step_exponent_rows([yv], [p[:, 0], p[:, 1]], [xv], g)
-        return norm * stable_exp(expo) * _closed_form_so3_batch(la, xv, budget)
+        return _so_baxter_kernel(g, yv, p[:, 0], budget) * _closed_form_so3_batch(la, p[:, 0], budget)
 
-    return _integrate_truncated(f, mid + bot, tol, max_evals, (g, la, -g, -la))
+    return _integrate_truncated(f, [(lo, hi)], tol, max_evals, (g, la, -g, -la))
 
 
 def so_toda_apply_h2(

@@ -417,6 +417,18 @@ class TestConfigAndDispatch:
         payload = json.loads(out)
         assert payload["residual"] < 1e-5
 
+    def test_so3_baxter_apply_at_a_tight_tol(self, capsys):
+        # The operator was once a fused 3-D box: at this tol it exited 2 at
+        # the default budget after 3,993,066 evaluations.
+        code, out, err = run(
+            ["baxter-apply", "--algebra", "so3", "--gamma=-1.6j", "--lambda", "0.45",
+             "--y", "0.1", "--tol", "1e-9", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] and payload["residual"] <= 1e-9
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_baxter_apply_budget_hit_keeps_its_prediction(self, fmt, capsys):
         # The prediction is a closed form; it was printed as 0 with an

@@ -2,6 +2,7 @@
 and the differential operators they diagonalize."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from toda_whittaker import gl_whittaker
 from toda_whittaker.errors import ContourError, RankError
 from toda_whittaker.gl_whittaker import (
     _coordinate_rank1,
+    _plancherel_rows,
     _spectral_rank1,
     closed_form_gl2,
     closed_form_gl2_batch,
@@ -23,7 +25,7 @@ from toda_whittaker.gl_whittaker import (
     plancherel_measure,
     toda_apply,
 )
-from toda_whittaker.numerics import _DEFAULT_BUDGET
+from toda_whittaker.numerics import _DEFAULT_BUDGET, _fold_orders
 from toda_whittaker.quadrature import ContourSpec, _wall_reach
 
 from _oracles import K_2I_2, MB_GL2_REF
@@ -153,6 +155,27 @@ class TestEvaluators:
         k = kernel(unfolded, np.full(len(grid), 2.0 * math.exp(0.25)), _DEFAULT_BUDGET)
         phase = np.exp(-0.5j * (grid[:, 0] + grid[:, 1]) * (x[0] + x[1]))
         assert np.array_equal(batch, 2.0 * phase * k)
+        # Orders with mixed real parts (a contour pair at two offsets) and
+        # rows off any contour, some repeated: the same bits as row by row,
+        # each distinct folded order once.  The spectral density, at two and
+        # three columns, has the bits of its formula evaluated at every row
+        # (an in-place complex product over a whole array does not have
+        # those of the same product row by row).
+        rng = np.random.default_rng(5)
+        off = rng.uniform(-2.0, 2.0, size=(40, 3)) + 1j * rng.uniform(-1.5, -0.2, size=(40, 3))
+        mixed = np.concatenate([grid + np.array([0.0, 0.3j]), off[:, :2], off[::3, :2]])
+        rows = np.concatenate([mb_closed_form_batch(mixed[i:i + 1], x) for i in range(len(mixed))])
+        seen.clear()
+        assert np.array_equal(mb_closed_form_batch(mixed, x), rows)
+        (orders,) = seen
+        assert orders.size == np.unique(_fold_orders(1j * (mixed[:, 0] - mixed[:, 1]))).size == 2 * t.size - 1 + 40
+        for betas in (mixed, np.concatenate([off, off[::2]])):
+            n = betas.shape[1]
+            density = np.full(len(betas), 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
+            for j, k in itertools.combinations(range(n), 2):
+                w = 1j * (betas[:, j] - betas[:, k])
+                density *= -w * np.sin(math.pi * w) / math.pi
+            assert np.array_equal(_plancherel_rows(betas), density)
 
     def test_lr_rank1_dedupe_keeps_the_bits(self):
         # LR integrates its rank-1 coordinate level once per distinct

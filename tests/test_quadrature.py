@@ -301,6 +301,7 @@ class TestLattice:
                 lambda: baxter_apply(lambda xs: baxter_eigenfunction_batch((0.4, -0.4), xs, "lie"), (0.1, -0.1),
                                      -2.2j, "lie", 1e-6, psi_spectral=(0.4, -0.4)),  # 2-D
                 lambda: bump_friedberg_integral(0, (0.3,), (0.1,), -0.9j, 1e-8),  # 1-D
+                lambda: so_baxter_apply(-1.6j, (0.45,), (0.1,), 1e-2),  # 1-D
             ],
         }
         for name, calls in expected.items():

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from toda_whittaker.errors import RankError, ShiftError
+from toda_whittaker.numerics import _quadrature_budget, log_gamma
+from toda_whittaker.quadrature import _integrate_truncated, _rate_reach, _wall_reach, stable_exp
 from toda_whittaker.so_toda import (
+    _so_baxter_kernel,
+    _so_step_exponent_rows,
     closed_form_so3,
     so_baxter_apply,
     so_baxter_eigenvalue,
@@ -70,6 +74,27 @@ class TestBaxterOperator:
         ratio = res.value / base
         expected = so_baxter_eigenvalue(gamma, lam)
         assert abs(ratio - expected) <= 1e-3 * max(1.0, 1.0 / abs(base))
+
+    @pytest.mark.parametrize(
+        "gamma, y, x",
+        # Re(i gamma +/- i lam) = 0.26 at real lam, near MIN_SO_SPECTRAL_GAP.
+        [(-0.26j, 0.3, -0.4), (0.2 - 0.9j, -0.5, 0.7), (-0.3 - 1.2j, 1.0, -1.5)],
+    )
+    def test_kernel_is_the_step_over_its_middle_row(self, gamma, y, x):
+        # The closed kernel against its definition: the so step from [y] to
+        # [x], integrated over the middle row [z_0, z_1], over Gamma(2 i gamma).
+        tol = 1e-12
+        closed = complex(_so_baxter_kernel(gamma, y, np.array([x]), _quadrature_budget(tol))[0])
+        r = _wall_reach(tol, 4, (gamma, -gamma))
+        box = [(max(x, y) - r, r), (min(x, y) - _rate_reach(tol, 4, (2j * gamma).real), min(x, y) + r)]
+
+        def f(p):
+            expo = _so_step_exponent_rows([y], [p[:, 0], p[:, 1]], [x], gamma)
+            return stable_exp(expo - log_gamma(2j * gamma))
+
+        res = _integrate_truncated(f, box, tol, 10**7, (gamma, -gamma))
+        assert res.converged
+        assert _rel(closed, res.value) < 1e-8
 
     def test_shift_gate(self):
         with pytest.raises(ShiftError):
