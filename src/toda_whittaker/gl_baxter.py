@@ -311,6 +311,15 @@ def dual_baxter_apply(
     must lie strictly below every ``Im gamma_j``, else :class:`ContourError`),
     with the spectral density included.  ``F`` receives complex ``(m, n)``
     rows.
+
+    The contours are cut at the radius of a Gamma-decay count of ``n =
+    len(gamma)``: ``F`` times the Gamma factors and the density must fall
+    off like ``exp(-pi n |t| / 2)`` in every real coordinate ``t`` for the
+    reported error to cover the cut tails.  A rank-1 eigenfunction ``F``
+    (:func:`mb_closed_form_batch` at ``n = 2``) leaves only
+    ``exp(-pi |t| / 2)`` along each axis; that is far below ``tol`` at the
+    workloads' tolerances, but at ``tol = 1e-10`` the error can exceed the
+    report by a factor of two.
     """
     g = _as_params(gamma)
     n = len(g)

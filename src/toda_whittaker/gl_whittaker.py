@@ -45,10 +45,12 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
+    _axis_differences,
+    _integrate_contour_axes,
     _integrate_truncated,
+    _on_rows,
     _trapezoid_radius,
     _wall_reach,
-    integrate_contour,
     stable_exp,
 )
 
@@ -248,16 +250,24 @@ def _distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], inverse
 
 
-def _plancherel_rows(betas: np.ndarray) -> np.ndarray:
-    """Spectral density along contour rows, via the reflection identity
-    ``1/(Gamma(w) Gamma(-w)) = -w sin(pi w)/pi`` (entire, no poles), once
-    per distinct ``w = i (beta_j - beta_k)``: rows on a grid share them."""
-    m, n = betas.shape
-    value = np.full(m, 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
+def _spectral_density(axes: tuple) -> np.ndarray:
+    """Spectral density on the grid of the parameter axes ``axes``, one
+    complex 1-D array per variable: the standard normalization times, for
+    each pair ``j < k``, the reflection identity ``1/(Gamma(w) Gamma(-w)) =
+    -w sin(pi w)/pi`` (entire, no poles) at ``w = i (beta_j - beta_k)``.
+    Along a lattice axis the imaginary part is constant, so ``w`` depends
+    on a node only through the difference of its two real parts, and is
+    evaluated once per difference (:func:`_axis_differences`).  Each node's
+    value has the same bits whichever nodes share the axes."""
+    n = len(axes)
+    value = 1.0 / ((2.0 * math.pi) ** n * math.factorial(n))
     for j in range(n):
         for k in range(j + 1, n):
-            w, inverse = _distinct(1j * (betas[:, j] - betas[:, k]))
-            value *= (-w * np.sin(math.pi * w) / math.pi)[inverse]
+            diffs, index = _axis_differences(axes[j].real, axes[k].real)
+            w = 1j * (diffs + 1j * (axes[j][0].imag - axes[k][0].imag))
+            shape = [1] * n
+            shape[j], shape[k] = index.shape
+            value = value * (-w * np.sin(math.pi * w) / math.pi)[index.reshape(shape)]
     return value
 
 
@@ -267,10 +277,12 @@ def _spectral_step(
     """One spectral step: the integral along ``contour`` of the Gamma factors
     ``prod_{p, j} Gamma(i beta_j - i p)`` over ``params``, the phase
     ``exp(-i z (sum params - sum beta))``, the spectral density and
-    ``lower``, the rank below at parameter rows ``beta``, by
-    :func:`integrate_contour` with ``decay`` as its Gamma-decay count.  The
-    Gamma factors of a column depend on that column alone, so each is
-    evaluated once per distinct value; rows on a grid share them.
+    ``lower``, the rank below at ``(m, n)`` parameter rows ``beta``, by
+    :func:`~toda_whittaker.quadrature._integrate_contour_axes` with
+    ``decay`` as its Gamma-decay count.  The Gamma factors and the phase of
+    a column depend on that column alone, so they are evaluated once per
+    axis node, and the density once per difference of two axes' nodes;
+    ``lower`` gets the nodes of a whole batch of grids as rows.
 
     Raises :class:`ContourError` unless every contour offset lies strictly
     below every ``Im params``, where the poles of ``Gamma(i beta - i p)``
@@ -280,22 +292,25 @@ def _spectral_step(
             f"contour offsets {list(contour.flat)} must sit below every spectral "
             f"parameter (imaginary parts {[p.imag for p in params]})"
         )
+    phase = cmath.exp(-1j * z * sum(params))
 
-    def f(betas: np.ndarray) -> np.ndarray:
-        expo = np.zeros(betas.shape[0], dtype=complex)
-        for j in range(betas.shape[1]):
-            # The column's imaginary part is its contour offset, so its
-            # distinct values are those of its real part.
-            _, first, inverse = np.unique(betas[:, j].real, return_index=True, return_inverse=True)
-            values = betas[first, j]
-            column = np.zeros(values.size, dtype=complex)
+    def kernel(axes: tuple) -> np.ndarray:
+        value = phase * _spectral_density(axes)
+        for j, beta in enumerate(axes):
+            column = 1j * z * beta
             for p in params:
-                column += log_gamma_array(1j * values - 1j * p)
-            expo += column[inverse]
-        expo += -1j * z * (sum(params) - betas.sum(axis=1))
-        return stable_exp(expo) * _plancherel_rows(betas) * np.asarray(lower(betas), dtype=complex)
+                column = column + log_gamma_array(1j * beta - 1j * p)
+            shape = [1] * len(axes)
+            shape[j] = beta.size
+            value = value * stable_exp(column).reshape(shape)
+        return value
 
-    return integrate_contour(f, contour, decay, tol, max_evals)
+    below = _on_rows(lower)
+
+    def f(grids: list) -> list:
+        return [kernel(axes) * values for axes, values in zip(grids, below(grids))]
+
+    return _integrate_contour_axes(f, contour, decay, tol, max_evals)
 
 
 def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
@@ -392,7 +407,7 @@ def plancherel_measure(lam) -> complex:
                     f"plancherel_measure undefined at coinciding parameters {j}, {k}",
                     index=j,
                 )
-    return complex(_plancherel_rows(np.asarray([lam_t], dtype=complex))[0])
+    return complex(np.ravel(_spectral_density(tuple(np.array([v]) for v in lam_t)))[0])
 
 
 # ---------------------------------------------------------------------------

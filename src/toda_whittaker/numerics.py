@@ -435,8 +435,10 @@ def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> n
 
 def _macdonald_grid(nu: complex, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
     """K_nu(y_i) for one order and a 1-D array of positive arguments,
-    evaluated once per distinct argument: on a lattice in the relative
-    coordinate, many nodes share one."""
+    evaluated once per distinct argument: rows of a lattice in the relative
+    coordinate share them.  An integrand on the lattice's tensor axes
+    passes one argument per difference of two axes' nodes (see
+    :func:`~toda_whittaker.quadrature._axis_differences`), all distinct."""
     values, inverse = np.unique(y, return_inverse=True)
     return _macdonald(complex(nu), values, budget)[inverse]
 

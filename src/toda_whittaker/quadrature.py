@@ -10,9 +10,8 @@ over real boxes.
   the caller.  Its integrands are analytic in a strip around the lines and
   decay exponentially, where the trapezoid rule converges geometrically
   (Trefethen and Weideman, SIAM Review 56, 2014).  Every node of the first
-  step that may stop is evaluated in one integrand call, and the sums of the
-  coarser steps are read off those values, so an integrand that evaluates
-  each distinct value once per call sees every coarse node once.
+  step that may stop is evaluated at once, and the sums of the coarser
+  steps are read off those values as strided slices.
 * :func:`integrate_box` — adaptive integration over an explicit box, using a
   Gauss–Kronrod 7/15 pair in one dimension and an embedded degree-7/5
   fully-symmetric cubature rule in dimensions two through six.
@@ -34,7 +33,12 @@ Integrand contract
 ------------------
 Integrands are vectorized: ``f(points)`` receives an ``(m, d)`` array (real
 for the box integrators, complex for the contour integrator) and must
-return an ``(m,)`` complex array. Tolerances are absolute.
+return an ``(m,)`` complex array. Tolerances are absolute.  The lattice
+itself hands its integrand grids by their tensor axes, one 1-D node array
+per dimension, and takes back the values on each grid (see
+:func:`_trapezoid_level`), so a factor that depends on one axis, or on the
+difference of two (:func:`_axis_differences`), is evaluated once per axis
+node or per difference; :func:`_on_rows` adapts a row integrand to it.
 
 Determinism: identical inputs produce bit-identical results.  The trapezoid
 rule sums its nodes in a fixed order.  The adaptive engine keeps its regions
@@ -488,32 +492,85 @@ def _integrate_truncated(
 ) -> QuadratureResult:
     """An integral over R^d of ``f``, cut to a box by :func:`_wall_reach` and
     :func:`_rate_reach`: the box to ``0.9 tol``, plus ``tol / 10`` for the
-    tails it truncates; converged if the sum is within ``tol``.
+    tails it truncates; converged if the sum is within ``tol``.  ``f`` takes
+    ``(m, d)`` rows.
 
     ``params``, when given, are spectral parameters whose real parts bound
     the phases of ``f``: along each axis every plane wave ``e^{i w t}`` in it
     has ``|Re w|`` at most the spread of those real parts.  A one- or
-    two-dimensional box with ``params`` goes to the trapezoid rule on the
-    dyadic lattice ``2**-k Z^d`` (see :func:`_trapezoid`), each node
-    evaluated once; every other box goes to :func:`integrate_box`.  The
-    lattice needs ``f`` to vanish to within the tail bound on every side of
-    the box, as it does past the walls and tails: the sum over the nodes in
-    the box then converges geometrically.  At a true edge, where the domain
-    itself ends and the first derivative of ``f`` across it does not
-    vanish, the lattice is only second order, so a box with one passes no
-    ``params``.
+    two-dimensional box with ``params`` goes to :func:`_integrate_lattice`,
+    which hands ``f`` the lattice's nodes as rows through :func:`_on_rows`;
+    every other box goes to :func:`integrate_box`.
 
     Where the walls of a side cross before their reaches (``lo >= hi``),
     every point of that axis lies past one of them, so the whole integral
     is within the tail bound of zero; that side is kept one unit wide."""
+    if params is not None and len(box) <= 2:
+        return _integrate_lattice(_on_rows(f), box, tol, max_evals, params)
     box = [(lo, max(hi, lo + 1.0)) for lo, hi in box]
-    if params is None or len(box) > 2:
-        inner = integrate_box(f, box, 0.9 * tol, max_evals)
-        err = inner.abs_error + tol / 10.0
-        return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+    inner = integrate_box(f, box, 0.9 * tol, max_evals)
+    err = inner.abs_error + tol / 10.0
+    return QuadratureResult(inner.value, err, inner.evaluations, err <= tol)
+
+
+def _integrate_lattice(
+    g: Callable[[list], list], box, tol: float, max_evals: int, params
+) -> QuadratureResult:
+    """:func:`_integrate_truncated` of a one- or two-dimensional box with
+    ``params``, for an integrand ``g`` on tensor axes (see
+    :func:`_trapezoid_level`): the trapezoid rule on the dyadic lattice
+    ``2**-k Z^d`` (see :func:`_trapezoid`), each node evaluated once.  The
+    lattice needs ``g`` to vanish to within the tail bound on every side of
+    the box, as it does past the walls and tails: the sum over the nodes in
+    the box then converges geometrically.  At a true edge, where the domain
+    itself ends and the first derivative of the integrand across it does
+    not vanish, the lattice is only second order, so a box with one passes
+    no ``params``."""
+    box = [(lo, max(hi, lo + 1.0)) for lo, hi in box]
     re = [complex(p).real for p in params]
     lo, hi = np.asarray(box, dtype=float).T
-    return _trapezoid(f, lo, hi, tol / 10.0, tol, max_evals, max(re) - min(re))
+    return _trapezoid(g, lo, hi, tol / 10.0, tol, max_evals, max(re) - min(re))
+
+
+def _grid_rows(axes: tuple) -> np.ndarray:
+    """Every node of the grid of ``axes`` as an ``(m, d)`` row, in C order."""
+    d = len(axes)
+    rows = np.empty(tuple(a.size for a in axes) + (d,), dtype=np.result_type(*axes))
+    for j, a in enumerate(axes):
+        rows[..., j] = a.reshape([-1 if i == j else 1 for i in range(d)])
+    return rows.reshape(-1, d)
+
+
+def _on_rows(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[list], list]:
+    """The lattice integrand that evaluates the row integrand ``f`` (see
+    :func:`_trapezoid_level`): on a batch of grids it calls ``f`` once with
+    the nodes of every grid as ``(m, d)`` rows, grid after grid, each in C
+    order, and returns each grid's values as an array of its shape."""
+
+    def g(grids: list) -> list:
+        values = np.asarray(f(np.concatenate([_grid_rows(axes) for axes in grids])), dtype=complex)
+        out, start = [], 0
+        for axes in grids:
+            shape = [a.size for a in axes]
+            out.append(values[start:start + math.prod(shape)].reshape(shape))
+            start += math.prod(shape)
+        return out
+
+    return g
+
+
+def _axis_differences(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The differences ``u[a] - v[b]`` of two real axes of one dyadic
+    lattice, each increasing and evenly spaced (as :func:`_trapezoid_level`
+    hands them): every multiple of the finer spacing from the least
+    difference to the greatest, and the ``(u.size, v.size)`` array of each
+    pair's position among them.  The nodes are dyadic, so each difference
+    is exact and has the same bits whichever nodes share the axes."""
+    step = min((a[1] - a[0] for a in (u, v) if a.size > 1), default=1.0)
+    iu = np.rint((u - u[0]) / step).astype(np.intp)
+    iv = np.rint((v[-1] - v) / step).astype(np.intp)
+    diffs = (u[0] - v[-1]) + step * np.arange(iu[-1] + iv[0] + 1)
+    return diffs, iu[:, None] + iv[None, :]
 
 
 def _lattice(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -524,50 +581,94 @@ def _lattice(lo: np.ndarray, hi: np.ndarray, k: int) -> tuple[np.ndarray, tuple[
     return first, tuple(int(n) for n in np.floor(hi * 2.0**k).astype(int) - first + 1)
 
 
-def _trapezoid_level(
-    g: Callable[[np.ndarray], np.ndarray], k: int, lo: np.ndarray, hi: np.ndarray, first: bool
-) -> tuple[list, int]:
-    """Sums of ``g`` over the nodes ``2**-k j`` in the box ``[lo, hi]``, in C
-    order and in chunks of at most ``_TRAPEZOID_CHUNK`` enumerated nodes.
+def _batches(grids: list) -> list:
+    """The grids of per-axis index arrays ``grids`` as slabs of their first
+    axis, each of at most ``_TRAPEZOID_CHUNK`` nodes (at least one row),
+    grid after grid and skipping empty grids, and those slabs grouped in
+    order into batches of at most ``_TRAPEZOID_CHUNK`` nodes."""
+    batches, size = [], _TRAPEZOID_CHUNK
+    for grid in grids:
+        rest = math.prod(ix.size for ix in grid[1:])
+        if rest == 0:
+            continue
+        rows = max(1, _TRAPEZOID_CHUNK // rest)
+        for r in range(0, grid[0].size, rows):
+            slab = [grid[0][r:r + rows]] + grid[1:]
+            nodes = slab[0].size * rest
+            if size + nodes > _TRAPEZOID_CHUNK:
+                batches.append([])
+                size = 0
+            batches[-1].append(slab)
+            size += nodes
+    return batches
 
-    On the ``first`` lattice every node is evaluated, in one call of ``g``
-    per chunk, and the sums of the coarser steps are read off those values
-    by index masks (a node lies on the lattice of step ``2**-i`` when every
-    index of it is divisible by ``2**(k - i)``): the sums over the nodes of
-    step 2, of step 1, of step 1/2, and then for each step ``2**-i``,
-    ``i = 2, ..., k``, over the nodes it adds to step ``2**(1 - i)``.  Each
-    is summed over the same values in the same order as if its step were
-    evaluated on its own.  Otherwise only the nodes with an odd index are
-    evaluated, those the step ``2**(1 - k)`` lacks, and their sum is the
-    one entry.
+
+def _picks(index: list, odd: int, stride: int) -> tuple:
+    """Slices of the grid of the per-axis index arrays ``index`` that pick
+    the nodes on the lattice of indices divisible by ``stride``, with the
+    index in units of ``stride`` odd on axis ``odd`` and even on the axes
+    before it (any on the axes after it; every node of that lattice for
+    ``odd = -1``)."""
+    picks = []
+    for b, ix in enumerate(index):
+        mod, rest = (stride, 0) if b > odd else (2 * stride, stride if b == odd else 0)
+        picks.append(slice((rest - int(ix[0])) % mod, None, mod))
+    return tuple(picks)
+
+
+def _trapezoid_level(
+    g: Callable[[list], list], k: int, lo: np.ndarray, hi: np.ndarray, first: bool
+) -> tuple[list, int]:
+    """Sums of ``g`` over the nodes ``2**-k j`` in the box ``[lo, hi]``.
+
+    ``g`` is evaluated on tensor axes: it takes a batch, a list of grids
+    each given by its axes, a tuple of ``d`` 1-D node arrays, and returns
+    the list of their values, each a ``d``-dimensional array on its grid.
+    The grids are slabs of the first axis, never empty, and a batch holds
+    at most ``_TRAPEZOID_CHUNK`` nodes (a slab of one row may exceed it);
+    each node is evaluated once.  Every sum adds, slab by slab, the NumPy
+    sums of C-ordered copies of strided slices of the values
+    (:func:`_picks`).
+
+    On the ``first`` lattice every node is evaluated, and the sums of the
+    coarser steps are read off those values as strided slices (a node lies
+    on the lattice of step ``2**-i`` when every index of it is divisible by
+    ``m = 2**(k - i)``, so on each axis the slice starts at ``-first mod
+    m``): the sums over the nodes of step 2, of step 1, of step 1/2, and
+    then for each step ``2**-i``, ``i = 2, ..., k``, over the nodes it adds
+    to step ``2**(1 - i)``.  Those are ``d`` sub-grids, the nodes whose
+    index is odd on axis ``a`` and even on the axes before it, for ``a = 0,
+    ..., d - 1``, summed in that order.  Otherwise only those ``d``
+    sub-grids of step ``2**-k`` are evaluated, in the same order and in
+    batches across them, and their sum is the one entry.  A sum read off
+    one slab therefore has the bits of its step's own evaluation in one
+    slab per sub-grid.
 
     Returns those sums and the number of nodes evaluated."""
     corner, shape = _lattice(lo, hi, k)
-    total = math.prod(shape)
-    step = 2.0**-k
+    index = [c + np.arange(n) for c, n in zip(corner.tolist(), shape)]
+    d, step = len(index), 2.0**-k
+    grids = [index]
+    if not first:
+        grids = [[ix[pick] for ix, pick in zip(index, _picks(index, a, 1))] for a in range(d)]
     sums = [0j] * (k + 2 if first else 1)
     count = 0
-    for start in range(0, total, _TRAPEZOID_CHUNK):
-        flat = np.arange(start, min(start + _TRAPEZOID_CHUNK, total))
-        idx = np.stack(np.unravel_index(flat, shape), axis=1) + corner
-        low = np.bitwise_or.reduce(idx, axis=1)
-        if first:
-            vals = g(idx * step)
-            # on[i + 1]: the nodes on the lattice of step 2**-i, i = -1, ..., k.
-            on = [(low & ((1 << (k - i)) - 1)) == 0 for i in range(-1, k + 1)]
-            parts = on[:3] + [on[i] & ~on[i - 1] for i in range(3, k + 2)]
-        else:
-            idx = idx[(low & 1) == 1]
-            vals = g(idx * step)
-            parts = [slice(None)]
-        for i, part in enumerate(parts):
-            sums[i] += vals[part].sum()
-        count += idx.shape[0]
+    for batch in _batches(grids):
+        for slab, vals in zip(batch, g([tuple(ix * step for ix in slab) for slab in batch])):
+            vals = np.asarray(vals, dtype=complex)
+            count += vals.size
+            if not first:
+                sums[0] += vals.ravel().sum()
+                continue
+            for e, i in enumerate(range(-1, k + 1)):
+                m = 1 << (k - i)
+                for odd in [-1] if i <= 1 else range(d):
+                    sums[e] += vals[_picks(slab, odd, m)].ravel().sum()
     return sums, count
 
 
 def _trapezoid(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[list], list],
     lo: np.ndarray,
     hi: np.ndarray,
     tail: float,
@@ -576,7 +677,8 @@ def _trapezoid(
     frequency: float = 0.0,
 ) -> QuadratureResult:
     """The trapezoid rule on the nodes ``2**-k j`` in the box ``[lo, hi]``
-    for ``k = 1, 2, ...``: the sum ``T_h`` of ``g`` over them times ``h**d``.
+    for ``k = 1, 2, ...``: the sum ``T_h`` of ``g`` over them times ``h**d``,
+    ``g`` an integrand on tensor axes (see :func:`_trapezoid_level`).
     Halving stops at the first ``h <= 1/4`` whose error is within ``tol``,
     or raises :class:`BudgetExceeded` before a halving that would take the
     node count past ``max_evals``.
@@ -595,7 +697,8 @@ def _trapezoid(
     loop, so every node of that step is evaluated at once (the finest step
     up to it within ``max_evals``; step 1/2 always); ``T_2``, ``T_1``, ...,
     ``T_{2**-k0}`` are read off those values (see :func:`_trapezoid_level`)
-    and each later halving evaluates only the nodes with an odd index.
+    and each later halving evaluates only the nodes with an odd index, as
+    ``d`` sub-grids.
 
     The error is ``d_1 + tail``, ``d_1 = |T_h - T_2h|``.  That difference
     understates the error of ``T_h`` when ``T_2h`` happens to be accurate,
@@ -671,14 +774,17 @@ def integrate_contour(
     ...``.  The nodes are integer multiples of ``h``, so every node is
     evaluated once, and node coordinates (and their differences) are exact.
     The same halving loop integrates the truncated 1-D and 2-D boxes of the
-    coordinate-space integrals, on the lattice nodes inside each box.  On integrands analytic in a strip around
-    the contour the error falls like ``exp(-2 pi w / h)``, ``w`` the
-    distance to the nearest singularity.
+    coordinate-space integrals, on the lattice nodes inside each box.  On
+    integrands analytic in a strip around the contour the error falls like
+    ``exp(-2 pi w / h)``, ``w`` the distance to the nearest singularity.
 
+    The loop works on tensor axes (see :func:`_trapezoid_level`); ``f`` gets
+    each grid's nodes as rows through :func:`_on_rows`, and
+    :func:`_integrate_contour_axes` takes an integrand on the axes instead.
     Every node of step ``1/4``, the first that may stop, is evaluated in
-    one call of ``f`` (in chunks of 32,768 nodes), and ``T_2``, ``T_1`` and
-    ``T_1/2`` are summed from those of its nodes that lie on their steps.
-    Each later halving evaluates only the nodes the step before lacks.
+    slabs of at most 32,768 nodes, and ``T_2``, ``T_1`` and ``T_1/2`` are
+    summed from strided slices of those values.  Each later halving
+    evaluates only the nodes the step before lacks, as ``d`` sub-grids.
 
     Error estimate: ``abs_error`` is ``|T_h - T_2h|`` plus the bound on the
     truncated tails, raised where the two differences before it show a
@@ -696,18 +802,31 @@ def integrate_contour(
         nodes fit); the exception carries the last step's estimate with
         ``converged=False``.
     """
+    return _integrate_contour_axes(_on_rows(f), contour, gamma_decay_count, tol, max_evals)
+
+
+def _integrate_contour_axes(
+    g: Callable[[list], list],
+    contour: ContourSpec,
+    gamma_decay_count: int,
+    tol: float,
+    max_evals: int = _DEFAULT_MAX_EVALS,
+) -> QuadratureResult:
+    """:func:`integrate_contour` of an integrand ``g`` on tensor axes (see
+    :func:`_trapezoid_level`): each grid it receives has one complex axis
+    of points ``t + i c`` per contour variable, in level order."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if gamma_decay_count < 1:
         raise ValueError("gamma_decay_count must be at least 1")
     contour.validate()
-    offsets = np.asarray(contour.flat, dtype=float)
-    d = offsets.size
+    offsets = contour.flat
+    d = len(offsets)
     if d > _MAX_DIM:
         raise ValueError(f"dimension {d} exceeds the supported maximum {_MAX_DIM}")
     radius, tail = _trapezoid_radius(tol, d, gamma_decay_count)
 
-    def g(t: np.ndarray) -> np.ndarray:
-        return np.asarray(f(t + 1j * offsets[None, :]), dtype=complex)
+    def shifted(grids: list) -> list:
+        return g([tuple(t + 1j * c for t, c in zip(axes, offsets)) for axes in grids])
 
-    return _trapezoid(g, np.full(d, -float(radius)), np.full(d, float(radius)), tail, tol, max_evals)
+    return _trapezoid(shifted, np.full(d, -float(radius)), np.full(d, float(radius)), tail, tol, max_evals)

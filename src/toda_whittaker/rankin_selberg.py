@@ -25,6 +25,7 @@ from .errors import ContourError, RankError, ShiftError
 from .gl_baxter import _LIE, MIN_SPECTRAL_GAP, IdentityCheck, _kernel_exponent_rows
 from .gl_whittaker import _step_exponent_rows, closed_form_gl2_batch
 from .numerics import (
+    _macdonald_grid,
     _quadrature_budget,
     gamma_product,
     log_gamma,
@@ -35,6 +36,8 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
+    _axis_differences,
+    _integrate_lattice,
     _integrate_truncated,
     _rate_reach,
     _wall_reach,
@@ -129,14 +132,28 @@ def bump_friedberg_integral(
     x1_hi = r + _wall_reach(tol, sides, shifted + gamma, 0.5, math.log(4.0))
     box = [(-_rate_reach(tol, sides, rate_com), x1_hi)] * ell + [(-_rate_reach(tol, sides, rate), r)]
     budget = _quadrature_budget(tol)
+    # conj(e^{i a x}) = e^{conj(i a) x} on real x: the phase of both
+    # functions along each axis, their center-of-mass phase at ell = 1.
+    slope = 1j * shifted[0] + (1j * gamma[0]).conjugate()
+    if ell == 1:
+        slope = 0.5j * sum(shifted) + (0.5j * sum(gamma)).conjugate()
 
-    def integrand(p: np.ndarray) -> np.ndarray:
+    def integrand(axes: tuple) -> np.ndarray:
         # The damping exp(-e^{x_last}) is the rank-1 kernel Q(x_last, 0 | 0).
-        damping = stable_exp(_kernel_exponent_rows(p[:, -1:], np.zeros((p.shape[0], 1)), 0.0, _LIE))
-        top = _eigenfunction_rows(shifted, p, budget)
-        return damping * top * np.conj(_eigenfunction_rows(gamma, p, budget))
+        last = axes[-1][:, None]
+        damping = stable_exp(_kernel_exponent_rows(last, np.zeros_like(last), 0.0, _LIE))
+        value = np.exp(slope * axes[-1]) * damping
+        if ell == 0:
+            return value
+        # The rank-1 functions' Macdonald factors depend on x_1 - x_2 alone.
+        diffs, index = _axis_differences(axes[0], axes[1])
+        y = 2.0 * np.exp(0.5 * diffs)
+        radial = 4.0 * _macdonald_grid(1j * (shifted[0] - shifted[1]), y, budget)
+        radial = radial * np.conj(_macdonald_grid(1j * (gamma[0] - gamma[1]), y, budget))
+        return np.exp(slope * axes[0])[:, None] * value[None, :] * radial[index]
 
-    return _integrate_truncated(integrand, box, tol, max_evals, shifted + gamma)
+    return _integrate_lattice(lambda grids: [integrand(axes) for axes in grids], box, tol, max_evals,
+                              shifted + gamma)
 
 
 def bump_inner_correlation_prediction(gamma_bot, lambda_top, t, x_last) -> complex:

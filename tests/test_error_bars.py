@@ -290,6 +290,9 @@ def test_pairing_integrals():
                       -1j * float(rng.uniform(0.7, 1.2)), 10.0 ** rng.uniform(-10.0, -6.0)))
     a, b = float(rng.uniform(0.3, 0.5)), float(rng.uniform(0.1, 0.3))
     draws.append((1, (a, -a), (b, -b), -1j * float(rng.uniform(1.6, 2.0)), 10.0 ** rng.uniform(-5.0, -3.0)))
+    for _ in range(2):
+        a, b = float(rng.uniform(0.3, 0.5)), float(rng.uniform(0.1, 0.3))
+        draws.append((1, (a, -a), (b, -b), -1j * float(rng.uniform(1.6, 2.0)), 10.0 ** rng.uniform(-7.0, -4.0)))
     for ell, gamma, lam, t, tol in draws:
         ref = _mp_gamma([1j * t + 1j * lk - 1j * complex(gj).conjugate() for lk in lam for gj in gamma])
         _covers(bump_friedberg_integral(ell, gamma, lam, t, tol), ref)

@@ -12,7 +12,7 @@ from toda_whittaker import gl_whittaker
 from toda_whittaker.errors import ContourError, RankError
 from toda_whittaker.gl_whittaker import (
     _coordinate_rank1,
-    _plancherel_rows,
+    _spectral_density,
     _spectral_rank1,
     closed_form_gl2,
     closed_form_gl2_batch,
@@ -157,10 +157,7 @@ class TestEvaluators:
         assert np.array_equal(batch, 2.0 * phase * k)
         # Orders with mixed real parts (a contour pair at two offsets) and
         # rows off any contour, some repeated: the same bits as row by row,
-        # each distinct folded order once.  The spectral density, at two and
-        # three columns, has the bits of its formula evaluated at every row
-        # (an in-place complex product over a whole array does not have
-        # those of the same product row by row).
+        # each distinct folded order once.
         rng = np.random.default_rng(5)
         off = rng.uniform(-2.0, 2.0, size=(40, 3)) + 1j * rng.uniform(-1.5, -0.2, size=(40, 3))
         mixed = np.concatenate([grid + np.array([0.0, 0.3j]), off[:, :2], off[::3, :2]])
@@ -169,13 +166,31 @@ class TestEvaluators:
         assert np.array_equal(mb_closed_form_batch(mixed, x), rows)
         (orders,) = seen
         assert orders.size == np.unique(_fold_orders(1j * (mixed[:, 0] - mixed[:, 1]))).size == 2 * t.size - 1 + 40
-        for betas in (mixed, np.concatenate([off, off[::2]])):
-            n = betas.shape[1]
-            density = np.full(len(betas), 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
-            for j, k in itertools.combinations(range(n), 2):
-                w = 1j * (betas[:, j] - betas[:, k])
-                density *= -w * np.sin(math.pi * w) / math.pi
-            assert np.array_equal(_plancherel_rows(betas), density)
+
+    @staticmethod
+    def _density_rows(betas):
+        """The spectral density's formula at every row, out of place."""
+        n = betas.shape[1]
+        density = np.full(len(betas), 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
+        for j, k in itertools.combinations(range(n), 2):
+            w = 1j * (betas[:, j] - betas[:, k])
+            density = density * (-w * np.sin(math.pi * w) / math.pi)
+        return density
+
+    def test_spectral_density_on_axes_is_its_formula_at_every_node(self):
+        # On lattice axes of two and three variables (steps 1/4 and 1/2, at
+        # two offsets, as a later halving's sub-grids mix them) the density,
+        # computed once per difference of two axes, has the bits of its
+        # formula at every node; so do single nodes off any lattice.
+        axes = (np.arange(-9, 8, 2) / 4.0 - 0.7j, np.arange(-12, 13) / 4.0 - 0.4j, np.arange(-3, 4) / 2.0 - 0.4j)
+        for n in (2, 3):
+            grid = np.stack(np.meshgrid(*axes[:n], indexing="ij"), axis=-1).reshape(-1, n)
+            assert np.array_equal(_spectral_density(axes[:n]).ravel(), self._density_rows(grid))
+        rng = np.random.default_rng(5)
+        off = rng.uniform(-2.0, 2.0, size=(40, 3)) + 1j * rng.uniform(-1.5, -0.2, size=(40, 3))
+        one = np.array([_spectral_density(tuple(b[j:j + 1] for j in range(3))).item() for b in off])
+        assert np.array_equal(one, self._density_rows(off))
+        assert all(plancherel_measure(b) == d for b, d in zip(off, one))
 
     def test_lr_rank1_dedupe_keeps_the_bits(self):
         # LR integrates its rank-1 coordinate level once per distinct

@@ -12,20 +12,24 @@ from hypothesis import strategies as st
 from toda_whittaker import quadrature
 from toda_whittaker.errors import BudgetExceeded
 from toda_whittaker.gl_baxter import (
+    _LIE,
     _double_apply_fused,
+    _kernel_exponent_rows,
     baxter_apply,
     baxter_eigenfunction_batch,
     dual_baxter_apply,
     spherical_transform_rank2,
 )
 from toda_whittaker.gl_whittaker import (
+    closed_form_gl2_batch,
+    default_contour,
     givental_eval,
     givental_recursive_eval,
     mb_closed_form_batch,
     mellin_barnes_eval,
     mixed_eval,
 )
-from toda_whittaker.numerics import gamma_product, macdonald_k
+from toda_whittaker.numerics import _quadrature_budget, gamma_product, log_gamma_array, macdonald_k
 from toda_whittaker.quadrature import (
     ContourSpec,
     _integrate_truncated,
@@ -168,6 +172,17 @@ def _gaussian_2d(p):
     return np.exp(-(p[:, 0] - 0.3) ** 2 - 0.5 * (p[:, 1] + 0.2) ** 2 + 0.4j * p[:, 0]) + 0j
 
 
+def _gaussian_axes(axes):
+    """:func:`_gaussian_2d` on the grid of two tensor axes."""
+    u, v = axes[0][:, None], axes[1][None, :]
+    return np.exp(-(u - 0.3) ** 2 - 0.5 * (v + 0.2) ** 2 + 0.4j * u) + 0j
+
+
+def _grid_rows(axes):
+    """The nodes of the grid of ``axes`` as rows, in C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 class TestLattice:
     """The trapezoid rule on the truncated 1-D and 2-D boxes."""
 
@@ -204,17 +219,26 @@ class TestLattice:
             count *= math.floor(hi / step) - math.ceil(lo / step) + 1
         assert res.evaluations == pts.shape[0] == np.unique(pts, axis=0).shape[0] == count
 
-    def _level_sum(self, k, new):
-        """The sum of the Gaussian over the nodes ``2**-k j`` in the box,
-        in C order, or over those of them with an odd index (``new``),
-        evaluated on their own."""
-        lo, hi = np.asarray(self.BOX).T
-        first = np.ceil(lo * 2.0**k).astype(int)
-        shape = tuple(np.floor(hi * 2.0**k).astype(int) - first + 1)
-        idx = np.indices(shape).reshape(2, -1).T + first
+    @staticmethod
+    def _level_sum(k, new, box=BOX, f=_gaussian_2d):
+        """The sum of ``f`` over the nodes ``2**-k j`` in the box, or
+        over the nodes step ``2**-k`` adds to step ``2**(1 - k)`` (``new``),
+        evaluated on their own as the lattice evaluates a level: the NumPy
+        sum of the values of one grid in C order, or of the ``d`` sub-grids
+        odd on axis ``a``, even on the axes before it, summed in order of
+        ``a``; and the number of nodes."""
+        lo, hi = np.asarray(box).T
+        index = [np.arange(math.ceil(a * 2.0**k), math.floor(b * 2.0**k) + 1) for a, b in zip(lo, hi)]
+        grids = [index]
         if new:
-            idx = idx[(idx & 1).any(axis=1)]
-        return _gaussian_2d(idx * 2.0**-k).sum(), idx.shape[0]
+            grids = [[ix[ix % 2 == int(b == a)] if b <= a else ix for b, ix in enumerate(index)]
+                     for a in range(len(index))]
+        total, count = 0j, 0
+        for grid in grids:
+            if all(ix.size for ix in grid):
+                vals = f(_grid_rows([ix * 2.0**-k for ix in grid]))
+                total, count = total + vals.sum(), count + vals.size
+        return total, count
 
     def test_a_stop_at_the_first_step_is_one_call(self):
         # The first step that may stop is 1/4: every node of it is
@@ -227,16 +251,68 @@ class TestLattice:
         assert len(rows) == 1 and res.evaluations == rows[0].shape[0] == n_half + n_quarter
         assert res.value == (half + quarter) / 16.0
 
+    def _check_level_sums(self, box, k):
+        lo, hi = np.asarray(box).T
+        f = _gaussian_2d if len(box) == 2 else lambda p: np.exp(-(p[:, 0] - 0.3) ** 2 + 0.4j * p[:, 0])
+        sums, count = quadrature._trapezoid_level(quadrature._on_rows(f), k, lo, hi, True)
+        expected = [self._level_sum(i, i > 1, box, f)[0] for i in range(-1, k + 1)]
+        assert sums == expected
+        assert count == self._level_sum(k, False, box, f)[1]
+        # A later halving evaluates the nodes it adds as those sub-grids.
+        (later,), added = quadrature._trapezoid_level(quadrature._on_rows(f), k + 1, lo, hi, False)
+        assert (later, added) == self._level_sum(k + 1, True, box, f)
+
     def test_level_sums_are_the_per_level_sums(self):
-        # The sums read off the first lattice by index masks are those of
+        # The sums read off the first lattice as strided slices are those of
         # each step evaluated on its own, bit for bit: over the nodes of
         # steps 2, 1 and 1/2, then over the nodes steps 1/4 and 1/8 add.
+        self._check_level_sums(self.BOX, 3)
+
+    @pytest.mark.parametrize("box, k", [
+        ([(-6.8, 7.3), (-8.3, 8.1)], 2),  # first indices -27 and -33: negative and odd
+        ([(-6.8, 7.3)], 2),
+        ([(-0.1, 0.1), (-3.3, 2.9)], 3),  # one node wide up to step 1/8
+    ])
+    def test_level_sums_on_odd_corners_and_thin_boxes(self, box, k):
+        self._check_level_sums(box, k)
+
+    def test_slabs_of_the_first_axis(self, monkeypatch):
+        # Levels larger than a chunk are evaluated in slabs of whole rows of
+        # the first axis, in batches of at most a chunk, each node once, to
+        # the same sums up to rounding.
         lo, hi = np.asarray(self.BOX).T
-        sums, count = quadrature._trapezoid_level(_gaussian_2d, 3, lo, hi, True)
-        expected = [self._level_sum(-1, False)[0], self._level_sum(0, False)[0], self._level_sum(1, False)[0],
-                    self._level_sum(2, True)[0], self._level_sum(3, True)[0]]
-        assert sums == expected
-        assert count == self._level_sum(3, False)[1]
+        whole, count = quadrature._trapezoid_level(quadrature._on_rows(_gaussian_2d), 3, lo, hi, True)
+        (later,), added = quadrature._trapezoid_level(quadrature._on_rows(_gaussian_2d), 4, lo, hi, False)
+        batches = []
+        g = lambda grids: batches.append(grids) or [_gaussian_axes(axes) for axes in grids]
+        monkeypatch.setattr(quadrature, "_TRAPEZOID_CHUNK", 1000)
+        sums, slabbed = quadrature._trapezoid_level(g, 3, lo, hi, True)
+        firsts = [axes[0] for grids in batches for axes in grids]
+        assert len(batches) > 1 and slabbed == count == sum(a.size * b.size for grids in batches for a, b in grids)
+        assert all(sum(a.size * b.size for a, b in grids) <= 1000 for grids in batches)
+        assert all(np.array_equal(b, batches[0][0][1]) for grids in batches for _, b in grids)
+        assert np.array_equal(np.concatenate(firsts), np.unique(np.concatenate(firsts)))
+        assert np.allclose(sums, whole, rtol=1e-14, atol=0.0)
+        batches.clear()
+        (sub,), slabbed = quadrature._trapezoid_level(g, 4, lo, hi, False)
+        nodes = np.concatenate([_grid_rows(axes) for grids in batches for axes in grids])
+        assert slabbed == added == nodes.shape[0] == np.unique(nodes, axis=0).shape[0]
+        assert all(sum(a.size * b.size for a, b in grids) <= 1000 for grids in batches)
+        assert abs(sub - later) <= 1e-14 * abs(later)
+
+    def test_halving_past_the_first_level_on_axes(self):
+        # An integrand on tensor axes: each halving past the first level
+        # evaluates d sub-grids, in one batch while they fit in a chunk, and
+        # every node is evaluated once.  The result has the bits of the same
+        # Gaussian on rows.
+        batches = []
+        g = lambda grids: batches.append(grids) or [_gaussian_axes(axes) for axes in grids]
+        res = quadrature._integrate_lattice(g, self.BOX, 1e-12, 10**6, self.PARAMS)
+        nodes = np.concatenate([_grid_rows(axes) for grids in batches for axes in grids])
+        assert [len(grids) for grids in batches] == [1, 2]
+        assert res.evaluations == nodes.shape[0] == np.unique(nodes, axis=0).shape[0]
+        rows = _integrate_truncated(_gaussian_2d, self.BOX, 1e-12, 10**6, self.PARAMS)
+        assert (res.value, res.abs_error, res.evaluations) == (rows.value, rows.abs_error, rows.evaluations)
 
     def test_a_cap_below_the_first_step_raises_with_step_half(self):
         # A cap between the node counts of steps 1/2 and 1/4: step 1/2 is
@@ -309,6 +385,104 @@ class TestLattice:
                 used.clear()
                 call()
                 assert used == [name]
+
+
+def _spectral_rows(params, z, lower):
+    """The spectral step's integrand on ``(m, n)`` parameter rows, every
+    factor evaluated at every row: the Gamma factors, the phase, the
+    spectral density and ``lower``."""
+
+    def f(betas):
+        n = betas.shape[1]
+        expo = -1j * z * (sum(params) - betas.sum(axis=1))
+        density = np.full(betas.shape[0], 1.0 / ((2.0 * math.pi) ** n * math.factorial(n)), dtype=complex)
+        for j in range(n):
+            for p in params:
+                expo = expo + log_gamma_array(1j * betas[:, j] - 1j * p)
+            for k in range(j + 1, n):
+                w = 1j * (betas[:, j] - betas[:, k])
+                density = density * (-w * np.sin(math.pi * w) / math.pi)
+        return stable_exp(expo) * density * lower(betas)
+
+    return f
+
+
+def _pairing_rows(ell, gamma, lam, t, tol):
+    """The damped pairing's integrand on ``(m, ell + 1)`` coordinate rows,
+    each eigenfunction evaluated at every row."""
+    shifted, budget = tuple(l + t for l in lam), _quadrature_budget(tol)
+
+    def psi(params, p):
+        return np.exp(1j * params[0] * p[:, 0]) if ell == 0 else closed_form_gl2_batch(params, p, budget)
+
+    def f(p):
+        damping = stable_exp(_kernel_exponent_rows(p[:, -1:], np.zeros((p.shape[0], 1)), 0.0, _LIE))
+        return damping * psi(shifted, p) * np.conj(psi(gamma, p))
+
+    return f
+
+
+def _first_lattice(monkeypatch, call):
+    """The integrand on tensor axes of the lattice integral ``call`` makes,
+    with real axes (contour offsets added inside), and the axes of its
+    step 1/4."""
+    seen, engine = [], quadrature._trapezoid
+    monkeypatch.setattr(quadrature, "_trapezoid", lambda g, lo, hi, *a: seen.append((g, lo, hi)) or engine(g, lo, hi, *a))
+    call()
+    g, lo, hi = seen[0]
+    return g, tuple(np.arange(math.ceil(4.0 * a), math.floor(4.0 * b) + 1) / 4.0 for a, b in zip(lo, hi))
+
+
+_GL3 = ((0.6, 0.1, -0.45), (0.3, -0.2, 0.5))
+# Each lattice integral, its integrand on rows, and the contour offsets its
+# rows carry (None for real coordinate rows).
+_LATTICE_INTEGRANDS = {
+    "dual n=1": (lambda: dual_baxter_apply(lambda b: mb_closed_form_batch(b, (0.3,)), (0.5,), 0.7, 1e-6),
+                 _spectral_rows((0.5,), 0.7, lambda b: mb_closed_form_batch(b, (0.3,))), (-0.5,)),
+    "dual n=2": (lambda: dual_baxter_apply(lambda b: mb_closed_form_batch(b, (0.2, -0.4)), (0.5, -0.3), 0.9, 3e-3),
+                 _spectral_rows((0.5, -0.3), 0.9, lambda b: mb_closed_form_batch(b, (0.2, -0.4))), (-0.5, -0.5)),
+    "mellin_barnes gl2": (lambda: mellin_barnes_eval((0.5, -0.5), (0.3, -0.2), 1e-8),
+                          _spectral_rows((-0.5, 0.5), -0.2, lambda b: mb_closed_form_batch(b, (0.3,))),
+                          default_contour((0.5, -0.5)).offsets[-1]),
+    "mellin_barnes gl3": (lambda: mellin_barnes_eval(*_GL3, 1e-5),
+                          _spectral_rows((-0.6, -0.1, 0.45), 0.5, lambda b: mb_closed_form_batch(b, (0.3, -0.2))),
+                          default_contour(_GL3[0]).offsets[-1]),
+    "pairing ell=0": (lambda: bump_friedberg_integral(0, (0.3,), (0.1,), -0.9j, 1e-8),
+                      _pairing_rows(0, (0.3,), (0.1,), -0.9j, 1e-8), None),
+    "pairing ell=1": (lambda: bump_friedberg_integral(1, (0.4, -0.4), (0.2, -0.2), -1.8j, 3e-3),
+                      _pairing_rows(1, (0.4, -0.4), (0.2, -0.2), -1.8j, 3e-3), None),
+}
+
+
+class TestLatticeIntegrands:
+    """The spectral step and the damped pairing on tensor axes: each factor
+    once per axis node or per difference of two axes' nodes."""
+
+    @pytest.mark.parametrize("name", sorted(_LATTICE_INTEGRANDS))
+    def test_the_factorisation_is_the_row_integrand(self, monkeypatch, name):
+        call, rows, offsets = _LATTICE_INTEGRANDS[name]
+        g, axes = _first_lattice(monkeypatch, call)
+        (on_axes,) = g([axes])
+        nodes = _grid_rows(axes)
+        on_rows = rows(nodes if offsets is None else nodes + 1j * np.asarray(offsets))
+        assert on_axes.shape == tuple(a.size for a in axes)
+        assert abs(on_axes.sum() - on_rows.sum()) <= 1e-13 * abs(on_rows.sum())
+        assert np.allclose(on_axes.ravel(), on_rows, rtol=1e-12, atol=1e-15 * np.abs(on_rows).max())
+
+    @pytest.mark.parametrize("name", ["dual n=2", "pairing ell=1"])
+    def test_a_nodes_value_does_not_depend_on_its_batch(self, monkeypatch, name):
+        # The same bits on the whole first level, on a split of the first
+        # axis into two slabs (in one batch and in two) and on one-node axes.
+        g, axes = _first_lattice(monkeypatch, _LATTICE_INTEGRANDS[name][0])
+        (whole,) = g([axes])
+        cut = axes[0].size // 2 + 3
+        slabs = [(axes[0][:cut], axes[1]), (axes[0][cut:], axes[1])]
+        assert np.array_equal(np.concatenate(g(slabs)), whole)
+        assert np.array_equal(np.concatenate([g([slab])[0] for slab in slabs]), whole)
+        rng = np.random.default_rng(3)
+        nodes = list(zip(rng.integers(0, axes[0].size, 40), rng.integers(0, axes[1].size, 40)))
+        ones = g([(axes[0][i:i + 1], axes[1][j:j + 1]) for i, j in nodes])
+        assert all(one[0, 0] == whole[i, j] for one, (i, j) in zip(ones, nodes))
 
 
 class TestContour:
