@@ -11,9 +11,9 @@ form, and in :func:`mixed_eval` ``word[-1]`` picks the top step and
 ``word[0]`` the model in which the rank below is computed at its nodes.
 Spectral variables always go to the trapezoid rule, and so do a step's
 coordinate variables (a 1-D or 2-D box on the lattice of
-:func:`~toda_whittaker.quadrature._integrate_truncated`); a rank-1 level
-below a step is computed on fixed grids (Gauss-Legendre rules, or the
-trapezoid rule if spectral).
+:func:`~toda_whittaker.quadrature._integrate_truncated`) and the rank-1
+level below a step: one batch of 1-D lattice integrals per batch of the
+step's nodes, one integral per distinct key of those nodes.
 
 Spectral parameters are plain sequences in the Givental convention. The
 spectral-plane model uses globally negated parameters internally (the two
@@ -49,7 +49,7 @@ from .quadrature import (
     _integrate_contour_axes,
     _integrate_truncated,
     _on_rows,
-    _trapezoid_radius,
+    _trapezoid,
     _wall_reach,
     stable_exp,
 )
@@ -194,13 +194,9 @@ def givental_eval(
     return _integrate_truncated(f, box, tol, max_evals, lam_t)
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
-    and read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(size)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _step_box(lam_t, x, tol: float) -> list[tuple[float, float]]:
+    """The pattern box of the row below ``x`` of a coordinate step at ``tol``."""
+    return _pattern_box(x, _wall_reach(tol, 2 * (len(x) - 1), lam_t), 1)
 
 
 def _coordinate_step(lam_t, x, lower: Callable, tol: float, max_evals: int) -> QuadratureResult:
@@ -212,8 +208,7 @@ def _coordinate_step(lam_t, x, lower: Callable, tol: float, max_evals: int) -> Q
         expo = _step_exponent_rows(list(x), [rows[:, j] for j in range(rows.shape[1])], lam_t[-1])
         return stable_exp(expo) * lower(rows)
 
-    box = _pattern_box(x, _wall_reach(tol, 2 * (len(x) - 1), lam_t), 1)
-    return _integrate_truncated(f, box, tol, max_evals, lam_t)
+    return _integrate_truncated(f, _step_box(lam_t, x, tol), tol, max_evals, lam_t)
 
 
 def givental_recursive_eval(
@@ -221,10 +216,11 @@ def givental_recursive_eval(
 ) -> QuadratureResult:
     """Same function as :func:`givental_eval`, computed as one coordinate
     step, an integral over the next row down, over the rank below.
-    At rank 2 the rank below is the rank-1 coordinate model, integrated at
-    each node of the step on Gauss-Legendre rules that double until the node
-    is settled.  ``max_evals`` caps the evaluations of the step and of the
-    rank-1 level together (:class:`BudgetExceeded` beyond it)."""
+    At rank 2 the rank below is the rank-1 coordinate model, integrated on
+    the lattice once per distinct difference of the step's node
+    coordinates, each to its own stop.  ``max_evals`` caps the evaluations
+    of the step and of the rank-1 level together (:class:`BudgetExceeded`
+    beyond it)."""
     lam_t, x = _checked(lam, x)
     if len(lam_t) == 1:
         return _rank0(lam_t, x)
@@ -411,115 +407,84 @@ def plancherel_measure(lam) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# The rank-1 function below a step, on fixed grids
-
-_GL_SIZES = tuple(64 << k for k in range(9))  # 64, 128, ..., 16384 nodes
-_TRAPEZOID_STEPS = tuple(range(1, 10))  # steps 2**-k: 1/2, ..., 1/512
+# The rank-1 function below a step, as one batch of lattice integrals
 
 
-def _settle(estimate: Callable, m: int, levels: tuple, inner_tol: float, tally: list) -> np.ndarray:
-    """``m`` row-wise integrals on successively finer grids: row ``i`` is
-    taken from the first grid where it moves by at most ``inner_tol`` (or
-    from the last), independently of the other rows.  ``estimate(level,
-    rows, prev)`` gives the rows' values on grid ``level`` from those on the
-    grid before (``prev``, None at first) and the nodes it evaluated per row,
-    which are added to ``tally[0]``; ``tally[1]`` keeps the largest last move."""
-    out = np.empty(m, dtype=complex)
-    rows = np.arange(m)
-    prev = None
-    for i, level in enumerate(levels):
-        cur, nodes = estimate(level, rows, prev)
-        tally[0] += rows.size * nodes
-        if prev is not None:
-            move = np.abs(cur - prev)
-            done = (move <= inner_tol) | (i == len(levels) - 1)
-            tally[1] = max(tally[1], float(move[done].max(initial=0.0)))
-            out[rows[done]] = cur[done]
-            rows, cur = rows[~done], cur[~done]
-            if not rows.size:
-                break
-        prev = cur
-    return out
-
-
-def _coordinate_rank1(p1, p2, u1, u2, a: float, inner_tol: float, tally: list) -> np.ndarray:
+def _coordinate_rank1(p1, p2, u1, u2, reach: float, inner_tol: float, max_evals: int):
     """The rank-1 coordinate model at parameter rows ``(p1, p2)`` and
-    coordinate rows ``(u1, u2)``, all broadcast: the step kernel of
-    parameter ``p2`` times the rank-0 function ``exp(i p1 v)`` is
-    ``exp(i p1 (u1 + u2))`` times the step kernel of parameter ``p2 - p1``,
-    integrated over ``v`` in the pattern box ``(u1 - a, u2 + a)`` on
-    Gauss-Legendre rules of 64, 128, ... nodes.  The integral is taken once per distinct row of
-    ``(p1 - p2, u1, u2)``; on a contour grid it depends on a node only
-    through ``p1 - p2``."""
+    coordinate rows ``(u1, u2)``, all broadcast: with ``v = (u1 + u2)/2 + t``
+    the step kernel of parameter ``p2`` times ``exp(i p1 v)`` is
+    ``exp(i (p1 + p2)(u1 + u2)/2)`` times ``exp(i d t - 2 e^{delta/2} cosh t)``,
+    ``d = p1 - p2``, ``delta = u1 - u2``, so the integral over ``t`` is taken
+    once per distinct ``(d, delta)``, to ``inner_tol`` on ``|t| <= reach``
+    with frequency ``|Re d|``.  Each row's pattern box ``|t| <= a - delta/2``
+    must lie in that box; ``reach`` depends only on the caller's point and
+    tol, so that a row has the same bits whichever rows share its call.
+    Returns the values, the largest error among them, and the evaluation
+    count; :class:`BudgetExceeded` once the count would pass ``max_evals``."""
     p1, p2, u1, u2 = np.broadcast_arrays(np.asarray(p1, dtype=complex), p2, u1, u2)
-    keys, inverse = np.unique(np.stack([p1 - p2, u1, u2], axis=1), axis=0, return_inverse=True)
-    d, k1, k2 = keys[:, 0], keys[:, 1].real, keys[:, 2].real
+    keys, inverse = np.unique(np.stack([p1 - p2, u1 - u2], axis=1), axis=0, return_inverse=True)
+    d, w = keys[:, 0], 2.0 * np.exp(0.5 * keys[:, 1].real)
 
-    def estimate(size: int, rows: np.ndarray, _prev) -> tuple[np.ndarray, int]:
-        nodes, weights = _leggauss(size)
-        lo, hi = k1[rows] - a, k2[rows] + a
-        half = 0.5 * (hi - lo)
-        v = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
-        expo = _step_exponent_rows([k1[rows, None], k2[rows, None]], [v], -d[rows, None])
-        return half * (stable_exp(expo) * weights).sum(axis=1), size
+    def g(grids: list, rows: np.ndarray) -> list:
+        return [stable_exp(1j * d[rows, None] * t - w[rows, None] * np.cosh(t)) for (t,) in grids]
 
-    integral = _settle(estimate, d.size, _GL_SIZES, inner_tol, tally)
-    return np.exp(1j * p1 * (u1 + u2)) * integral[inverse]
+    box = np.array([-reach]), np.array([reach])
+    values, errors, evals = _trapezoid(g, *box, inner_tol / 10.0, inner_tol, max_evals, np.abs(d.real))
+    phase = np.exp(0.5j * (p1 + p2) * (u1 + u2))
+    return phase * values[inverse], float((np.abs(phase) * errors[inverse]).max()), evals
 
 
-def _spectral_rank1(l1: complex, l2: complex, y1, y2, inner_tol: float, tally: list) -> np.ndarray:
+def _spectral_rank1(l1: complex, l2: complex, y1, y2, inner_tol: float, max_evals: int):
     """The rank-1 spectral model at coordinate rows ``(y1, y2)``:
-    ``exp(i y2 (l1 + l2)) / (2 pi)`` times
-    ``integral Gamma(iu + i l1) Gamma(iu + i l2) e^{iu (y2 - y1)} du`` along
-    its default contour, by the trapezoid rule of nested steps 1/2, 1/4, ...,
-    whose Gamma row is computed once for all rows.  The integral is taken
-    once per distinct ``y2 - y1``; on a lattice many rows share one."""
-    c = default_contour((l1, l2)).flat[0]
-    radius, _ = _trapezoid_radius(inner_tol, 1, 2)
+    ``exp(i y2 (l1 + l2)) / (2 pi)`` times ``integral Gamma(iu + i l1)
+    Gamma(iu + i l2) e^{iu (y2 - y1)} du`` along its default contour, one
+    contour integral per distinct ``y2 - y1`` to ``inner_tol``, with the
+    Gamma row computed once per node.  Returns as :func:`_coordinate_rank1`."""
     delta, inverse = np.unique(y2 - y1, return_inverse=True)
 
-    def estimate(k: int, rows: np.ndarray, prev: np.ndarray | None) -> tuple[np.ndarray, int]:
-        j = np.arange(-(radius << k), (radius << k) + 1)
-        u = (j if prev is None else j[1::2]) * 2.0**-k + 1j * c
-        lg = log_gamma_array(1j * u + 1j * l1) + log_gamma_array(1j * u + 1j * l2)
-        new = 2.0**-k * stable_exp(lg + 1j * u * delta[rows, None]).sum(axis=1)
-        return (new if prev is None else 0.5 * prev + new), u.size
+    def g(grids: list, rows: np.ndarray) -> list:
+        gammas = [log_gamma_array(1j * u + 1j * l1) + log_gamma_array(1j * u + 1j * l2) for (u,) in grids]
+        return [stable_exp(lg + 1j * u * delta[rows, None]) for lg, (u,) in zip(gammas, grids)]
 
-    integral = _settle(estimate, delta.size, _TRAPEZOID_STEPS, inner_tol, tally)
-    return np.exp(1j * y2 * (l1 + l2)) / (2.0 * math.pi) * integral[inverse]
+    contour, frequency = default_contour((l1, l2)), np.zeros(delta.size)
+    values, errors, evals = _integrate_contour_axes(g, contour, 2, inner_tol, max_evals, frequency)
+    scale = np.exp(1j * y2 * (l1 + l2)) / (2.0 * math.pi)
+    return scale * values[inverse], float((np.abs(scale) * errors[inverse]).max()), evals
 
 
 def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureResult:
     """A rank-2 word: the top step ``word[-1]`` over the rank-1 level in
-    model ``word[0]``, computed at the step's nodes on fixed grids to a
-    hundredth of ``tol``.  Its error adds ten times that (a step kernel's
-    mass is at most 10), or ten times the largest last move if larger.
-    ``max_evals`` caps the step's evaluations and the rank-1 level's
-    together; once a batch of the step's nodes passes it, the step stops
-    there, with no estimate (value nan, error inf)."""
-    inner_tol, tally, nodes_seen = tol / 100.0, [0, 0.0], [0]
+    model ``word[0]``, one batch of lattice integrals to a hundredth of
+    ``tol`` per batch of the step's nodes.  Its error adds ten times their
+    largest error (a step kernel's mass is at most 10).  ``max_evals`` caps
+    the step's evaluations and the rank-1 level's together, checked before
+    each level of the rank-1 lattice; once the next level would pass it,
+    the step stops there, with no estimate (value nan, error inf)."""
+    inner_tol, spent, row_err = tol / 100.0, [0], [0.0]
     a = _wall_reach(inner_tol, 2, lam_t)
-    l1, l2 = lam_t[0], lam_t[1]
+    if word == "LL":  # rows at the step's nodes, whose u1 - u2 is least at a corner of its box
+        (lo, _), (_, hi) = _step_box(lam_t, x, 0.9 * tol)
+        reach = max(a - 0.5 * (lo - hi), 0.5)
+    else:
+        reach = max(a - 0.5 * (x[0] - x[1]), 0.5)
+    rank1 = {  # the rank-1 level at the step's nodes (u, v), within the budget n
+        "LR": lambda u, v, n: _coordinate_rank1(-u, -v, *x[:2], reach, inner_tol, n),  # spectral-plane sign
+        "LL": lambda u, v, n: _coordinate_rank1(*lam_t[:2], u, v, reach, inner_tol, n),
+        "RL": lambda u, v, n: _spectral_rank1(*lam_t[:2], u, v, inner_tol, n),
+    }[word]
 
     def lower(nodes: np.ndarray) -> np.ndarray:
-        if word == "LR":  # parameter rows, in the spectral-plane sign
-            values = _coordinate_rank1(-nodes[:, 0], -nodes[:, 1], x[0], x[1], a, inner_tol, tally)
-        elif word == "LL":
-            values = _coordinate_rank1(l1, l2, nodes[:, 0], nodes[:, 1], a, inner_tol, tally)
-        else:
-            values = _spectral_rank1(l1, l2, nodes[:, 0], nodes[:, 1], inner_tol, tally)
-        nodes_seen[0] += nodes.shape[0]
-        count = nodes_seen[0] + tally[0]
-        if count > max_evals:
-            raise BudgetExceeded(
-                f"evaluation budget {max_evals} exhausted inside the step by its rank-1 level "
-                f"({count} evaluations, tol {tol:.3e})",
-                result=QuadratureResult(complex(math.nan, math.nan), math.inf, count, False),
-                max_evaluations=max_evals,
-            )
+        try:
+            values, err, evals = rank1(nodes[:, 0], nodes[:, 1], max_evals - spent[0] - nodes.shape[0])
+        except BudgetExceeded as exc:
+            spent[0] += nodes.shape[0] + exc.result.evaluations
+            raise
+        spent[0] += nodes.shape[0] + evals
+        row_err[0] = max(row_err[0], err)
         return values
 
-    spent = False
+    stopped = False
     try:
         if word[-1] == "R":
             mu, top = tuple(-v for v in lam_t), ContourSpec([default_contour(lam_t).offsets[-1]])
@@ -527,12 +492,9 @@ def _over_rank1(word: str, lam_t, x, tol: float, max_evals: int) -> QuadratureRe
         else:
             res = _coordinate_step(lam_t, x, lower, 0.9 * tol, max_evals)
     except BudgetExceeded as exc:
-        if nodes_seen[0] + tally[0] > max_evals:  # raised by lower, every evaluation counted
-            raise
-        res, spent = exc.result, True
-    err = res.abs_error + 10.0 * max(inner_tol, tally[1])
-    evals = res.evaluations + tally[0]
-    if spent or evals > max_evals:
+        res, stopped = exc.result, True
+    err, evals = res.abs_error + 10.0 * row_err[0], spent[0]
+    if stopped or evals > max_evals:
         raise BudgetExceeded(
             f"evaluation budget {max_evals} exhausted by the step and its rank-1 level "
             f"({evals} evaluations, error {err:.3e}, tol {tol:.3e})",
@@ -549,7 +511,8 @@ def mixed_eval(word, lam, x, tol: float = 1e-8) -> QuadratureResult:
     step's nodes.  Words of one model are :func:`givental_recursive_eval`
     and :func:`mellin_barnes_eval` (below a spectral step the spectral level
     is in closed form); 'LR' and 'RL' integrate their rank-1 level in the
-    other model on fixed grids.  Spectral steps sit on the default contours
+    other model on the trapezoid lattice, as one batch of integrals per
+    batch of the step's nodes.  Spectral steps sit on the default contours
     of :func:`mellin_barnes_eval`.  All words agree with
     :func:`givental_eval` on their common domain.
     """

@@ -38,7 +38,10 @@ itself hands its integrand grids by their tensor axes, one 1-D node array
 per dimension, and takes back the values on each grid (see
 :func:`_trapezoid_level`), so a factor that depends on one axis, or on the
 difference of two (:func:`_axis_differences`), is evaluated once per axis
-node or per difference; :func:`_on_rows` adapts a row integrand to it.
+node or per difference; :func:`_on_rows` adapts a row integrand to it.  An
+integrand may also hold a batch of integrals on one box as a leading axis of
+rows: each row stops on its own, with the value, error and count it has
+alone (see :func:`_trapezoid`).
 
 Determinism: identical inputs produce bit-identical results.  The trapezoid
 rule sums its nodes in a fixed order.  The adaptive engine keeps its regions
@@ -642,9 +645,10 @@ def _trapezoid_level(
     sub-grids of step ``2**-k`` are evaluated, in the same order and in
     batches across them, and their sum is the one entry.  A sum read off
     one slab therefore has the bits of its step's own evaluation in one
-    slab per sub-grid.
+    slab per sub-grid.  Values with a leading axis of rows (see
+    :func:`_trapezoid`) are summed row by row.
 
-    Returns those sums and the number of nodes evaluated."""
+    Returns those sums and the number of values evaluated."""
     corner, shape = _lattice(lo, hi, k)
     index = [c + np.arange(n) for c, n in zip(corner.tolist(), shape)]
     d, step = len(index), 2.0**-k
@@ -655,33 +659,34 @@ def _trapezoid_level(
     count = 0
     for batch in _batches(grids):
         for slab, vals in zip(batch, g([tuple(ix * step for ix in slab) for slab in batch])):
-            vals = np.asarray(vals, dtype=complex)
+            vals = np.asarray(vals, dtype=complex, order="C")
+            flat = vals.shape[:-d] + (-1,)  # one flat row of nodes per integral
             count += vals.size
             if not first:
-                sums[0] += vals.ravel().sum()
+                sums[0] += np.add.reduce(vals.reshape(flat), -1)
                 continue
             for e, i in enumerate(range(-1, k + 1)):
                 m = 1 << (k - i)
                 for odd in [-1] if i <= 1 else range(d):
-                    sums[e] += vals[_picks(slab, odd, m)].ravel().sum()
+                    sums[e] += np.add.reduce(vals[(..., *_picks(slab, odd, m))].reshape(flat), -1)
     return sums, count
 
 
 def _trapezoid(
-    g: Callable[[list], list],
+    g: Callable,
     lo: np.ndarray,
     hi: np.ndarray,
     tail: float,
     tol: float,
     max_evals: int,
-    frequency: float = 0.0,
-) -> QuadratureResult:
+    frequency=0.0,
+):
     """The trapezoid rule on the nodes ``2**-k j`` in the box ``[lo, hi]``
     for ``k = 1, 2, ...``: the sum ``T_h`` of ``g`` over them times ``h**d``,
     ``g`` an integrand on tensor axes (see :func:`_trapezoid_level`).
     Halving stops at the first ``h <= 1/4`` whose error is within ``tol``,
     or raises :class:`BudgetExceeded` before a halving that would take the
-    node count past ``max_evals``.
+    evaluation count past ``max_evals``.
 
     ``frequency`` bounds ``|Re w|`` of the plane waves ``e^{i w t}`` in
     ``g`` along each axis.  The error of ``T_h`` is the sum of such a wave's
@@ -705,41 +710,69 @@ def _trapezoid(
     so once the two differences before it fall (``d_2 < d_3``, with
     ``d_2 = |T_2h - T_4h|``, ``d_3 = |T_4h - T_8h|``) the error is at least
     a hundredth of ``d_2**3 / d_3**2``, which is what ``d_1`` would be on
-    the geometric convergence ``d_2`` and ``d_3`` show."""
+    the geometric convergence ``d_2`` and ``d_3`` show.
+
+    Rows: with ``frequency`` an array, ``g(grids, rows)`` is one integral
+    per entry; it gets the indices of the open rows and returns values with
+    a leading axis over them.  Each row halves and stops on its own sums and
+    frequency, with the bits and count it has alone.  Returns the rows'
+    values and errors and the count of values; :class:`BudgetExceeded`
+    carries value nan and error inf."""
     d = lo.size
-    k0 = 2
-    while frequency * 2.0**-k0 > 0.5 * math.pi:
-        k0 += 1
-    top = k0
-    while top > 1 and math.prod(_lattice(lo, hi, top)[1]) > max_evals:
+    if isinstance(frequency, np.ndarray):
+        rows, k0 = np.arange(len(frequency)), np.full(len(frequency), 2)
+        while (coarse := frequency * 2.0**-k0 > 0.5 * math.pi).any():
+            k0 += coarse
+        out = np.empty(rows.size, dtype=complex), np.empty(rows.size)
+        level, top, width = (lambda grids: g(grids, rows)), int(k0.min()), rows.size
+    else:
+        rows, k0 = None, 2
+        while frequency * 2.0**-k0 > 0.5 * math.pi:
+            k0 += 1
+        level, top, width = g, k0, 1
+    size = math.prod(_lattice(lo, hi, top)[1])
+    while top > 1 and size * width > max_evals:
         top -= 1
-    sums, evals = _trapezoid_level(g, top, lo, hi, True)
+        size = math.prod(_lattice(lo, hi, top)[1])
+    sums, evals = _trapezoid_level(level, top, lo, hi, True)
     previous = sums[1]  # T_1
-    moves = [abs(previous - 2.0**d * sums[0])]  # |T_1 - T_2|
+    moves = [0.0, abs(previous - 2.0**d * sums[0])]  # |T_1 - T_2|, after a 0 no move falls below
     total, k = 0j, 0
     while True:
         k += 1
         if k <= top:
             total += sums[k + 1]
         else:
-            (s_new,), count = _trapezoid_level(g, k, lo, hi, False)
+            (s_new,), count = _trapezoid_level(level, k, lo, hi, False)
             total += s_new
             evals += count
         value = 2.0 ** (-k * d) * total
         moves.append(abs(value - previous))
-        move = moves[-1]
-        if len(moves) > 2 and moves[-2] < moves[-3]:
-            move = max(move, 0.01 * moves[-2] * (moves[-2] / moves[-3]) ** 2)
-        err = move + tail
-        if k >= k0 and err <= tol:
-            return QuadratureResult(value, err, evals, True)
-        if math.prod(_lattice(lo, hi, k + 1)[1]) > max_evals:
+        if rows is None:
+            move = moves[-1]
+            if moves[-2] < moves[-3]:
+                move = max(move, 0.01 * moves[-2] * (moves[-2] / moves[-3]) ** 2)
+            err = move + tail
+            if k >= k0 and err <= tol:
+                return QuadratureResult(value, err, evals, True)
+        else:
+            ratio = np.divide(moves[-2], moves[-3], out=np.zeros(rows.size), where=moves[-2] < moves[-3])
+            err = np.maximum(moves[-1], 0.01 * moves[-2] * ratio**2) + tail
+            done = (k >= k0) & (err <= tol)
+            out[0][rows[done]], out[1][rows[done]] = value[done], err[done]
+            rows, k0, total, value, *moves = (a[~done] for a in (rows, k0, total, value, *moves[-2:]))
+            if not rows.size:
+                return out + (evals,)
+        grown = math.prod(_lattice(lo, hi, k + 1)[1]) if k >= top else size  # nodes after the next level
+        if evals + (grown - size) * (1 if rows is None else rows.size) > max_evals:
             raise BudgetExceeded(
                 f"evaluation budget {max_evals} exhausted at step {2.0**-k} "
-                f"(error {err:.3e}, tol {tol:.3e})",
-                result=QuadratureResult(value, err, evals, False),
+                f"(error {np.max(err):.3e}, tol {tol:.3e})",
+                result=QuadratureResult(value, err, evals, False) if rows is None
+                else QuadratureResult(complex(math.nan, math.nan), math.inf, evals, False),
                 max_evaluations=max_evals,
             )
+        size = grown
         previous = value
 
 
@@ -806,15 +839,17 @@ def integrate_contour(
 
 
 def _integrate_contour_axes(
-    g: Callable[[list], list],
+    g: Callable,
     contour: ContourSpec,
     gamma_decay_count: int,
     tol: float,
     max_evals: int = _DEFAULT_MAX_EVALS,
-) -> QuadratureResult:
+    frequency=0.0,
+):
     """:func:`integrate_contour` of an integrand ``g`` on tensor axes (see
     :func:`_trapezoid_level`): each grid it receives has one complex axis
-    of points ``t + i c`` per contour variable, in level order."""
+    of points ``t + i c`` per contour variable, in level order.  An array
+    ``frequency`` makes ``g`` a batch of integrals (see :func:`_trapezoid`)."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if gamma_decay_count < 1:
@@ -826,7 +861,8 @@ def _integrate_contour_axes(
         raise ValueError(f"dimension {d} exceeds the supported maximum {_MAX_DIM}")
     radius, tail = _trapezoid_radius(tol, d, gamma_decay_count)
 
-    def shifted(grids: list) -> list:
-        return g([tuple(t + 1j * c for t, c in zip(axes, offsets)) for axes in grids])
+    def shifted(grids: list, *rows) -> list:
+        return g([tuple(t + 1j * c for t, c in zip(axes, offsets)) for axes in grids], *rows)
 
-    return _trapezoid(shifted, np.full(d, -float(radius)), np.full(d, float(radius)), tail, tol, max_evals)
+    box = np.full(d, -float(radius)), np.full(d, float(radius))
+    return _trapezoid(shifted, *box, tail, tol, max_evals, frequency)

@@ -111,9 +111,10 @@ class TestEval:
         # converged, exit 0.  gl3 `recursive` capped only its step, not the
         # rank-1 level below it, which makes up most of its count: 2,823,768
         # evaluations under a budget of 1,000,000, converged, exit 0.  It
-        # took 708,696 on the adaptive box and takes 471,692 on the lattice,
-        # so the cap is set below that.
-        cap = ["--tol", "1e-6", "--budget", "400000"] if algebra == "gl3" else ["--budget", "10"]
+        # took 708,696 on the adaptive box, 471,692 on the lattice with its
+        # rank-1 level on Gauss-Legendre rules, and takes 13,842 with that
+        # level on the lattice too, so the cap is set below that.
+        cap = ["--tol", "1e-6", "--budget", "10000"] if algebra == "gl3" else ["--budget", "10"]
         code, out, err = run(
             ["eval", "--algebra", algebra, "--lambda", lam, "--x", x,
              "--method", method, "--format", "json"] + cap,
@@ -124,31 +125,35 @@ class TestEval:
 
     def test_gl3_recursive_stops_within_a_batch_of_its_budget(self, capsys, monkeypatch):
         # The budget was checked only when the step returned, so this call
-        # ran all its evaluations (708,696 then, 471,692 on the lattice)
-        # before it exited 2.  It now stops at the first batch of step nodes
-        # (each with its rank-1 nodes) that takes the count past the budget.
-        # The lattice's first batch is 115,414 evaluations, so a cap below it
-        # tells the two apart: a check made on return would pass the cap by
-        # the second batch, 356,278, as well.
+        # ran all its evaluations (708,696 then) before it exited 2.  It is
+        # now checked before each level of the rank-1 lattice, within the
+        # step's batch of nodes.  The call needs 13,842 evaluations: 2,444
+        # step nodes and 11,398 rank-1 values.  Under the cap the rank-1
+        # lattice starts at step 1/2 (4,998 values) and stops before step
+        # 1/4 (4,900 more) would pass the cap, at 7,442.  A check made when
+        # the batch returns would stop past the cap, at 13,842.
         batches = []
         rank1 = gl_whittaker._coordinate_rank1
 
-        def counted(p1, p2, u1, u2, a, inner_tol, tally):
-            before = tally[0]
-            values = rank1(p1, p2, u1, u2, a, inner_tol, tally)
-            batches.append(values.size + tally[0] - before)
-            return values
+        def counted(p1, p2, u1, u2, reach, inner_tol, max_evals):
+            try:
+                values, err, evals = rank1(p1, p2, u1, u2, reach, inner_tol, max_evals)
+            except BudgetExceeded as exc:
+                batches.append(len(u1) + exc.result.evaluations)
+                raise
+            batches.append(values.size + evals)
+            return values, err, evals
 
         monkeypatch.setattr(gl_whittaker, "_coordinate_rank1", counted)
         code, out, err = run(
             ["eval", "--algebra", "gl3", "--lambda", "0.6,0.1,-0.45", "--x", "0.3,-0.2,0.5",
-             "--tol", "1e-6", "--budget", "100000", "--format", "json"],
+             "--tol", "1e-6", "--budget", "10000", "--format", "json"],
             capsys,
         )
         record = json.loads(out)
         assert code == 2
         assert record["converged"] is False
-        assert 100_000 < record["evaluations"] <= 100_000 + max(batches)
+        assert 10_000 - max(batches) < record["evaluations"] <= 10_000
         assert sum(batches) == record["evaluations"]
 
     def test_so5_default_is_recursive(self, capsys):

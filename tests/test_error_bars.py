@@ -146,6 +146,13 @@ def test_rank2_mixed_words():
         reference = givental_eval(lam, x, tol / 100.0).value
         for word in ("LL", "LR", "RL", "RR"):
             _covers(mixed_eval(word, lam, x, tol), reference)
+    # The hybrid words at tight tol, where every row of their rank-1 level
+    # runs to an absolute 1e-13 or below.
+    for _ in range(2):
+        lam, x = tuple(rng.uniform(-0.8, 0.8, size=3)), tuple(rng.uniform(-0.8, 0.8, size=3))
+        tol, reference = 10.0 ** rng.uniform(-11.0, -9.0), mellin_barnes_eval(lam, x, 1e-14).value
+        for word in ("LL", "LR", "RL"):
+            _covers(mixed_eval(word, lam, x, tol), reference)
 
 
 def test_barnes_identity():

@@ -4,6 +4,9 @@ and the differential operators they diagonalize."""
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from toda_whittaker.gl_whittaker import (
     toda_apply,
 )
 from toda_whittaker.numerics import _DEFAULT_BUDGET, _fold_orders
-from toda_whittaker.quadrature import ContourSpec, _wall_reach
+from toda_whittaker.quadrature import ContourSpec
 
 from _oracles import K_2I_2, MB_GL2_REF
 
@@ -192,28 +195,34 @@ class TestEvaluators:
         assert np.array_equal(one, self._density_rows(off))
         assert all(plancherel_measure(b) == d for b, d in zip(off, one))
 
-    def test_lr_rank1_dedupe_keeps_the_bits(self):
-        # LR integrates its rank-1 coordinate level once per distinct
-        # difference of its contour-grid parameters, with the same bits as
-        # row by row.
+    def test_coordinate_rank1_dedupe_keeps_the_bits(self):
+        # The rank-1 coordinate level is integrated once per distinct key
+        # (p1 - p2, u1 - u2), with the same bits as row by row, and costs
+        # the evaluations of its distinct keys alone.  LR's rows are
+        # contour-grid parameters at one coordinate row (49 distinct
+        # differences), LL's lattice coordinates at one parameter row (49).
         t = np.arange(-12, 13) / 4.0
-        p = 0.7j - np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-        a, tally, once = _wall_reach(1e-6, 2), [0, 0.0], [0, 0.0]
-        rows = np.concatenate([_coordinate_rank1(q[:1], q[1:], 0.3, -0.2, a, 1e-8, [0, 0.0]) for q in p])
-        assert np.array_equal(_coordinate_rank1(p[:, 0], p[:, 1], 0.3, -0.2, a, 1e-8, tally), rows)
-        _coordinate_rank1(np.unique(p[:, 0] - p[:, 1]), 0.0, 0.3, -0.2, a, 1e-8, once)
-        assert tally[0] == once[0]  # the nodes of the 49 distinct differences
+        grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        p, one = 0.7j - grid, np.ones(grid.shape[0])
+        lr = (p[:, 0], p[:, 1], 0.3 * one, -0.2 * one), (np.unique(p[:, 0] - p[:, 1]), 0.0, 0.3, -0.2)
+        ll = (0.6 * one, 0.1 * one, grid[:, 0], grid[:, 1]), (0.6, 0.1, np.unique(grid[:, 0] - grid[:, 1]), 0.0)
+        for rows, keys in (lr, ll):
+            values, _, evals = _coordinate_rank1(*rows, 9.0, 1e-8, 10**7)
+            alone = [_coordinate_rank1(*(r[i:i + 1] for r in rows), 9.0, 1e-8, 10**7)[0] for i in range(one.size)]
+            assert np.array_equal(values, np.concatenate(alone))
+            assert evals == _coordinate_rank1(*keys, 9.0, 1e-8, 10**7)[2]
 
     def test_rl_rank1_dedupe_keeps_the_bits(self):
         # RL integrates its rank-1 spectral level once per distinct
-        # difference of its lattice rows, with the same bits as row by row.
+        # difference of its lattice rows, with the same bits as row by row,
+        # and costs the evaluations of the 33 distinct differences alone.
         t = np.arange(-8, 9) / 4.0
         y = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
-        l1, l2, tally, once = 0.6, 0.1, [0, 0.0], [0, 0.0]
-        rows = np.concatenate([_spectral_rank1(l1, l2, q[:1], q[1:], 1e-8, [0, 0.0]) for q in y])
-        assert np.array_equal(_spectral_rank1(l1, l2, y[:, 0], y[:, 1], 1e-8, tally), rows)
-        _spectral_rank1(l1, l2, 0.0, np.unique(y[:, 1] - y[:, 0]), 1e-8, once)
-        assert tally == once  # the nodes of the 33 distinct differences
+        l1, l2 = 0.6, 0.1
+        rows = np.concatenate([_spectral_rank1(l1, l2, q[:1], q[1:], 1e-8, 10**7)[0] for q in y])
+        values, _, evals = _spectral_rank1(l1, l2, y[:, 0], y[:, 1], 1e-8, 10**7)
+        assert np.array_equal(values, rows)
+        assert evals == _spectral_rank1(l1, l2, 0.0, np.unique(y[:, 1] - y[:, 0]), 1e-8, 10**7)[2]
 
     def test_rl_converges_at_its_default_tol(self):
         # It raised BudgetExceeded here: its rank-1 level was summed afresh
@@ -223,6 +232,32 @@ class TestEvaluators:
         res = mixed_eval("RL", lam, x)
         assert res.converged and res.evaluations <= 4_000_000
         assert abs(res.value - mellin_barnes_eval(lam, x, 1e-10).value) <= res.abs_error
+
+    def test_gl3_recursive_at_tight_tol_stays_within_its_budget(self):
+        # At tol 1e-12 a rank-1 row that did not settle on Gauss-Legendre
+        # rules of up to 8,192 nodes went on to build the 16,384-node rule,
+        # a dense eigenproblem of about 4 GB, outside max_evals: MemoryError
+        # under a 1.5 GB address-space cap.  The call runs in a child
+        # process under that cap; it must converge, or stop by its budget.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+            "from toda_whittaker.errors import BudgetExceeded\n"
+            "from toda_whittaker.gl_whittaker import givental_recursive_eval\n"
+            "try:\n"
+            "    res = givental_recursive_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-12)\n"
+            "except BudgetExceeded:\n"
+            "    print('budget')\n"
+            "else:\n"
+            "    print(res.converged, res.evaluations)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gl_whittaker.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = proc.stdout.split()
+        assert out == ["budget"] or (out[0] == "True" and int(out[1]) <= 4_000_000)
 
     def test_words_of_one_model_are_the_plain_evaluators(self):
         lam, x = (0.6, 0.1, -0.45), (0.3, -0.2, 0.5)
