@@ -29,12 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PoleError
 
-__all__ = [
-    "AccuracyBudget",
-    "log_gamma",
-    "gamma_product",
-    "macdonald_k",
-]
+__all__ = ["AccuracyBudget", "log_gamma", "gamma_product", "macdonald_k"]
 
 # ---------------------------------------------------------------------------
 # Accuracy budget
@@ -76,14 +71,8 @@ def _quadrature_budget(tol: float) -> AccuracyBudget:
 # log-gamma: Lanczos approximation (g = 7, 9 coefficients) plus reflection.
 
 _LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
+    0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.32342877765313,
+    -176.61502916214059, 12.507343278686905, -0.13857109526572012, 9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -137,7 +126,6 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
     well-posed contours never hit. Input is any array-like of complex numbers.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
     lower = z.imag < 0.0
     zu = np.where(lower, np.conj(z), z)
 
@@ -207,198 +195,218 @@ def gamma_product(zs: Sequence[complex]) -> complex:
 # Im phi = const.  The integrand is scaled by its peak and cut off rel_tol e^{-8}
 # below it; a nested rule per piece (trapezoid on even integrands, Fejer's second
 # rule on finite ones) halves its step until, point by point,
-# |dS| <= rel_tol |S| + 50 eps int|f| + abs_floor.  A call's points are
-# integrated in blocks of _BLOCK, grouped by path and by whether the order is
-# imaginary; there the integrand is real and is carried in real arithmetic.
+# |dS| <= rel_tol |S| + 50 eps int|f| + abs_floor.  A call's set-up is paid once
+# per block of _BLOCK points: the points are grouped by path and by whether the
+# order is imaginary (then the integrand is real, in real arithmetic), and each
+# group gets its scale, cutoff, envelope and start levels.  Each piece of a path
+# then runs one halving loop over all of its points: a level makes one integrand
+# call, on every node of the points starting there and the new nodes of those
+# still open, and a fixed number of array operations.
 
 _MAX_RE_ORDER = 50.0
 _EPS = float(np.finfo(float).eps)
 _HALF_PI = 0.5 * math.pi
 _SIGMA_CAP = 0.9
 _MAX_LEVEL = 4096  # finest rule, in intervals
+# Halving starts at _LEVELS[_LEVELS[:-1].searchsorted(e)] intervals, the power of two from
+# 16 to _MAX_LEVEL at or above a path's estimate e; every value still passes the test.
+_LEVELS = 2 ** np.minimum(np.arange(4, 14), 12)
 _BLOCK = 4096  # points integrated together
 _UNDERFLOW = -760.0  # real-axis log peaks below this give K = 0
 
 
 @lru_cache(maxsize=None)
 def _rule(kind: str, n: int):
-    """Nodes on [0, 1] and weights of the n-interval rule, and the slices of its
-    nodes shared with the n/2 rule and of its new ones."""
+    """The n-interval rule's nodes on [0, 1], weights (none for the trapezoid, whose
+    rows keep sums) and slices of the nodes shared with the n/2 rule and of the new."""
     if kind == "trapezoid":
-        w = np.full(n + 1, 1.0 / n)
-        w[0] = w[-1] = 0.5 / n
-        return np.arange(n + 1) / n, w, slice(0, None, 2), slice(1, None, 2)
-    theta = np.arange(1, n) * (math.pi / n)  # Fejer's second rule
-    j = np.arange(1, n, 2)
+        return np.arange(n + 1) / n, None, slice(0, None, 2), slice(1, None, 2)
+    theta, j = np.arange(1, n) * (math.pi / n), np.arange(1, n, 2)  # Fejer's second rule
     w = (2.0 / n) * np.sin(theta) * (np.sin(np.outer(theta, j)) / j).sum(axis=1)
     return 0.5 * (1.0 - np.cos(theta)), w, slice(1, None, 2), slice(0, None, 2)
 
 
-def _nested(kind: str, f, width, start, envelope, budget: AccuracyBudget):
-    """Integrals of f and |f| over [0, width_i], from start_i intervals on;
-    f(rows, u) is the integrand of those rows at offsets u.  A row stops once it
-    converges, relative to the larger of |S| and its envelope; its value
-    depends on its own integrand only."""
+def _call(f, blocks):
+    """f at each block's nodes (rows, offsets of shape (rows, nodes)) in one call:
+    a lone block broadcasts its rows, two are flattened to a row per node."""
+    if len(blocks) == 1:
+        return [f(blocks[0][0][:, None], blocks[0][1])]
+    (r0, u0), (r1, u1) = blocks
+    out = f(np.concatenate([np.repeat(r0, u0.shape[1]), np.repeat(r1, u1.shape[1])]),
+            np.concatenate([u0.ravel(), u1.ravel()]))
+    return [out[:u0.size].reshape(u0.shape), out[u0.size:].reshape(u1.shape)]
+
+
+def _nested(kind, f, width, start, envelope, budget: AccuracyBudget):
+    """Integrals of f and |f| over [0, width_i], from start_i intervals on, in one
+    halving loop; f(r, u) is the integrand of rows r at offsets u.  A trapezoid
+    row keeps the sums of its values and moduli, a Fejer row its values.  A row
+    stops once it converges, relative to the larger of |S| and its envelope; its
+    value depends on its own integrand only."""
     est, mass = np.empty(width.size, dtype=complex), np.empty(width.size)
-    for n in sorted(set(start.tolist())):
-        rows = np.flatnonzero(start == n)
-        wide = width[rows]
-        x, w, old, _ = _rule(kind, n)
-        vals = f(rows, wide[:, None] * x)
-        prev = (vals[:, old] * _rule(kind, n // 2)[1]).sum(axis=1) * wide
-        cur = (vals * w).sum(axis=1) * wide
-        absint = (np.abs(vals) * w).sum(axis=1) * wide
-        while True:
-            size = np.maximum(np.abs(cur), envelope[rows])
-            ok = np.abs(cur - prev) <= (budget.rel_tol * size + 50.0 * _EPS * absint
-                                        + budget.abs_floor)
-            done = rows[ok]
-            est[done], mass[done] = cur[ok], absint[ok]
-            if done.size == rows.size:
-                break
-            left = ~ok
-            rows, wide, prev, absint, n = rows[left], wide[left], cur[left], absint[left], 2 * n
-            if n > _MAX_LEVEL:
-                raise ConvergenceError(f"macdonald_k did not converge ({rows.size} point(s))")
-            x, w, old, new = _rule(kind, n)
-            fresh = f(rows, wide[:, None] * x[new])
-            if kind == "trapezoid":  # the old nodes keep half their weight
-                step = wide / n
-                cur = 0.5 * prev + fresh.sum(axis=1) * step
-                absint = 0.5 * absint + np.abs(fresh).sum(axis=1) * step
+    levels, trapezoid = sorted(set(start.tolist()), reverse=True), kind == "trapezoid"
+    single, state = len(levels) == 1, []  # rows, widths, last estimates, sums or values
+    while state or levels:
+        n = 2 * n if state else levels[-1]
+        if n > _MAX_LEVEL:
+            raise ConvergenceError(f"macdonald_k did not converge ({state[0].size} point(s))")
+        x, w, old, new = _rule(kind, n)
+        blocks, join = [(state[0], state[1][:, None] * x[new])] if state else [], None
+        if levels and levels[-1] == n:
+            levels.pop()
+            join = np.arange(width.size) if single else np.flatnonzero(start == n)
+            blocks.append((join, width[join][:, None] * x))
+        got = _call(f, blocks)
+        if state and trapezoid:
+            state[3:] = state[3] + got[0].sum(axis=1), state[4] + np.abs(got[0]).sum(axis=1)
+        elif state:
+            vals = np.empty((got[0].shape[0], x.size), dtype=got[0].dtype)
+            vals[:, old], vals[:, new] = state[3], got[0]
+            state[3] = vals
+        if join is not None:  # the rows starting here compare with the n/2 rule
+            v, wj = got[-1], width[join]
+            if trapezoid:  # end nodes at half weight
+                v[:, ::n] *= 0.5
+                sums = v[:, old].sum(axis=1), v.sum(axis=1), np.abs(v).sum(axis=1)
+                first = [join, wj, sums[0] * (2.0 / n) * wj, *sums[1:]]
             else:
-                merged = np.empty((rows.size, x.size), dtype=vals.dtype)
-                merged[:, old], merged[:, new] = vals[left], fresh
-                vals = merged
-                cur = (vals * w).sum(axis=1) * wide
-                absint = (np.abs(vals) * w).sum(axis=1) * wide
+                first = [join, wj, np.einsum("ij,j->i", v[:, old], _rule(kind, n // 2)[1]) * wj, v]
+            state = [np.concatenate(pair) for pair in zip(state, first)] if state else first
+        rows, wide = state[:2]
+        if trapezoid:
+            step = wide / n
+            cur, absint = state[3] * step, state[4] * step
+        else:
+            cur = np.einsum("ij,j->i", state[3], w) * wide  # not BLAS: its bits depend on other rows
+            absint = np.einsum("ij,j->i", np.abs(state[3]), w) * wide
+        size = np.maximum(np.abs(cur), envelope[rows])
+        ok = np.abs(cur - state[2]) <= budget.rel_tol * size + 50.0 * _EPS * absint + budget.abs_floor
+        est[rows], mass[rows], state[2], left = cur, absint, cur, ~ok  # open rows write again later
+        state = [part[left] for part in state] if left.any() else []
     return est, mass
 
 
-def _intervals(estimate):
-    """The power of two from 16 to _MAX_LEVEL at or above an estimate.  The
-    estimates of the paths only choose where halving starts (fewer levels,
-    fewer calls); every value still passes the convergence test."""
-    return 2 ** np.ceil(np.log2(np.clip(estimate, 16, _MAX_LEVEL))).astype(int)
+def _half_angle(x):
+    """h = 2 / (1 + t^2) and t = tan x: cos 2x = h - 1 and sin 2x = t h within a
+    few eps (numpy vectorizes tan; its cos and sin of doubles are scalar loops)."""
+    t = np.tan(x)
+    return 2.0 / (1.0 + t * t), t
 
 
-def _values(s, base, phase, p, v=None, dv=None):
-    """(1/2) e^{ipv} [e^{base + ps} z + e^{base - ps} conj z], z = e^{i phase} t',
-    where base + i phase is phi at order i a, less the scale, at t = s + iv.
-    Where every p is 0 (imaginary order) the values are real: e^base Re z."""
-    cos = np.cos(phase)
-    if not p.any():
-        return np.exp(base) * (cos if dv is None else cos - np.sin(phase) * dv)
-    sin = np.sin(phase)
-    zr, zi = (cos, sin) if dv is None else (cos - sin * dv, sin + cos * dv)
+def _values(s, base, half, p, v=None, dv=None):
+    """(1/2) e^{ipv} [e^{base + ps} z + e^{base - ps} conj z], z = e^{2i half} t',
+    where base + 2i half is phi at order i a, less the scale, at t = s + iv.
+    At imaginary order (p is None) the values are real: e^base Re z."""
+    h, t = _half_angle(half)
+    if p is None:
+        return np.exp(base) * (h - 1.0 if dv is None else h - 1.0 - t * h * dv)
+    zr, zi = (h - 1.0, t * h) if dv is None else (h - 1.0 - t * h * dv, t * h + (h - 1.0) * dv)
     plus, minus = np.exp(base + p * s), np.exp(base - p * s)
     gr, gi = 0.5 * (plus + minus) * zr, 0.5 * (plus - minus) * zi
     g = np.empty(gr.shape, dtype=complex)
     if v is None:
         g.real, g.imag = gr, gi
     else:
-        cv, sv = np.cos(p * v), np.sin(p * v)
-        g.real, g.imag = gr * cv - gi * sv, gr * sv + gi * cv
+        h, t = _half_angle(0.5 * p * v)
+        g.real, g.imag = gr * (h - 1.0) - gi * t * h, gr * t * h + gi * (h - 1.0)
     return g
 
 
-def _cutoff(y, big_p, scale, depth):
-    """Where e^{-y cosh s + |p| s} is e^{depth} below e^{scale} (from above)."""
-    t = np.arccosh(np.maximum((depth - scale) / y, 1.0))
-    if big_p.any():
-        t = 2.0 * (t + np.arcsinh(big_p / y) + 1.0)
-        for _ in range(12):
-            t = np.arccosh(np.maximum((depth - scale + big_p * t) / y, 1.0))
+def _cutoff(y, big_p, scale, depth, cplx):
+    """Where e^{-y cosh s + |p| s} is e^{depth} below e^{scale}: the root of s =
+    arccosh(c + k s), c = (depth - scale) / y, k = |p| / y.  Two Newton steps on
+    that convex equation from above it end above it, by less than 3 percent."""
+    c = (depth - scale) / y
+    t = np.arccosh(np.maximum(c, 1.0))
+    if cplx:
+        k = big_p / y
+        t = 2.0 * (t + np.arcsinh(k) + 1.0)
+        for _ in range(2):
+            z = np.maximum(c + k * t, 1.0)
+            t = t - (t - np.arccosh(z)) / (1.0 - k / np.sqrt(z * z - 1.0))
     return t
 
 
 def _envelope(p, a, y, scale):
     """sqrt(2 pi / |nu|) e^{-pi a / 2}, less the scale, where y < a and K
     oscillates (accuracy is relative to it there); 0 elsewhere."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        size = np.sqrt(2.0 * math.pi / np.hypot(p, a)) * np.exp(-_HALF_PI * a - scale)
-    return np.where(a > y, size, 0.0)
+    osc = a > y
+    if not osc.any():
+        return np.zeros(a.size)
+    power = np.where(osc, -_HALF_PI * a - scale, -np.inf)
+    return np.sqrt(2.0 * math.pi / np.hypot(p, np.maximum(a, y))) * np.exp(power)
 
 
-def _real_axis(p, a, y, depth, budget):
-    big_p = np.abs(p)
-    top = np.arcsinh(big_p / y)  # the peak of e^{-y cosh s + |p| s}
-    scale = big_p * top - y * np.cosh(top)
+def _real_axis(p, a, y, top, peak, depth, budget, cplx):
+    big_p, half_a, y2 = np.abs(p), 0.5 * a, -2.0 * y  # e^{-y cosh s + |p| s} peaks at s = top
 
     def f(r, s):
-        if p.any():
-            t = top[r, None]
-            base = -2.0 * y[r, None] * np.sinh(0.5 * (s + t)) * np.sinh(0.5 * (s - t))
-            base -= big_p[r, None] * t
-        else:  # the peak is at 0
-            half = np.sinh(0.5 * s)
-            base = -2.0 * y[r, None] * half * half
-        return _values(s, base, a[r, None] * s, p[r, None])
+        if cplx:
+            t = top[r]
+            base = y2[r] * np.sinh(0.5 * (s + t)) * np.sinh(0.5 * (s - t)) - big_p[r] * t
+            return _values(s, base, half_a[r] * s, p[r])
+        half = np.sinh(0.5 * s)  # the peak is at 0
+        return _values(s, y2[r] * half * half, half_a[r] * s, None)
 
-    width = _cutoff(y, big_p, scale, depth + _HALF_PI * a)
-    start = _intervals(width * depth / 6.0)
-    return _nested("trapezoid", f, width, start, _envelope(p, a, y, scale), budget) + (scale,)
+    width, envelope = _cutoff(y, big_p, peak, depth + _HALF_PI * a, cplx), _envelope(p, a, y, peak)
+    start = _LEVELS[_LEVELS[:-1].searchsorted(width * depth / 6.0)]
+    return _nested("trapezoid", f, width, start, envelope, budget) + (peak, envelope)
 
 
-def _one_saddle(p, a, y, depth, budget):
+def _one_saddle(p, a, y, top, peak, depth, budget, cplx):
     sigma = np.minimum(a / y, _SIGMA_CAP)
     theta, height = np.arcsin(sigma), y * np.sqrt((1.0 - sigma) * (1.0 + sigma))
-    top = np.arcsinh(np.abs(p) / y)
-    scale = np.maximum(-height - a * theta, np.abs(p) * top - y * np.cosh(top))
+    scale, turn = np.maximum(-height - a * theta, peak), 0.5 * (a - y * sigma)
 
     def f(r, s):
-        sg, yr = sigma[r, None], y[r, None]
-        sh = np.sinh(s)
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(s > 0.0, s / sh, 1.0)
-            slope = np.where(s > 0.0, (sh - s * np.cosh(s)) / (sh * sh), 0.0)
-        q = sg * ratio  # sin v
+        sg, yr, sh, ch = sigma[r], y[r], np.sinh(s), np.cosh(s)
+        safe = np.where(s > 0.0, sh, 1.0)  # s / sinh s is 1 at s = 0
+        q = sg * np.where(s > 0.0, s / safe, 1.0)  # sin v
         cv, v = np.sqrt((1.0 - q) * (1.0 + q)), np.arcsin(q)
-        base = -yr * np.cosh(s) * cv - a[r, None] * v - scale[r, None]
-        return _values(s, base, s * (a[r, None] - yr * sg), p[r, None], v, sg * slope / cv)
+        dv = sg * ((sh - s * ch) / (safe * safe)) / cv
+        base = -yr * ch * cv - a[r] * v - scale[r]
+        return _values(s, base, s * turn[r], p[r] if cplx else None, v, dv)
 
-    width, start = _cutoff(height, np.abs(p), scale, depth), np.full(a.size, 32)
-    return _nested("trapezoid", f, width, start, _envelope(p, a, y, scale), budget) + (scale,)
+    width, envelope = _cutoff(height, np.abs(p), scale, depth, cplx), _envelope(p, a, y, scale)
+    return _nested("trapezoid", f, width, np.full(a.size, 32), envelope, budget) + (scale, envelope)
 
 
-def _two_saddles(p, a, y, depth, budget):
-    big_p, mu = np.abs(p), np.arccosh(a / y)
-    ysh = np.sqrt((a - y) * (a + y))  # y sinh(mu)
-    phase = a * mu - ysh  # Im phi along the descent path
-    scale = big_p * mu - _HALF_PI * a
+def _two_saddles(p, a, y, top, peak, depth, budget, cplx):
+    big_p, mu, ysh = np.abs(p), np.arccosh(a / y), np.sqrt((a - y) * (a + y))  # ysh = y sinh(mu)
+    half = 0.5 * (a * mu - ysh)  # Im phi / 2 along the descent path
+    scale, half_a, half_y = big_p * mu - _HALF_PI * a, 0.5 * a, 0.5 * y
     low = -big_p * mu  # Re phi less the scale on the line Im t = pi/2
 
     def line(r, s):
-        phase_s = a[r, None] * s - y[r, None] * np.sinh(s)
-        return _values(s, low[r, None], phase_s, p[r, None], _HALF_PI)
+        return _values(s, low[r], half_a[r] * s - half_y[r] * np.sinh(s), p[r] if cplx else None, _HALF_PI)
 
     def descent(r, w):
-        ar, yr, big, s = a[r, None], y[r, None], ysh[r, None], mu[r, None] + w
-        half, ys, ych, sinh_w = np.sinh(0.5 * w) ** 2, yr * np.sinh(s), yr * np.cosh(s), np.sinh(w)
-        delta = (2.0 * big * half + ar * (sinh_w - w)) / ys  # 1 - sin v
+        ar, yr, big, s = a[r], y[r], ysh[r], mu[r] + w
+        sq, ys, ych, sinh_w = np.sinh(0.5 * w) ** 2, yr * np.sinh(s), yr * np.cosh(s), np.sinh(w)
+        delta = (2.0 * big * sq + ar * (sinh_w - w)) / ys  # 1 - sin v
         cv = np.sqrt(delta * (2.0 - delta))
         drop = 2.0 * np.arcsin(np.sqrt(0.5 * delta))  # pi/2 - v
-        dv = (delta * ych - 2.0 * ar * half - big * sinh_w) / (ys * cv)
-        return _values(s, ar * drop - ych * cv + low[r, None], phase[r, None], p[r, None],
-                       _HALF_PI - drop, dv)
+        dv = (delta * ych - 2.0 * ar * sq - big * sinh_w) / (ys * cv)
+        return _values(s, ar * drop - ych * cv + low[r], half[r], p[r] if cplx else None, _HALF_PI - drop, dv)
 
-    envelope = _envelope(p, a, y, scale)
-    s1, m1 = _nested("fejer", line, mu, _intervals(1.5 * (a - y) * mu + 24.0), envelope, budget)
-    width = _cutoff(y, big_p, scale, depth) - mu
+    envelope, start = _envelope(p, a, y, scale), _LEVELS[_LEVELS[:-1].searchsorted(1.5 * (a - y) * mu + 24.0)]
+    s1, m1 = _nested("fejer", line, mu, start, envelope, budget)
+    width = _cutoff(y, big_p, scale, depth, cplx) - mu
     s2, m2 = _nested("fejer", descent, width, np.full(a.size, 64), envelope, budget)
-    return s1 + s2, m1 + m2, scale
+    return s1 + s2, m1 + m2, scale, envelope
 
 
 def _macdonald(nu, y, budget: AccuracyBudget) -> np.ndarray:
     """K_{nu_i}(y_i) for broadcastable arrays of orders and positive arguments."""
-    nu, y = np.broadcast_arrays(np.asarray(nu, dtype=complex), np.asarray(y, dtype=float))
-    if np.any(y <= 0.0):
+    nu, y = np.asarray(nu, dtype=complex), np.asarray(y, dtype=float)
+    if nu.shape != y.shape:
+        nu, y = np.broadcast_arrays(nu, y)
+    if (y <= 0.0).any():
         raise ValueError("macdonald_k requires y > 0")
-    out, flat_nu, flat_y = np.empty(y.shape, dtype=complex), nu.ravel(), y.ravel()
+    out, flat_nu, flat_y = np.empty(y.size, dtype=complex), nu.ravel(), y.ravel()
     for lo in range(0, y.size, _BLOCK):
-        out.flat[lo:lo + _BLOCK] = _macdonald_block(
-            flat_nu[lo:lo + _BLOCK], flat_y[lo:lo + _BLOCK], budget)
-    return out
+        out[lo:lo + _BLOCK] = _macdonald_block(flat_nu[lo:lo + _BLOCK], flat_y[lo:lo + _BLOCK], budget)
+    return out.reshape(y.shape)
 
 
 def _fold_orders(nu: np.ndarray) -> np.ndarray:
@@ -410,37 +418,39 @@ def _fold_orders(nu: np.ndarray) -> np.ndarray:
 
 def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
     folded = _fold_orders(nu)
-    p, a = folded.real + 0.0, np.abs(folded.imag)
-    top = np.arcsinh(np.abs(p) / y)
-    kind = np.where(a <= 1.0, 0, np.where(a <= 1.1 * y, 1, 2))
-    kind[np.abs(p) * top - y * np.cosh(top) < _UNDERFLOW] = 3  # K underflows to 0
-    est, mass, scale = np.zeros(y.size, dtype=complex), np.zeros(y.size), np.zeros(y.size)
-    depth = 8.0 - math.log(budget.rel_tol)
-    group = 2 * kind + (p != 0.0)  # the path, and real integrands apart from complex ones
-    for g in sorted(set(group[kind < 3].tolist())):
-        i = np.flatnonzero(group == g)
-        path = (_real_axis, _one_saddle, _two_saddles)[g // 2]
-        est[i], mass[i], scale[i] = path(p[i], a[i], y[i], depth, budget)
-    reach = budget.rel_tol * np.maximum(np.abs(est), _envelope(p, a, y, scale))
+    p, a, big_p = folded.real + 0.0, np.abs(folded.imag), np.abs(folded.real)
+    top = np.arcsinh(big_p / y)
+    peak = big_p * top - y * np.cosh(top)
+    # twice the path (0 real axis, 1 one saddle, 2 two saddles, 3 K is 0), plus 1 if p != 0
+    group = 2 * np.where(peak < _UNDERFLOW, 3, (a > 1.0) * (1 + (a > 1.1 * y))) + (p != 0.0)
+    groups, depth = sorted(set(group.tolist())), 8.0 - math.log(budget.rel_tol)
+    est, mass, scale, envelope = np.zeros(y.size, dtype=complex), *np.zeros((3, y.size))
+    for g in groups:
+        if g < 6:
+            i = np.flatnonzero(group == g) if len(groups) > 1 else slice(None)
+            est[i], mass[i], scale[i], envelope[i] = (_real_axis, _one_saddle, _two_saddles)[g // 2](
+                p[i], a[i], y[i], top[i], peak[i], depth, budget, g % 2)
+    reach = budget.rel_tol * np.maximum(np.abs(est), envelope)
     with np.errstate(over="ignore", invalid="ignore"):
         out = est * np.exp(scale)
-    lost = (50.0 * _EPS * mass > reach + budget.abs_floor) | ~np.isfinite(out)
-    if lost.any():
-        j = int(np.flatnonzero(lost)[0])
+    ok = (50.0 * _EPS * mass <= reach + budget.abs_floor) & np.isfinite(out)
+    if not ok.all():
+        j = int(np.flatnonzero(~ok)[0])
         raise ConvergenceError(f"macdonald_k cannot reach relative accuracy {budget.rel_tol} "
                                f"at order {complex(nu[j])!r}, y = {float(y[j])!r}")
-    out.imag[p == 0.0] = 0.0  # real at imaginary order
-    return out
+    return out  # real at imaginary order: those integrands are carried in real arithmetic
 
 
 def _macdonald_grid(nu: complex, y: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
-    """K_nu(y_i) for one order and a 1-D array of positive arguments,
-    evaluated once per distinct argument: rows of a lattice in the relative
-    coordinate share them.  An integrand on the lattice's tensor axes
-    passes one argument per difference of two axes' nodes (see
-    :func:`~toda_whittaker.quadrature._axis_differences`), all distinct."""
+    """K_nu(y_i) for one order and a 1-D array of positive arguments, once per
+    distinct argument (rows of a lattice in the relative coordinate share them):
+    ``np.unique`` deduplicates them unless they already increase strictly, as a
+    single argument does and the differences of two tensor axes' nodes do (see
+    :func:`~toda_whittaker.quadrature._axis_differences`)."""
+    if (y[1:] > y[:-1]).all():
+        return _macdonald(np.full(y.shape, complex(nu)), y, budget)
     values, inverse = np.unique(y, return_inverse=True)
-    return _macdonald(complex(nu), values, budget)[inverse]
+    return _macdonald(np.full(values.shape, complex(nu)), values, budget)[inverse]
 
 
 def _macdonald_pairs(nu: np.ndarray, y, budget: AccuracyBudget) -> np.ndarray:
@@ -451,18 +461,11 @@ def _macdonald_pairs(nu: np.ndarray, y, budget: AccuracyBudget) -> np.ndarray:
 def macdonald_k(nu: complex, y: float, budget: AccuracyBudget = _DEFAULT_BUDGET) -> complex:
     """Macdonald function K_nu(y), standard normalization, complex order.
 
-    For |Re nu| <= 50 and |Im nu| <= 50 the value is within ``budget.rel_tol``
-    of K relative to |K|, or, where y < |Im nu| and K oscillates, relative to
-    the envelope sqrt(2 pi / |nu|) e^{-pi |Im nu| / 2}.
-
-    Parameters
-    ----------
-    nu : complex
-        Order; ``|Re nu|`` must not exceed 50.
-    y : float
-        Argument, strictly positive.
-    budget : AccuracyBudget
-        Requested accuracy.
+    ``nu`` is the order (``|Re nu|`` at most 50), ``y > 0`` the argument and
+    ``budget`` the requested accuracy.  For |Re nu| <= 50 and |Im nu| <= 50 the
+    value is within ``budget.rel_tol`` of K relative to |K|, or, where
+    y < |Im nu| and K oscillates, relative to the envelope
+    sqrt(2 pi / |nu|) e^{-pi |Im nu| / 2}.
 
     Raises
     ------
@@ -470,12 +473,9 @@ def macdonald_k(nu: complex, y: float, budget: AccuracyBudget = _DEFAULT_BUDGET)
         If ``|Re nu| > 50``, or cancellation or overflow puts that accuracy
         out of reach (no less accurate value is returned).
     """
-    nu = complex(nu)
-    y = float(y)
+    nu, y = complex(nu), float(y)
     if y <= 0.0:
         raise ValueError(f"macdonald_k requires y > 0, got {y}")
     if abs(nu.real) > _MAX_RE_ORDER:
-        raise ConvergenceError(
-            f"macdonald_k supports |Re nu| <= {_MAX_RE_ORDER}, got Re nu = {nu.real}"
-        )
-    return complex(_macdonald_grid(nu, np.array([y]), budget)[0])
+        raise ConvergenceError(f"macdonald_k supports |Re nu| <= {_MAX_RE_ORDER}, got Re nu = {nu.real}")
+    return complex(_macdonald_block(np.array([nu]), np.array([y]), budget)[0])

@@ -715,16 +715,22 @@ def _trapezoid(
     Rows: with ``frequency`` an array, ``g(grids, rows)`` is one integral
     per entry; it gets the indices of the open rows and returns values with
     a leading axis over them.  Each row halves and stops on its own sums and
-    frequency, with the bits and count it has alone.  Returns the rows'
-    values and errors and the count of values; :class:`BudgetExceeded`
-    carries value nan and error inf."""
+    frequency, with the bits and count it has alone.  A row also stops once
+    its error estimate less the tail is within its rounding floor, ``eps``
+    times its mass (the rule on ``|g|``), which no halving moves its sum
+    below; it reports that floor plus the tail.  Returns the rows' values
+    and errors and the count of values; :class:`BudgetExceeded` carries
+    value nan and error inf."""
     d = lo.size
     if isinstance(frequency, np.ndarray):
         rows, k0 = np.arange(len(frequency)), np.full(len(frequency), 2)
         while (coarse := frequency * 2.0**-k0 > 0.5 * math.pi).any():
             k0 += coarse
         out = np.empty(rows.size, dtype=complex), np.empty(rows.size)
-        level, top, width = (lambda grids: g(grids, rows)), int(k0.min()), rows.size
+        top, width = int(k0.min()), rows.size
+
+        def level(grids):  # each open row's values, then their moduli
+            return [np.concatenate([v, np.abs(v)]) for v in g(grids, rows)]
     else:
         rows, k0 = None, 2
         while frequency * 2.0**-k0 > 0.5 * math.pi:
@@ -735,17 +741,21 @@ def _trapezoid(
         top -= 1
         size = math.prod(_lattice(lo, hi, top)[1])
     sums, evals = _trapezoid_level(level, top, lo, hi, True)
+    masses = [0.0] * len(sums)
+    if rows is not None:  # the moduli's sums give each row's mass; each node was counted twice
+        sums, masses, evals = [s[:rows.size] for s in sums], [s[rows.size:].real for s in sums], evals // 2
     previous = sums[1]  # T_1
     moves = [0.0, abs(previous - 2.0**d * sums[0])]  # |T_1 - T_2|, after a 0 no move falls below
-    total, k = 0j, 0
+    total, mass_total, k = 0j, 0.0, 0
     while True:
         k += 1
         if k <= top:
-            total += sums[k + 1]
+            total, mass_total = total + sums[k + 1], mass_total + masses[k + 1]
         else:
             (s_new,), count = _trapezoid_level(level, k, lo, hi, False)
-            total += s_new
-            evals += count
+            if rows is not None:
+                s_new, count, mass_total = s_new[:rows.size], count // 2, mass_total + s_new[rows.size:].real
+            total, evals = total + s_new, evals + count
         value = 2.0 ** (-k * d) * total
         moves.append(abs(value - previous))
         if rows is None:
@@ -757,10 +767,14 @@ def _trapezoid(
                 return QuadratureResult(value, err, evals, True)
         else:
             ratio = np.divide(moves[-2], moves[-3], out=np.zeros(rows.size), where=moves[-2] < moves[-3])
-            err = np.maximum(moves[-1], 0.01 * moves[-2] * ratio**2) + tail
-            done = (k >= k0) & (err <= tol)
+            move = np.maximum(moves[-1], 0.01 * moves[-2] * ratio**2)
+            floor = _EPS * 2.0 ** (-k * d) * mass_total  # no halving moves a row's sum below it
+            settled = (move + tail > tol) & (move <= floor)
+            err = np.where(settled, floor, move) + tail
+            done = (k >= k0) & ((err <= tol) | settled)
             out[0][rows[done]], out[1][rows[done]] = value[done], err[done]
-            rows, k0, total, value, *moves = (a[~done] for a in (rows, k0, total, value, *moves[-2:]))
+            rows, k0, total, mass_total, value, *moves = (
+                a[~done] for a in (rows, k0, total, mass_total, value, *moves[-2:]))
             if not rows.size:
                 return out + (evals,)
         grown = math.prod(_lattice(lo, hi, k + 1)[1]) if k >= top else size  # nodes after the next level

@@ -232,6 +232,69 @@ class TestMacdonald:
         assert np.array_equal(closed_form_gl2_batch(lam, xs), rows)
         assert points == [np.unique(xs[:, 0] - xs[:, 1]).size] == [49]
 
+    def test_one_integrand_call_per_level_on_a_path(self, monkeypatch):
+        # Arguments from 1e-6 to 700 start halving at different levels; the
+        # real-axis path still makes one integrand call per level it reaches,
+        # the rows starting there and the rows open since the level before
+        # together.  A trapezoid row at level n has n + 1 nodes on its first
+        # call and n / 2 after.
+        ys = np.geomspace(1e-6, 700.0, 40)
+        calls, nested = [], numerics._nested
+
+        def spy(kind, f, *args):
+            def counted(r, s):
+                rows = np.broadcast_to(r.reshape(r.shape + (1,) * (s.ndim - r.ndim)), s.shape)
+                counts = np.unique(rows, return_counts=True)[1]
+                calls.append({int(c - 1) if c % 2 else int(2 * c) for c in counts.tolist()})
+                return f(r, s)
+            return nested(kind, counted, *args)
+
+        monkeypatch.setattr(numerics, "_nested", spy)
+        grid = _macdonald_grid(0.4j, ys, _DEFAULT_BUDGET)
+        levels = [level for call in calls for level in call]
+        assert all(len(call) == 1 for call in calls)
+        assert len(levels) == len(set(levels)) > 1
+        monkeypatch.undo()
+        assert all(grid[i] == macdonald_k(0.4j, y) for i, y in enumerate(ys))
+
+    def test_saddle_paths_in_batches_match_mpmath(self):
+        """Seeded sweep of the batch entries over orders with |Im nu| in (1, 50]
+        (the one- and two-saddle paths) and real part -0.5, 0, 0.5, y in
+        [1e-6, 700]: each value is within 1e-12 of mpmath (of the envelope
+        where y < |Im nu|) or raises, and has the bits of its point alone."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20070624)
+        orders = [complex(re, a) for re in (-0.5, 0.0, 0.5) for a in 1.0 + 49.0 * rng.random(10)]
+        ys = np.sort(10.0 ** rng.uniform(-6.0, math.log10(700.0), 14))
+        batches = [(np.full(ys.size, nu), ys, lambda nu=nu: _macdonald_grid(nu, ys, _DEFAULT_BUDGET))
+                   for nu in orders]
+        pairs = rng.choice(orders, 200), 10.0 ** rng.uniform(-6.0, math.log10(700.0), 200)
+        batches.append((*pairs, lambda: _macdonald_pairs(*pairs, _DEFAULT_BUDGET)))
+        worst, raised = 0.0, 0
+        with mpmath.workdps(30):
+            for nus, y_row, batch in batches:
+                try:
+                    values = batch()
+                except ConvergenceError:  # then some point raises alone too
+                    values = [None] * y_row.size
+                for nu_i, y, value in zip(nus, y_row, values):
+                    try:
+                        alone = macdonald_k(nu_i, y)
+                    except ConvergenceError:
+                        raised += 1
+                        assert value is None
+                        continue
+                    assert value is None or value == alone
+                    value = alone
+                    ref = complex(mpmath.besselk(mpmath.mpc(nu_i.real, nu_i.imag), y))
+                    scale = abs(ref)
+                    if y < abs(nu_i.imag):
+                        envelope = math.exp(-math.pi * abs(nu_i.imag) / 2)
+                        scale = max(scale, math.sqrt(2 * math.pi / abs(nu_i)) * envelope)
+                    worst = max(worst, abs(value - ref) / scale)
+        assert worst <= 1e-12
+        assert raised <= 0.02 * (len(orders) * ys.size + pairs[1].size)
+
     def test_unreachable_accuracy_raises(self):
         # K_50(1e-6) is about 1e377: no float holds it.
         with pytest.raises(ConvergenceError):
