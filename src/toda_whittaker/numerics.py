@@ -29,7 +29,12 @@ import numpy as np
 
 from .errors import ConvergenceError, PoleError
 
-__all__ = ["AccuracyBudget", "log_gamma", "gamma_product", "macdonald_k"]
+__all__ = [
+    "AccuracyBudget",
+    "log_gamma",
+    "gamma_product",
+    "macdonald_k",
+]
 
 # ---------------------------------------------------------------------------
 # Accuracy budget
@@ -71,8 +76,14 @@ def _quadrature_budget(tol: float) -> AccuracyBudget:
 # log-gamma: Lanczos approximation (g = 7, 9 coefficients) plus reflection.
 
 _LANCZOS_COEFFS = (
-    0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.32342877765313,
-    -176.61502916214059, 12.507343278686905, -0.13857109526572012, 9.9843695780195716e-6,
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -126,6 +137,7 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
     well-posed contours never hit. Input is any array-like of complex numbers.
     """
     z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
     lower = z.imag < 0.0
     zu = np.where(lower, np.conj(z), z)
 
@@ -208,9 +220,7 @@ _EPS = float(np.finfo(float).eps)
 _HALF_PI = 0.5 * math.pi
 _SIGMA_CAP = 0.9
 _MAX_LEVEL = 4096  # finest rule, in intervals
-# Halving starts at _LEVELS[_LEVELS[:-1].searchsorted(e)] intervals, the power of two from
-# 16 to _MAX_LEVEL at or above a path's estimate e; every value still passes the test.
-_LEVELS = 2 ** np.minimum(np.arange(4, 14), 12)
+_LEVELS = 2 ** np.minimum(np.arange(4, 14), 12)  # start levels, 16 to _MAX_LEVEL
 _BLOCK = 4096  # points integrated together
 _UNDERFLOW = -760.0  # real-axis log peaks below this give K = 0
 
@@ -221,7 +231,8 @@ def _rule(kind: str, n: int):
     rows keep sums) and slices of the nodes shared with the n/2 rule and of the new."""
     if kind == "trapezoid":
         return np.arange(n + 1) / n, None, slice(0, None, 2), slice(1, None, 2)
-    theta, j = np.arange(1, n) * (math.pi / n), np.arange(1, n, 2)  # Fejer's second rule
+    theta = np.arange(1, n) * (math.pi / n)  # Fejer's second rule
+    j = np.arange(1, n, 2)
     w = (2.0 / n) * np.sin(theta) * (np.sin(np.outer(theta, j)) / j).sum(axis=1)
     return 0.5 * (1.0 - np.cos(theta)), w, slice(1, None, 2), slice(0, None, 2)
 
@@ -244,46 +255,64 @@ def _nested(kind, f, width, start, envelope, budget: AccuracyBudget):
     stops once it converges, relative to the larger of |S| and its envelope; its
     value depends on its own integrand only."""
     est, mass = np.empty(width.size, dtype=complex), np.empty(width.size)
-    levels, trapezoid = sorted(set(start.tolist()), reverse=True), kind == "trapezoid"
-    single, state = len(levels) == 1, []  # rows, widths, last estimates, sums or values
-    while state or levels:
-        n = 2 * n if state else levels[-1]
+    levels = sorted(set(start.tolist()), reverse=True)  # start levels to come, next last
+    single, trapezoid = len(levels) == 1, kind == "trapezoid"
+    # The open rows: indices, widths and last estimates, then a trapezoid row's
+    # sums of values and moduli or a Fejer row's values; None while none is open.
+    rows = wide = prev = sums = moduli = vals = None
+
+    def cat(a, b):  # the open rows' a, then the joining rows' b
+        return b if a is None else np.concatenate([a, b])
+
+    while rows is not None or levels:
+        n = levels[-1] if rows is None else 2 * n
         if n > _MAX_LEVEL:
-            raise ConvergenceError(f"macdonald_k did not converge ({state[0].size} point(s))")
+            raise ConvergenceError(f"macdonald_k did not converge ({rows.size} point(s))")
         x, w, old, new = _rule(kind, n)
-        blocks, join = [(state[0], state[1][:, None] * x[new])] if state else [], None
+        blocks, join = [] if rows is None else [(rows, wide[:, None] * x[new])], None
         if levels and levels[-1] == n:
             levels.pop()
             join = np.arange(width.size) if single else np.flatnonzero(start == n)
             blocks.append((join, width[join][:, None] * x))
         got = _call(f, blocks)
-        if state and trapezoid:
-            state[3:] = state[3] + got[0].sum(axis=1), state[4] + np.abs(got[0]).sum(axis=1)
-        elif state:
-            vals = np.empty((got[0].shape[0], x.size), dtype=got[0].dtype)
-            vals[:, old], vals[:, new] = state[3], got[0]
-            state[3] = vals
+        if rows is not None and trapezoid:
+            sums, moduli = sums + got[0].sum(axis=1), moduli + np.abs(got[0]).sum(axis=1)
+        elif rows is not None:
+            merged = np.empty((rows.size, x.size), dtype=got[0].dtype)
+            merged[:, old], merged[:, new] = vals, got[0]
+            vals = merged
         if join is not None:  # the rows starting here compare with the n/2 rule
             v, wj = got[-1], width[join]
             if trapezoid:  # end nodes at half weight
                 v[:, ::n] *= 0.5
-                sums = v[:, old].sum(axis=1), v.sum(axis=1), np.abs(v).sum(axis=1)
-                first = [join, wj, sums[0] * (2.0 / n) * wj, *sums[1:]]
+                prev = cat(prev, v[:, old].sum(axis=1) * (2.0 / n) * wj)
+                sums, moduli = cat(sums, v.sum(axis=1)), cat(moduli, np.abs(v).sum(axis=1))
             else:
-                first = [join, wj, np.einsum("ij,j->i", v[:, old], _rule(kind, n // 2)[1]) * wj, v]
-            state = [np.concatenate(pair) for pair in zip(state, first)] if state else first
-        rows, wide = state[:2]
+                prev = cat(prev, np.einsum("ij,j->i", v[:, old], _rule(kind, n // 2)[1]) * wj)
+                vals = cat(vals, v)
+            rows, wide = cat(rows, join), cat(wide, wj)
         if trapezoid:
             step = wide / n
-            cur, absint = state[3] * step, state[4] * step
-        else:
-            cur = np.einsum("ij,j->i", state[3], w) * wide  # not BLAS: its bits depend on other rows
-            absint = np.einsum("ij,j->i", np.abs(state[3]), w) * wide
+            cur, absint = sums * step, moduli * step
+        else:  # einsum, not BLAS: a BLAS product's bits depend on the other rows
+            cur = np.einsum("ij,j->i", vals, w) * wide
+            absint = np.einsum("ij,j->i", np.abs(vals), w) * wide
         size = np.maximum(np.abs(cur), envelope[rows])
-        ok = np.abs(cur - state[2]) <= budget.rel_tol * size + 50.0 * _EPS * absint + budget.abs_floor
-        est[rows], mass[rows], state[2], left = cur, absint, cur, ~ok  # open rows write again later
-        state = [part[left] for part in state] if left.any() else []
+        ok = np.abs(cur - prev) <= (budget.rel_tol * size + 50.0 * _EPS * absint
+                                    + budget.abs_floor)
+        est[rows], mass[rows], left = cur, absint, ~ok  # open rows write again later
+        closed = ok.all()
+        rows, wide, prev, sums, moduli, vals = (
+            None if closed or part is None else part[left]
+            for part in (rows, wide, cur, sums, moduli, vals))
     return est, mass
+
+
+def _intervals(estimate):
+    """The power of two from 16 to _MAX_LEVEL at or above an estimate.  The
+    estimates of the paths only choose where halving starts (fewer levels,
+    fewer calls); every value still passes the convergence test."""
+    return _LEVELS[_LEVELS[:-1].searchsorted(estimate)]
 
 
 def _half_angle(x):
@@ -349,7 +378,7 @@ def _real_axis(p, a, y, top, peak, depth, budget, cplx):
         return _values(s, y2[r] * half * half, half_a[r] * s, None)
 
     width, envelope = _cutoff(y, big_p, peak, depth + _HALF_PI * a, cplx), _envelope(p, a, y, peak)
-    start = _LEVELS[_LEVELS[:-1].searchsorted(width * depth / 6.0)]
+    start = _intervals(width * depth / 6.0)
     return _nested("trapezoid", f, width, start, envelope, budget) + (peak, envelope)
 
 
@@ -372,13 +401,15 @@ def _one_saddle(p, a, y, top, peak, depth, budget, cplx):
 
 
 def _two_saddles(p, a, y, top, peak, depth, budget, cplx):
-    big_p, mu, ysh = np.abs(p), np.arccosh(a / y), np.sqrt((a - y) * (a + y))  # ysh = y sinh(mu)
+    big_p, mu = np.abs(p), np.arccosh(a / y)
+    ysh = np.sqrt((a - y) * (a + y))  # y sinh(mu)
     half = 0.5 * (a * mu - ysh)  # Im phi / 2 along the descent path
     scale, half_a, half_y = big_p * mu - _HALF_PI * a, 0.5 * a, 0.5 * y
     low = -big_p * mu  # Re phi less the scale on the line Im t = pi/2
 
     def line(r, s):
-        return _values(s, low[r], half_a[r] * s - half_y[r] * np.sinh(s), p[r] if cplx else None, _HALF_PI)
+        phase = half_a[r] * s - half_y[r] * np.sinh(s)
+        return _values(s, low[r], phase, p[r] if cplx else None, _HALF_PI)
 
     def descent(r, w):
         ar, yr, big, s = a[r], y[r], ysh[r], mu[r] + w
@@ -387,10 +418,11 @@ def _two_saddles(p, a, y, top, peak, depth, budget, cplx):
         cv = np.sqrt(delta * (2.0 - delta))
         drop = 2.0 * np.arcsin(np.sqrt(0.5 * delta))  # pi/2 - v
         dv = (delta * ych - 2.0 * ar * sq - big * sinh_w) / (ys * cv)
-        return _values(s, ar * drop - ych * cv + low[r], half[r], p[r] if cplx else None, _HALF_PI - drop, dv)
+        base = ar * drop - ych * cv + low[r]
+        return _values(s, base, half[r], p[r] if cplx else None, _HALF_PI - drop, dv)
 
-    envelope, start = _envelope(p, a, y, scale), _LEVELS[_LEVELS[:-1].searchsorted(1.5 * (a - y) * mu + 24.0)]
-    s1, m1 = _nested("fejer", line, mu, start, envelope, budget)
+    envelope = _envelope(p, a, y, scale)
+    s1, m1 = _nested("fejer", line, mu, _intervals(1.5 * (a - y) * mu + 24.0), envelope, budget)
     width = _cutoff(y, big_p, scale, depth, cplx) - mu
     s2, m2 = _nested("fejer", descent, width, np.full(a.size, 64), envelope, budget)
     return s1 + s2, m1 + m2, scale, envelope
@@ -405,7 +437,8 @@ def _macdonald(nu, y, budget: AccuracyBudget) -> np.ndarray:
         raise ValueError("macdonald_k requires y > 0")
     out, flat_nu, flat_y = np.empty(y.size, dtype=complex), nu.ravel(), y.ravel()
     for lo in range(0, y.size, _BLOCK):
-        out[lo:lo + _BLOCK] = _macdonald_block(flat_nu[lo:lo + _BLOCK], flat_y[lo:lo + _BLOCK], budget)
+        out[lo:lo + _BLOCK] = _macdonald_block(
+            flat_nu[lo:lo + _BLOCK], flat_y[lo:lo + _BLOCK], budget)
     return out.reshape(y.shape)
 
 
@@ -428,7 +461,8 @@ def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> n
     for g in groups:
         if g < 6:
             i = np.flatnonzero(group == g) if len(groups) > 1 else slice(None)
-            est[i], mass[i], scale[i], envelope[i] = (_real_axis, _one_saddle, _two_saddles)[g // 2](
+            path = (_real_axis, _one_saddle, _two_saddles)[g // 2]
+            est[i], mass[i], scale[i], envelope[i] = path(
                 p[i], a[i], y[i], top[i], peak[i], depth, budget, g % 2)
     reach = budget.rel_tol * np.maximum(np.abs(est), envelope)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -461,11 +495,18 @@ def _macdonald_pairs(nu: np.ndarray, y, budget: AccuracyBudget) -> np.ndarray:
 def macdonald_k(nu: complex, y: float, budget: AccuracyBudget = _DEFAULT_BUDGET) -> complex:
     """Macdonald function K_nu(y), standard normalization, complex order.
 
-    ``nu`` is the order (``|Re nu|`` at most 50), ``y > 0`` the argument and
-    ``budget`` the requested accuracy.  For |Re nu| <= 50 and |Im nu| <= 50 the
-    value is within ``budget.rel_tol`` of K relative to |K|, or, where
-    y < |Im nu| and K oscillates, relative to the envelope
-    sqrt(2 pi / |nu|) e^{-pi |Im nu| / 2}.
+    For |Re nu| <= 50 and |Im nu| <= 50 the value is within ``budget.rel_tol``
+    of K relative to |K|, or, where y < |Im nu| and K oscillates, relative to
+    the envelope sqrt(2 pi / |nu|) e^{-pi |Im nu| / 2}.
+
+    Parameters
+    ----------
+    nu : complex
+        Order; ``|Re nu|`` must not exceed 50.
+    y : float
+        Argument, strictly positive.
+    budget : AccuracyBudget
+        Requested accuracy.
 
     Raises
     ------
@@ -473,9 +514,12 @@ def macdonald_k(nu: complex, y: float, budget: AccuracyBudget = _DEFAULT_BUDGET)
         If ``|Re nu| > 50``, or cancellation or overflow puts that accuracy
         out of reach (no less accurate value is returned).
     """
-    nu, y = complex(nu), float(y)
+    nu = complex(nu)
+    y = float(y)
     if y <= 0.0:
         raise ValueError(f"macdonald_k requires y > 0, got {y}")
     if abs(nu.real) > _MAX_RE_ORDER:
-        raise ConvergenceError(f"macdonald_k supports |Re nu| <= {_MAX_RE_ORDER}, got Re nu = {nu.real}")
+        raise ConvergenceError(
+            f"macdonald_k supports |Re nu| <= {_MAX_RE_ORDER}, got Re nu = {nu.real}"
+        )
     return complex(_macdonald_block(np.array([nu]), np.array([y]), budget)[0])

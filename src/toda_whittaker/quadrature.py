@@ -620,7 +620,12 @@ def _picks(index: list, odd: int, stride: int) -> tuple:
 
 
 def _trapezoid_level(
-    g: Callable[[list], list], k: int, lo: np.ndarray, hi: np.ndarray, first: bool
+    g: Callable[[list], list],
+    k: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    first: bool,
+    mass: bool = False,
 ) -> tuple[list, int]:
     """Sums of ``g`` over the nodes ``2**-k j`` in the box ``[lo, hi]``.
 
@@ -648,14 +653,16 @@ def _trapezoid_level(
     slab per sub-grid.  Values with a leading axis of rows (see
     :func:`_trapezoid`) are summed row by row.
 
-    Returns those sums and the number of values evaluated."""
+    Returns those sums and the number of values evaluated; with ``mass`` on
+    the ``first`` lattice, the sum of ``|g|`` over the nodes of step 1/2,
+    read off as that step's sum is, follows them."""
     corner, shape = _lattice(lo, hi, k)
     index = [c + np.arange(n) for c, n in zip(corner.tolist(), shape)]
     d, step = len(index), 2.0**-k
     grids = [index]
     if not first:
         grids = [[ix[pick] for ix, pick in zip(index, _picks(index, a, 1))] for a in range(d)]
-    sums = [0j] * (k + 2 if first else 1)
+    sums = [0j] * (k + 2 if first else 1) + [0.0] * (first and mass)
     count = 0
     for batch in _batches(grids):
         for slab, vals in zip(batch, g([tuple(ix * step for ix in slab) for slab in batch])):
@@ -668,7 +675,10 @@ def _trapezoid_level(
             for e, i in enumerate(range(-1, k + 1)):
                 m = 1 << (k - i)
                 for odd in [-1] if i <= 1 else range(d):
-                    sums[e] += np.add.reduce(vals[(..., *_picks(slab, odd, m))].reshape(flat), -1)
+                    picked = vals[(..., *_picks(slab, odd, m))].reshape(flat)
+                    sums[e] += np.add.reduce(picked, -1)
+                    if mass and i == 1:
+                        sums[-1] += np.add.reduce(np.abs(picked), -1)
     return sums, count
 
 
@@ -715,22 +725,26 @@ def _trapezoid(
     Rows: with ``frequency`` an array, ``g(grids, rows)`` is one integral
     per entry; it gets the indices of the open rows and returns values with
     a leading axis over them.  Each row halves and stops on its own sums and
-    frequency, with the bits and count it has alone.  A row also stops once
-    its error estimate less the tail is within its rounding floor, ``eps``
-    times its mass (the rule on ``|g|``), which no halving moves its sum
-    below; it reports that floor plus the tail.  Returns the rows' values
-    and errors and the count of values; :class:`BudgetExceeded` carries
-    value nan and error inf."""
+    frequency, with the bits and count it has alone.
+
+    A row's error is at least its rounding floor, ``8 eps`` times its mass
+    (the rule on ``|g|`` at step 1/2), plus the tail, and a row also stops
+    once its estimate is within that floor.  The floor covers the rounding
+    that no move shows, since the values and partial sums a halving reuses
+    carry their errors into both sums compared: node values whose relative
+    error, weighted by their moduli, is within ``4 eps`` (at most 3.9 eps
+    for the rank-1 integrands of :mod:`~toda_whittaker.gl_whittaker`,
+    against 30 digits), and NumPy's pairwise sums, whose independent
+    roundings add about ``1 eps`` of the mass.  Returns the rows' values and
+    errors and the count of values; :class:`BudgetExceeded` carries value
+    nan and error inf."""
     d = lo.size
     if isinstance(frequency, np.ndarray):
         rows, k0 = np.arange(len(frequency)), np.full(len(frequency), 2)
         while (coarse := frequency * 2.0**-k0 > 0.5 * math.pi).any():
             k0 += coarse
         out = np.empty(rows.size, dtype=complex), np.empty(rows.size)
-        top, width = int(k0.min()), rows.size
-
-        def level(grids):  # each open row's values, then their moduli
-            return [np.concatenate([v, np.abs(v)]) for v in g(grids, rows)]
+        level, top, width = (lambda grids: g(grids, rows)), int(k0.min()), rows.size
     else:
         rows, k0 = None, 2
         while frequency * 2.0**-k0 > 0.5 * math.pi:
@@ -740,22 +754,20 @@ def _trapezoid(
     while top > 1 and size * width > max_evals:
         top -= 1
         size = math.prod(_lattice(lo, hi, top)[1])
-    sums, evals = _trapezoid_level(level, top, lo, hi, True)
-    masses = [0.0] * len(sums)
-    if rows is not None:  # the moduli's sums give each row's mass; each node was counted twice
-        sums, masses, evals = [s[:rows.size] for s in sums], [s[rows.size:].real for s in sums], evals // 2
+    sums, evals = _trapezoid_level(level, top, lo, hi, True, rows is not None)
+    if rows is not None:  # 8 eps times each row's mass, the rule on |g| at step 1/2
+        floor = 8.0 * _EPS * 2.0**-d * sums.pop()
     previous = sums[1]  # T_1
     moves = [0.0, abs(previous - 2.0**d * sums[0])]  # |T_1 - T_2|, after a 0 no move falls below
-    total, mass_total, k = 0j, 0.0, 0
+    total, k = 0j, 0
     while True:
         k += 1
         if k <= top:
-            total, mass_total = total + sums[k + 1], mass_total + masses[k + 1]
+            total += sums[k + 1]
         else:
             (s_new,), count = _trapezoid_level(level, k, lo, hi, False)
-            if rows is not None:
-                s_new, count, mass_total = s_new[:rows.size], count // 2, mass_total + s_new[rows.size:].real
-            total, evals = total + s_new, evals + count
+            total += s_new
+            evals += count
         value = 2.0 ** (-k * d) * total
         moves.append(abs(value - previous))
         if rows is None:
@@ -768,13 +780,11 @@ def _trapezoid(
         else:
             ratio = np.divide(moves[-2], moves[-3], out=np.zeros(rows.size), where=moves[-2] < moves[-3])
             move = np.maximum(moves[-1], 0.01 * moves[-2] * ratio**2)
-            floor = _EPS * 2.0 ** (-k * d) * mass_total  # no halving moves a row's sum below it
-            settled = (move + tail > tol) & (move <= floor)
-            err = np.where(settled, floor, move) + tail
-            done = (k >= k0) & ((err <= tol) | settled)
+            err = np.maximum(move, floor) + tail
+            done = (k >= k0) & ((err <= tol) | (move <= floor))  # below its floor only rounding moves
             out[0][rows[done]], out[1][rows[done]] = value[done], err[done]
-            rows, k0, total, mass_total, value, *moves = (
-                a[~done] for a in (rows, k0, total, mass_total, value, *moves[-2:]))
+            rows, k0, floor, total, value, *moves = (
+                a[~done] for a in (rows, k0, floor, total, value, *moves[-2:]))
             if not rows.size:
                 return out + (evals,)
         grown = math.prod(_lattice(lo, hi, k + 1)[1]) if k >= top else size  # nodes after the next level
