@@ -335,7 +335,7 @@ def dual_baxter_apply(
 # Commutation and lowering-compatibility checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityCheck:
     """Both sides of an identity, with the quadrature error behind them."""
 
@@ -348,7 +348,7 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommutationCheck:
     """Both orderings of a double application, with the quadrature error."""
 

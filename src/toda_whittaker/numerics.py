@@ -205,15 +205,16 @@ def gamma_product(zs: Sequence[complex]) -> complex:
 # sigma = min(a / y, 0.9), for a <= 1.1 y; otherwise the line Im t = pi/2 up to
 # the saddle mu + i pi/2 (cosh mu = a / y), then the steepest-descent path
 # Im phi = const.  The integrand is scaled by its peak and cut off rel_tol e^{-8}
-# below it; a nested rule per piece (trapezoid on even integrands, Fejer's second
-# rule on finite ones) halves its step until, point by point,
-# |dS| <= rel_tol |S| + 50 eps int|f| + abs_floor.  A call's set-up is paid once
-# per block of _BLOCK points: the points are grouped by path and by whether the
-# order is imaginary (then the integrand is real, in real arithmetic), and each
-# group gets its scale, cutoff, envelope and start levels.  Each piece of a path
-# then runs one halving loop over all of its points: a level makes one integrand
-# call, on every node of the points starting there and the new nodes of those
-# still open, and a fixed number of array operations.
+# below it.  A block's points (_BLOCK at most) are grouped by path and by whether the
+# order is imaginary (then the integrand is real, in real arithmetic).  On the real
+# axis the trapezoid's error is known (Poisson summation; Trefethen and Weideman,
+# SIAM Review 56, 2014): the rule of step h is K_nu(y) plus the aliases
+# K_{nu - 2 pi i m / h}(y), m != 0, each at most e^{-theta |Im|} K_{Re nu}(y cos theta)
+# on the path Im t = theta.  That bound sets each point's step, one integrand call
+# evaluates all points' nodes, and the bound certifies each sum relative to max(|S|,
+# envelope); a point that fails halves on.  The saddle paths' nested rule (trapezoid on
+# even integrands, Fejer's second rule on finite ones) halves a piece's points in one
+# loop (one integrand call a level) to |dS| <= rel_tol max(|S|, envelope) + 50 eps int|f| + abs_floor.
 
 _MAX_RE_ORDER = 50.0
 _EPS = float(np.finfo(float).eps)
@@ -366,7 +367,31 @@ def _envelope(p, a, y, scale):
     return np.sqrt(2.0 * math.pi / np.hypot(p, np.maximum(a, y))) * np.exp(power)
 
 
+def _aliasing(q, a, y, top, peak, width, rel, cplx):
+    """Intervals n on [0, width] for the trapezoid sum of K_nu(y), nu = +-q + i a,
+    and a bound on its error, the aliases' and the cut tail's, in units of e^peak;
+    n puts the bound at rel |S| / 8 for the a priori |S| >= (width - top) / 32."""
+    big_l = 6.0 - math.log(rel)  # near-best shift theta: sin = sqrt(2 L / y) if below 1, cos^2 >= floor
+    floor = (q * q + 1.0) / (q * q + 1.0 + (big_l / 1.5) ** 2) if cplx else (1.5 / big_l) ** 2
+    cos = np.sqrt(np.maximum(1.0 - 2.0 * big_l / y, floor))
+    theta, big_y = np.arccos(cos), y * cos
+    # 2 cosh(a theta) K_q(Y) <= 2 e^{a theta + max psi} (t_R + 1), psi = q t - Y cosh t, psi'(t_R) = -1
+    log_k = np.log(np.arcsinh((q + 1.0) / big_y) + 1.0) - np.hypot(q, big_y) + (a * theta - peak)
+    if cplx:
+        log_k += q * np.arcsinh(q / big_y)
+    n = np.ceil(width * (log_k + math.log(512.0 / rel) - np.log(width - top)) / (2.0 * math.pi * theta))
+    tail = (2.0 * math.exp(-8.0) * rel) * width  # 2 width e^{-depth}: the integral and nodes cut
+    return n.astype(np.intp), 2.0 * np.exp(log_k) / np.expm1((2.0 * math.pi) * theta * n / width) + tail
+
+
 def _real_axis(p, a, y, top, peak, depth, budget, cplx):
+    """Every point's trapezoid sum on s >= 0 from one integrand call.  On the whole
+    line the rule of step h = 2 pi / w is K_nu(y) + sum_{m != 0} K_{nu - i m w}(y),
+    and |K_{q + ib}(y)| <= e^{-|b| theta} K_q(y cos theta) for 0 <= theta < pi/2, so
+    the aliases sum to at most 2 cosh(a theta) K_q(y cos theta) / (e^{w theta} - 1);
+    _aliasing bounds K_q and sets each point's n.  Point i's nodes j width_i / n_i,
+    j < n_i, are a ragged row of one flat array, summed alone (np.add.reduceat); a
+    sum whose bound exceeds rel_tol max(|S|, envelope) + abs_floor halves on."""
     big_p, half_a, y2 = np.abs(p), 0.5 * a, -2.0 * y  # e^{-y cosh s + |p| s} peaks at s = top
 
     def f(r, s):
@@ -378,8 +403,17 @@ def _real_axis(p, a, y, top, peak, depth, budget, cplx):
         return _values(s, y2[r] * half * half, half_a[r] * s, None)
 
     width, envelope = _cutoff(y, big_p, peak, depth + _HALF_PI * a, cplx), _envelope(p, a, y, peak)
-    start = _intervals(width * depth / 6.0)
-    return _nested("trapezoid", f, width, start, envelope, budget) + (peak, envelope)
+    n, bound = _aliasing(big_p, a, y, top, peak, width, budget.rel_tol, cplx)
+    starts, rows, step = np.cumsum(n) - n, np.repeat(np.arange(n.size), n), width / n
+    v = f(rows, (np.arange(rows.size) - starts[rows]) * step[rows])
+    v[starts] *= 0.5  # the node at width is past the cutoff and left out
+    est, mass = np.add.reduceat(v, starts) * step, np.add.reduceat(np.abs(v), starts) * step
+    fail = np.flatnonzero(bound > budget.rel_tol * np.maximum(np.abs(est), envelope) + budget.abs_floor)
+    if fail.size:
+        est = est.astype(complex)  # as the nested rule's sums are
+        est[fail], mass[fail] = _nested("trapezoid", lambda r, s: f(fail[r], s), width[fail],
+                                        _intervals(2 * n[fail]), envelope[fail], budget)
+    return est, mass, peak, envelope
 
 
 def _one_saddle(p, a, y, top, peak, depth, budget, cplx):
@@ -433,8 +467,8 @@ def _macdonald(nu, y, budget: AccuracyBudget) -> np.ndarray:
     nu, y = np.asarray(nu, dtype=complex), np.asarray(y, dtype=float)
     if nu.shape != y.shape:
         nu, y = np.broadcast_arrays(nu, y)
-    if (y <= 0.0).any():
-        raise ValueError("macdonald_k requires y > 0")
+    if not ((y > 0.0).all() and np.isfinite(nu).all()):
+        raise ValueError("macdonald_k requires finite orders and y > 0 (or y = inf)")
     out, flat_nu, flat_y = np.empty(y.size, dtype=complex), nu.ravel(), y.ravel()
     for lo in range(0, y.size, _BLOCK):
         out[lo:lo + _BLOCK] = _macdonald_block(
@@ -455,15 +489,14 @@ def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> n
     top = np.arcsinh(big_p / y)
     peak = big_p * top - y * np.cosh(top)
     # twice the path (0 real axis, 1 one saddle, 2 two saddles, 3 K is 0), plus 1 if p != 0
-    group = 2 * np.where(peak < _UNDERFLOW, 3, (a > 1.0) * (1 + (a > 1.1 * y))) + (p != 0.0)
-    groups, depth = sorted(set(group.tolist())), 8.0 - math.log(budget.rel_tol)
+    saddles = np.add(a > 1.0, a > np.maximum(1.1 * y, 1.0), dtype=np.int8)
+    group = np.where(peak < _UNDERFLOW, 6, 2 * saddles + (p != 0.0))
+    groups, depth = np.flatnonzero(np.bincount(group)).tolist(), 8.0 - math.log(budget.rel_tol)
     est, mass, scale, envelope = np.zeros(y.size, dtype=complex), *np.zeros((3, y.size))
-    for g in groups:
-        if g < 6:
-            i = np.flatnonzero(group == g) if len(groups) > 1 else slice(None)
-            path = (_real_axis, _one_saddle, _two_saddles)[g // 2]
-            est[i], mass[i], scale[i], envelope[i] = path(
-                p[i], a[i], y[i], top[i], peak[i], depth, budget, g % 2)
+    for g in groups[:-1] if groups[-1] == 6 else groups:
+        i = np.flatnonzero(group == g) if len(groups) > 1 else slice(None)
+        est[i], mass[i], scale[i], envelope[i] = (_real_axis, _one_saddle, _two_saddles)[g // 2](
+            p[i], a[i], y[i], top[i], peak[i], depth, budget, g % 2)
     reach = budget.rel_tol * np.maximum(np.abs(est), envelope)
     with np.errstate(over="ignore", invalid="ignore"):
         out = est * np.exp(scale)
@@ -504,20 +537,22 @@ def macdonald_k(nu: complex, y: float, budget: AccuracyBudget = _DEFAULT_BUDGET)
     nu : complex
         Order; ``|Re nu|`` must not exceed 50.
     y : float
-        Argument, strictly positive.
+        Argument, strictly positive (K is 0 at y = inf).
     budget : AccuracyBudget
         Requested accuracy.
 
     Raises
     ------
+    ValueError
+        If ``nu`` is not finite, or ``y`` is NaN or not positive.
     ConvergenceError
         If ``|Re nu| > 50``, or cancellation or overflow puts that accuracy
         out of reach (no less accurate value is returned).
     """
     nu = complex(nu)
     y = float(y)
-    if y <= 0.0:
-        raise ValueError(f"macdonald_k requires y > 0, got {y}")
+    if not (y > 0.0 and cmath.isfinite(nu)):
+        raise ValueError(f"macdonald_k requires a finite order and y > 0, got {nu!r}, {y!r}")
     if abs(nu.real) > _MAX_RE_ORDER:
         raise ConvergenceError(
             f"macdonald_k supports |Re nu| <= {_MAX_RE_ORDER}, got Re nu = {nu.real}"

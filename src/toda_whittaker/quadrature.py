@@ -81,7 +81,7 @@ _CALL_POINTS = 1 << 13
 # Result and request types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureResult:
     """Outcome of an integration.
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from toda_whittaker import numerics
 from toda_whittaker.errors import ConvergenceError
-from toda_whittaker.gl_whittaker import closed_form_gl2_batch
+from toda_whittaker.gl_whittaker import closed_form_gl2, closed_form_gl2_batch
 from toda_whittaker.numerics import (
     _BLOCK,
     _DEFAULT_BUDGET,
@@ -21,6 +21,7 @@ from toda_whittaker.numerics import (
     log_gamma,
     macdonald_k,
 )
+from toda_whittaker.so_toda import closed_form_so3
 
 from _oracles import (
     GAMMA_0P7,
@@ -232,30 +233,73 @@ class TestMacdonald:
         assert np.array_equal(closed_form_gl2_batch(lam, xs), rows)
         assert points == [np.unique(xs[:, 0] - xs[:, 1]).size] == [49]
 
-    def test_one_integrand_call_per_level_on_a_path(self, monkeypatch):
-        # Arguments from 1e-6 to 700 start halving at different levels; the
-        # real-axis path still makes one integrand call per level it reaches,
-        # the rows starting there and the rows open since the level before
-        # together.  A trapezoid row at level n has n + 1 nodes on its first
-        # call and n / 2 after.
+    def test_one_integrand_call_on_the_real_axis(self, monkeypatch):
+        # Arguments from 1e-6 to 700 take steps from one to many dozen
+        # intervals; the real-axis path still evaluates all their nodes in
+        # one integrand call, as ragged rows, and each value has the bits of
+        # its point alone.
         ys = np.geomspace(1e-6, 700.0, 40)
-        calls, nested = [], numerics._nested
-
-        def spy(kind, f, *args):
-            def counted(r, s):
-                rows = np.broadcast_to(r.reshape(r.shape + (1,) * (s.ndim - r.ndim)), s.shape)
-                counts = np.unique(rows, return_counts=True)[1]
-                calls.append({int(c - 1) if c % 2 else int(2 * c) for c in counts.tolist()})
-                return f(r, s)
-            return nested(kind, counted, *args)
-
-        monkeypatch.setattr(numerics, "_nested", spy)
+        calls, values = [], numerics._values
+        monkeypatch.setattr(numerics, "_values", lambda s, *args: calls.append(s.size) or values(s, *args))
         grid = _macdonald_grid(0.4j, ys, _DEFAULT_BUDGET)
-        levels = [level for call in calls for level in call]
-        assert all(len(call) == 1 for call in calls)
-        assert len(levels) == len(set(levels)) > 1
+        assert len(calls) == 1
         monkeypatch.undo()
         assert all(grid[i] == macdonald_k(0.4j, y) for i, y in enumerate(ys))
+
+    def test_real_axis_bound_covers_the_error(self, monkeypatch):
+        """Seeded sweep of the real-axis band at real orders +-1 and +-3.5,
+        |Im nu| in [0, 1], y in [1e-6, 700] with extra points in [1, 10]
+        (where neither aliasing scale alone is tight): at rel_tol 1e-12, 1e-7
+        and 1e-3 (where the aliases are large enough to test the bound) each
+        value is within rel_tol of mpmath (of the envelope where y < |Im nu|),
+        its reported error bound is at least its true error, less a rounding
+        allowance of a few eps per unit of the log scale, and at most rel_tol,
+        and the value has the bits of its point alone."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20070625)
+        orders = [complex(re, a) for re in (-3.5, -1.0, 1.0, 3.5) for a in (0.0, 1.0, *rng.uniform(0.0, 1.0, 2))]
+        ys = np.sort(np.concatenate([[1e-6, 700.0], 10.0 ** rng.uniform(-6.0, math.log10(700.0), 6),
+                                     rng.uniform(1.0, 10.0, 6)]))
+        with mpmath.workdps(25):
+            refs = {nu: [complex(mpmath.besselk(mpmath.mpc(nu.real, nu.imag), y)) for y in ys] for nu in orders}
+        reported, aliasing = [], numerics._aliasing
+        monkeypatch.setattr(numerics, "_aliasing",
+                            lambda *args: reported.append((aliasing(*args), args[4])) or reported[-1][0])
+        for rel_tol in (1e-12, 1e-7, 1e-3):
+            budget = AccuracyBudget(rel_tol=rel_tol)
+            for nu in orders:
+                values = _macdonald_grid(nu, ys, budget)
+                (_, bound), peak = reported[-1]
+                bound = bound * np.exp(peak)
+                envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * nu.imag / 2)
+                scale = np.array([max(abs(ref), envelope if y < nu.imag else 0.0) for y, ref in zip(ys, refs[nu])])
+                error = np.abs(values - refs[nu])
+                assert (error <= rel_tol * scale).all()
+                assert (error <= bound + 8.0 * np.finfo(float).eps * (1.0 + np.abs(peak)) * scale).all()
+                assert (bound <= rel_tol * scale).all()
+                assert all(values[i] == macdonald_k(nu, y, budget) for i, y in enumerate(ys))
+
+    def test_rows_that_fail_the_certificate_halve_on(self, monkeypatch):
+        # With a step four times too coarse and a bound that no sum meets,
+        # every real-axis row goes on in the nested rule: it still meets
+        # rel_tol, and alone and in its grid it has the same bits.
+        mpmath = pytest.importorskip("mpmath")
+        ys = np.array([1e-6, 0.03, 1.3, 7.0, 45.0, 700.0])
+        aliasing = numerics._aliasing
+
+        def coarse(*args):
+            n, bound = aliasing(*args)
+            return np.maximum(n // 4, 1), bound + 1.0
+
+        monkeypatch.setattr(numerics, "_aliasing", coarse)
+        for nu in (0.7j, 1.0 + 0.3j):
+            grid = _macdonald_grid(nu, ys, _DEFAULT_BUDGET)
+            assert all(grid[i] == macdonald_k(nu, y) for i, y in enumerate(ys))
+            with mpmath.workdps(25):
+                refs = [complex(mpmath.besselk(mpmath.mpc(nu.real, nu.imag), y)) for y in ys]
+            envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * nu.imag / 2)
+            assert all(abs(v - ref) <= 1e-12 * max(abs(ref), envelope if y < nu.imag else 0.0)
+                       for v, ref, y in zip(grid, refs, ys))
 
     def test_saddle_paths_in_batches_match_mpmath(self):
         """Seeded sweep of the batch entries over orders with |Im nu| in (1, 50]
@@ -299,6 +343,27 @@ class TestMacdonald:
         # K_50(1e-6) is about 1e377: no float holds it.
         with pytest.raises(ConvergenceError):
             macdonald_k(50.0, 1e-6)
+
+    @pytest.mark.parametrize("nu, y", [(0.5j, math.nan), (math.nan, 1.0), (complex(0.0, math.inf), 1.0),
+                                       (complex(math.inf, 0.5), 1.0), (0.5j, -math.inf), (0.5j, 0.0)])
+    def test_non_finite_or_non_positive_input_raises(self, nu, y):
+        with pytest.raises(ValueError):
+            macdonald_k(nu, y)
+        with pytest.raises(ValueError):
+            _macdonald_grid(nu, np.array([0.5, y]), _DEFAULT_BUDGET)
+        with pytest.raises(ValueError):
+            _macdonald_pairs(np.array([0.4j, nu]), np.array([0.5, y]), _DEFAULT_BUDGET)
+
+    def test_zero_at_infinite_argument(self):
+        assert macdonald_k(0.5j, math.inf) == 0.0
+        assert np.array_equal(_macdonald_grid(0.5 + 3.0j, np.array([1.0, math.inf]), _DEFAULT_BUDGET)[1:], [0.0])
+        assert np.array_equal(_macdonald_pairs(np.array([0.4j, 2.0]), math.inf, _DEFAULT_BUDGET), [0.0, 0.0])
+
+    def test_closed_forms_reject_a_nan_coordinate(self):
+        with pytest.raises(ValueError):
+            closed_form_gl2((0.5, -0.5), (math.nan, 0.2))
+        with pytest.raises(ValueError):
+            closed_form_so3(0.5, math.nan)
 
 
 def test_accuracy_budget_fields():

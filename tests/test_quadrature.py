@@ -2,7 +2,9 @@
 truncation rule on R^d, trapezoid along contours and on the truncated 1-D
 and 2-D boxes."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from toda_whittaker import quadrature
 from toda_whittaker.errors import BudgetExceeded
 from toda_whittaker.gl_baxter import (
     _LIE,
+    CommutationCheck,
+    IdentityCheck,
     _double_apply_fused,
     _kernel_exponent_rows,
     baxter_apply,
@@ -32,6 +36,7 @@ from toda_whittaker.gl_whittaker import (
 from toda_whittaker.numerics import _quadrature_budget, gamma_product, log_gamma_array, macdonald_k
 from toda_whittaker.quadrature import (
     ContourSpec,
+    QuadratureResult,
     _integrate_truncated,
     _rate_reach,
     _wall_reach,
@@ -571,6 +576,23 @@ def test_results_hold_python_scalars(name):
     assert type(res.abs_error) is float
     assert type(res.evaluations) is int
     assert type(res.converged) is bool
+
+
+@pytest.mark.parametrize("record, text", [
+    (QuadratureResult(1.5 - 2j, 1e-9, 12, True),
+     "QuadratureResult(value=(1.5-2j), abs_error=1e-09, evaluations=12, converged=True)"),
+    (IdentityCheck(1j, 1j + 1e-9, 2e-9), "IdentityCheck(lhs=1j, rhs=(1e-09+1j), abs_error=2e-09)"),
+    (CommutationCheck(0.5 + 0j, 0.5 + 1e-8j, 3e-8),
+     "CommutationCheck(first_then_second=(0.5+0j), second_then_first=(0.5+1e-08j), abs_error=3e-08)"),
+], ids=["QuadratureResult", "IdentityCheck", "CommutationCheck"])
+def test_result_records_are_slotted(record, text):
+    # Slotted and frozen: no per-instance __dict__, same repr, fields and pickle round trip.
+    assert not hasattr(record, "__dict__")
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert dataclasses.astuple(record) == tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.abs_error = 0.0
 
 
 def test_stable_exp_clamps_overflow():
