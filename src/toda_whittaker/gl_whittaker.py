@@ -109,14 +109,24 @@ def _exp_wall(diff: np.ndarray) -> np.ndarray:
 
 def closed_form_gl2(lam, x) -> complex:
     """Rank-1 function in closed form: a phase in the center-of-mass variable
-    times a Macdonald function of imaginary order in the relative variable."""
+    times a Macdonald function of imaginary order in the relative variable.
+    It is 0 where the Macdonald argument ``2 exp((x_1 - x_2)/2)`` is infinite;
+    :class:`ValueError` names the coordinates where it is NaN or 0."""
     params = _as_params(lam)
     if len(params) != 2 or len(x) != 2:
         raise RankError("closed_form_gl2 needs two spectral parameters and two coordinates")
     l1, l2 = params
     x1, x2 = float(x[0]), float(x[1])
+    y = math.inf if x1 - x2 > 1400.0 else 2.0 * math.exp(0.5 * (x1 - x2))
+    if not y > 0.0:
+        raise ValueError(_ZERO_ARGUMENT.format([[x1, x2]]))
+    if y == math.inf:
+        return 0j
     phase = cmath.exp(0.5j * (l1 + l2) * (x1 + x2))
-    return 2.0 * phase * macdonald_k(1j * (l1 - l2), 2.0 * math.exp(0.5 * (x1 - x2)))
+    return 2.0 * phase * macdonald_k(1j * (l1 - l2), y)
+
+
+_ZERO_ARGUMENT = "the Macdonald argument 2 exp((x_1 - x_2)/2) is NaN or 0 (K unbounded) at x = {}"
 
 
 def closed_form_gl2_batch(lam, xs: np.ndarray, budget: AccuracyBudget = _DEFAULT_BUDGET) -> np.ndarray:
@@ -128,10 +138,14 @@ def closed_form_gl2_batch(lam, xs: np.ndarray, budget: AccuracyBudget = _DEFAULT
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != 2:
         raise RankError("xs must be an (m, 2) array")
-    y = 2.0 * np.exp(0.5 * (xs[:, 0] - xs[:, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # infinite coordinates, checked below
+        y, com = 2.0 * np.exp(0.5 * (xs[:, 0] - xs[:, 1])), xs[:, 0] + xs[:, 1]
+    if not (y > 0.0).all():
+        raise ValueError(_ZERO_ARGUMENT.format(xs[~(y > 0.0)][:3].tolist()))
     kvals = _macdonald_grid(1j * (l1 - l2), y, budget)
-    phase = np.exp(0.5j * (l1 + l2) * (xs[:, 0] + xs[:, 1]))
-    return 2.0 * phase * kvals
+    if (y == math.inf).any():  # K is 0 there, and the phase may be NaN
+        com = np.where(y == math.inf, 0.0, com)
+    return 2.0 * np.exp(0.5j * (l1 + l2) * com) * kvals
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +249,11 @@ def givental_recursive_eval(
 
 
 def _distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(z, return_inverse=True)`` for complex ``z`` at half the
-    cost, by a float sort on the imaginary parts, then the real parts."""
-    order = np.lexsort((z.real, z.imag))
+    """Values of complex ``z`` and the inverse that rebuilds ``z`` from them, by one
+    float sort on the imaginary parts: each run of equal adjacent values is one
+    value, so the inverse is exact, and a value whose run is split by another of
+    the same imaginary part only comes twice."""
+    order = np.argsort(z.imag)
     ordered = z[order]
     new = np.ones(z.size, dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
@@ -318,8 +334,10 @@ def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     coordinate-space normalization: one variable gives ``exp(-i beta x)``.
     Two variables need one Macdonald function per distinct order
     ``i (beta_1 - beta_2)`` up to sign (``K_nu = K_-nu``); rows on a grid
-    share their orders, and on a contour pair they come in ``+-`` pairs, so
-    each distinct folded order is evaluated once."""
+    share their orders, and on a contour pair they come in ``+-`` pairs.  So
+    the rows' orders are deduplicated by one float sort on their imaginary
+    parts, the distinct ones folded to ``Im >= 0`` (where ``+-`` pairs meet)
+    and deduplicated again, and each distinct folded order is evaluated once."""
     betas = np.asarray(betas, dtype=complex)
     if betas.ndim != 2 or betas.shape[1] not in (1, 2):
         raise RankError(f"betas must be an (m, 1) or (m, 2) array, got shape {betas.shape}")
@@ -328,8 +346,9 @@ def mb_closed_form_batch(betas: np.ndarray, x) -> np.ndarray:
     if betas.shape[1] == 1:
         return np.exp(-1j * betas[:, 0] * float(x[0]))
     x1, x2 = float(x[0]), float(x[1])
-    orders, inverse = _distinct(_fold_orders(1j * (betas[:, 0] - betas[:, 1])))
-    kvals = _macdonald_pairs(orders, 2.0 * math.exp(0.5 * (x1 - x2)), _DEFAULT_BUDGET)[inverse]
+    orders, inverse = _distinct(1j * (betas[:, 0] - betas[:, 1]))
+    orders, back = _distinct(_fold_orders(orders))
+    kvals = _macdonald_pairs(orders, 2.0 * math.exp(0.5 * (x1 - x2)), _DEFAULT_BUDGET)[back[inverse]]
     phase = np.exp(-0.5j * (betas[:, 0] + betas[:, 1]) * (x1 + x2))
     return 2.0 * phase * kvals
 

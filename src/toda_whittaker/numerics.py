@@ -195,125 +195,56 @@ def gamma_product(zs: Sequence[complex]) -> complex:
 # ---------------------------------------------------------------------------
 # Macdonald function K_nu(y) = (1/2) int_R e^{phi(t)} dt, phi(t) = -y cosh t + nu t.
 #
-# One kernel serves every entry point.  K is even in nu, so each order is folded
-# to a = Im nu >= 0.  Each point integrates along a path t = s + i v(s) with v
-# even, so the halves s < 0 and s > 0 fold into one integrand on s >= 0 (the
-# average of the path integrands of nu and -conj(nu)).  As in Gil, Segura and
-# Temme (ACM TOMS 30, 2004, Algorithm 831), the path keeps clear of the
-# e^{pi a/2} cancellation on the real axis: it is the real axis for a <= 1; the
-# steepest-descent path sin v = sigma s / sinh s through the saddle i arcsin(sigma),
-# sigma = min(a / y, 0.9), for a <= 1.1 y; otherwise the line Im t = pi/2 up to
-# the saddle mu + i pi/2 (cosh mu = a / y), then the steepest-descent path
-# Im phi = const.  The integrand is scaled by its peak and cut off rel_tol e^{-8}
-# below it.  A block's points (_BLOCK at most) are grouped by path and by whether the
-# order is imaginary (then the integrand is real, in real arithmetic).  On the real
-# axis the trapezoid's error is known (Poisson summation; Trefethen and Weideman,
-# SIAM Review 56, 2014): the rule of step h is K_nu(y) plus the aliases
-# K_{nu - 2 pi i m / h}(y), m != 0, each at most e^{-theta |Im|} K_{Re nu}(y cos theta)
-# on the path Im t = theta.  That bound sets each point's step, one integrand call
-# evaluates all points' nodes, and the bound certifies each sum relative to max(|S|,
-# envelope); a point that fails halves on.  The saddle paths' nested rule (trapezoid on
-# even integrands, Fejer's second rule on finite ones) halves a piece's points in one
-# loop (one integrand call a level) to |dS| <= rel_tol max(|S|, envelope) + 50 eps int|f| + abs_floor.
+# One kernel serves every entry point.  K is even in nu, so each order is folded to
+# a = Im nu >= 0.  Each point integrates along a path t = s + i v(s) with v even, so the
+# halves s < 0 and s > 0 fold into one integrand on s >= 0 (the average of the path
+# integrands of nu and -conj(nu)), scaled by its peak and cut off rel_tol e^{-8} below
+# it.  The paths keep clear of the e^{pi a/2} cancellation on the real axis (Gil, Segura
+# and Temme, ACM TOMS 30, 2004): for a <= max(1.1 y, 1) the line Im t = lift through the
+# saddle arcsinh(nu / y) of phi (lift at most arcsin(0.9): the tangent there of their
+# one-saddle path); otherwise the line Im t = pi/2 up to the saddle mu + i pi/2 (cosh mu
+# = a / y), then its steepest-descent path Im phi = const.  A block's points (_BLOCK at
+# most) are grouped by path and by whether the order is imaginary (then the integrand is
+# real, in real arithmetic).  Every piece sets each point's node count from an a priori
+# bound on its rule's error, evaluates all its points' nodes in one integrand call
+# (_flat), and certifies each sum after by that bound relative to max(|S|, envelope); a
+# point that fails halves on (_halve).  On a line the trapezoid's error is a sum of
+# aliases (Poisson summation; Trefethen and Weideman, SIAM Review 56, 2014); on the
+# two-saddle pieces Fejer's second rule's follows from the Bernstein ellipse in which the
+# integrand is analytic (Trefethen, SIAM Review 50, 2008).
 
 _MAX_RE_ORDER = 50.0
 _EPS = float(np.finfo(float).eps)
 _HALF_PI = 0.5 * math.pi
-_SIGMA_CAP = 0.9
+_LIFT_CAP = math.asin(0.9)  # the one-saddle line's height
+_RHO = np.array([1.2, 1.5, 2.0, 3.0, 4.5])  # Bernstein ellipses tried
+_A, _B = 0.5 * (_RHO + 1.0 / _RHO), 0.5 * (_RHO - 1.0 / _RHO)
+_LOG_RHO, _GAIN = np.log(_RHO), math.log(4.3) - np.log1p(-_RHO ** -2.0)
 _MAX_LEVEL = 4096  # finest rule, in intervals
-_LEVELS = 2 ** np.minimum(np.arange(4, 14), 12)  # start levels, 16 to _MAX_LEVEL
 _BLOCK = 4096  # points integrated together
 _UNDERFLOW = -760.0  # real-axis log peaks below this give K = 0
 
 
 @lru_cache(maxsize=None)
-def _rule(kind: str, n: int):
-    """The n-interval rule's nodes on [0, 1], weights (none for the trapezoid, whose
-    rows keep sums) and slices of the nodes shared with the n/2 rule and of the new."""
-    if kind == "trapezoid":
-        return np.arange(n + 1) / n, None, slice(0, None, 2), slice(1, None, 2)
-    theta = np.arange(1, n) * (math.pi / n)  # Fejer's second rule
-    j = np.arange(1, n, 2)
-    w = (2.0 / n) * np.sin(theta) * (np.sin(np.outer(theta, j)) / j).sum(axis=1)
-    return 0.5 * (1.0 - np.cos(theta)), w, slice(1, None, 2), slice(0, None, 2)
+def _fejer(n: int):  # nodes on [0, 1] and weights of Fejer's second rule of n intervals
+    theta, j = np.arange(1, n) * (math.pi / n), np.arange(1, n, 2)
+    return 0.5 * (1.0 - np.cos(theta)), (2.0 / n) * np.sin(theta) * (np.sin(np.outer(theta, j)) / j).sum(axis=1)
 
 
-def _call(f, blocks):
-    """f at each block's nodes (rows, offsets of shape (rows, nodes)) in one call:
-    a lone block broadcasts its rows, two are flattened to a row per node."""
-    if len(blocks) == 1:
-        return [f(blocks[0][0][:, None], blocks[0][1])]
-    (r0, u0), (r1, u1) = blocks
-    out = f(np.concatenate([np.repeat(r0, u0.shape[1]), np.repeat(r1, u1.shape[1])]),
-            np.concatenate([u0.ravel(), u1.ravel()]))
-    return [out[:u0.size].reshape(u0.shape), out[u0.size:].reshape(u1.shape)]
-
-
-def _nested(kind, f, width, start, envelope, budget: AccuracyBudget):
-    """Integrals of f and |f| over [0, width_i], from start_i intervals on, in one
-    halving loop; f(r, u) is the integrand of rows r at offsets u.  A trapezoid
-    row keeps the sums of its values and moduli, a Fejer row its values.  A row
-    stops once it converges, relative to the larger of |S| and its envelope; its
-    value depends on its own integrand only."""
-    est, mass = np.empty(width.size, dtype=complex), np.empty(width.size)
-    levels = sorted(set(start.tolist()), reverse=True)  # start levels to come, next last
-    single, trapezoid = len(levels) == 1, kind == "trapezoid"
-    # The open rows: indices, widths and last estimates, then a trapezoid row's
-    # sums of values and moduli or a Fejer row's values; None while none is open.
-    rows = wide = prev = sums = moduli = vals = None
-
-    def cat(a, b):  # the open rows' a, then the joining rows' b
-        return b if a is None else np.concatenate([a, b])
-
-    while rows is not None or levels:
-        n = levels[-1] if rows is None else 2 * n
-        if n > _MAX_LEVEL:
+def _halve(f, width, n, fejer, prev, envelope, budget: AccuracyBudget):
+    """The rows whose sums S_n failed their certificate at 2n, 4n, ... intervals (a _flat
+    call a level) until |S_2n - S_n| <= rel_tol max(|S_2n|, envelope) + 50 eps int|f| + abs_floor."""
+    est, mass, rows = np.empty(n.size, dtype=complex), np.empty(n.size), np.arange(n.size)
+    while rows.size:
+        n = 2 * n
+        if n.max() > _MAX_LEVEL:
             raise ConvergenceError(f"macdonald_k did not converge ({rows.size} point(s))")
-        x, w, old, new = _rule(kind, n)
-        blocks, join = [] if rows is None else [(rows, wide[:, None] * x[new])], None
-        if levels and levels[-1] == n:
-            levels.pop()
-            join = np.arange(width.size) if single else np.flatnonzero(start == n)
-            blocks.append((join, width[join][:, None] * x))
-        got = _call(f, blocks)
-        if rows is not None and trapezoid:
-            sums, moduli = sums + got[0].sum(axis=1), moduli + np.abs(got[0]).sum(axis=1)
-        elif rows is not None:
-            merged = np.empty((rows.size, x.size), dtype=got[0].dtype)
-            merged[:, old], merged[:, new] = vals, got[0]
-            vals = merged
-        if join is not None:  # the rows starting here compare with the n/2 rule
-            v, wj = got[-1], width[join]
-            if trapezoid:  # end nodes at half weight
-                v[:, ::n] *= 0.5
-                prev = cat(prev, v[:, old].sum(axis=1) * (2.0 / n) * wj)
-                sums, moduli = cat(sums, v.sum(axis=1)), cat(moduli, np.abs(v).sum(axis=1))
-            else:
-                prev = cat(prev, np.einsum("ij,j->i", v[:, old], _rule(kind, n // 2)[1]) * wj)
-                vals = cat(vals, v)
-            rows, wide = cat(rows, join), cat(wide, wj)
-        if trapezoid:
-            step = wide / n
-            cur, absint = sums * step, moduli * step
-        else:  # einsum, not BLAS: a BLAS product's bits depend on the other rows
-            cur = np.einsum("ij,j->i", vals, w) * wide
-            absint = np.einsum("ij,j->i", np.abs(vals), w) * wide
-        size = np.maximum(np.abs(cur), envelope[rows])
-        ok = np.abs(cur - prev) <= (budget.rel_tol * size + 50.0 * _EPS * absint
-                                    + budget.abs_floor)
-        est[rows], mass[rows], left = cur, absint, ~ok  # open rows write again later
-        closed = ok.all()
-        rows, wide, prev, sums, moduli, vals = (
-            None if closed or part is None else part[left]
-            for part in (rows, wide, cur, sums, moduli, vals))
+        cur, absint = _flat(lambda r, s, rows=rows: f(rows[r], s), width[rows], n, fejer)
+        ok = np.abs(cur - prev) <= (budget.rel_tol * np.maximum(np.abs(cur), envelope[rows])
+                                    + 50.0 * _EPS * absint + budget.abs_floor)
+        est[rows[ok]], mass[rows[ok]] = cur[ok], absint[ok]
+        rows, n, prev = rows[~ok], n[~ok], cur[~ok]
     return est, mass
-
-
-def _intervals(estimate):
-    """The power of two from 16 to _MAX_LEVEL at or above an estimate.  The
-    estimates of the paths only choose where halving starts (fewer levels,
-    fewer calls); every value still passes the convergence test."""
-    return _LEVELS[_LEVELS[:-1].searchsorted(estimate)]
 
 
 def _half_angle(x):
@@ -325,9 +256,9 @@ def _half_angle(x):
 
 def _values(s, base, half, p, v=None, dv=None):
     """(1/2) e^{ipv} [e^{base + ps} z + e^{base - ps} conj z], z = e^{2i half} t',
-    where base + 2i half is phi at order i a, less the scale, at t = s + iv.
-    At imaginary order (p is None) the values are real: e^base Re z."""
-    h, t = _half_angle(half)
+    where base + 2i half is phi at order i a, less the scale, at t = s + iv (half may
+    come as its _half_angle).  At imaginary order (p is None) the values are real."""
+    h, t = half if isinstance(half, tuple) else _half_angle(half)
     if p is None:
         return np.exp(base) * (h - 1.0 if dv is None else h - 1.0 - t * h * dv)
     zr, zi = (h - 1.0, t * h) if dv is None else (h - 1.0 - t * h * dv, t * h + (h - 1.0) * dv)
@@ -367,106 +298,176 @@ def _envelope(p, a, y, scale):
     return np.sqrt(2.0 * math.pi / np.hypot(p, np.maximum(a, y))) * np.exp(power)
 
 
-def _aliasing(q, a, y, top, peak, width, rel, cplx):
-    """Intervals n on [0, width] for the trapezoid sum of K_nu(y), nu = +-q + i a,
-    and a bound on its error, the aliases' and the cut tail's, in units of e^peak;
-    n puts the bound at rel |S| / 8 for the a priori |S| >= (width - top) / 32."""
-    big_l = 6.0 - math.log(rel)  # near-best shift theta: sin = sqrt(2 L / y) if below 1, cos^2 >= floor
+def _aliasing(q, a, y, top, peak, width, rel, cplx, lift, big_y):
+    """Intervals n on [0, width] for the trapezoid sum of K_nu(y), nu = +-q + i a, on the
+    line Im t = lift (big_y = y cos lift), and a bound on its error, the aliases' and the
+    cut tail's, in units of e^peak; n puts the bound at rel |S| / 8 for the a priori
+    |S| >= (width - top) / 32."""
+    big_l = 6.0 - math.log(rel)  # sin(theta - lift)^2 = 2 L / (y cos lift) if below 1, cos^2 >= floor
     floor = (q * q + 1.0) / (q * q + 1.0 + (big_l / 1.5) ** 2) if cplx else (1.5 / big_l) ** 2
-    cos = np.sqrt(np.maximum(1.0 - 2.0 * big_l / y, floor))
-    theta, big_y = np.arccos(cos), y * cos
-    # 2 cosh(a theta) K_q(Y) <= 2 e^{a theta + max psi} (t_R + 1), psi = q t - Y cosh t, psi'(t_R) = -1
-    log_k = np.log(np.arcsinh((q + 1.0) / big_y) + 1.0) - np.hypot(q, big_y) + (a * theta - peak)
+    rise = np.arcsin(np.sqrt(np.minimum((2.0 * big_l) / big_y, 1.0)))
+    theta = np.minimum(lift + rise, np.maximum(np.arccos(np.sqrt(floor)), 0.5 * lift + 0.25 * math.pi))
+    shift_y = y * np.cos(theta)
+    # K_q(Y) <= e^{max psi} (t_R + 1), psi = q t - Y cosh t, psi'(t_R) = -1
+    log_k = np.log(np.arcsinh((q + 1.0) / shift_y) + 1.0) - np.hypot(q, shift_y) - peak
     if cplx:
-        log_k += q * np.arcsinh(q / big_y)
-    n = np.ceil(width * (log_k + math.log(512.0 / rel) - np.log(width - top)) / (2.0 * math.pi * theta))
-    tail = (2.0 * math.exp(-8.0) * rel) * width  # 2 width e^{-depth}: the integral and nodes cut
-    return n.astype(np.intp), 2.0 * np.exp(log_k) / np.expm1((2.0 * math.pi) * theta * n / width) + tail
+        log_k += q * np.arcsinh(q / shift_y)
+    # the aliases m > 0 weigh e^{a theta} and decay at theta + lift, those m < 0 e^{-a theta} and theta - lift
+    up, down, room = log_k + a * theta, log_k - a * theta, math.log(512.0 / rel) - np.log(width - top)
+    fast, slow = theta + lift, theta - lift
+    n = np.maximum(np.ceil(np.maximum((up + room) / fast, (down + room) / slow) * width / (2.0 * math.pi)), 1.0)
+    w = n * (2.0 * math.pi) / width
+    aliases = np.exp(up) / np.expm1(w * fast) + np.exp(down) / np.expm1(w * slow)
+    return n.astype(np.intp), aliases + (2.0 * math.exp(-8.0) * rel) * width  # 2 width e^{-depth}: the cut tail
 
 
-def _real_axis(p, a, y, top, peak, depth, budget, cplx):
-    """Every point's trapezoid sum on s >= 0 from one integrand call.  On the whole
-    line the rule of step h = 2 pi / w is K_nu(y) + sum_{m != 0} K_{nu - i m w}(y),
-    and |K_{q + ib}(y)| <= e^{-|b| theta} K_q(y cos theta) for 0 <= theta < pi/2, so
-    the aliases sum to at most 2 cosh(a theta) K_q(y cos theta) / (e^{w theta} - 1);
-    _aliasing bounds K_q and sets each point's n.  Point i's nodes j width_i / n_i,
-    j < n_i, are a ragged row of one flat array, summed alone (np.add.reduceat); a
-    sum whose bound exceeds rel_tol max(|S|, envelope) + abs_floor halves on."""
-    big_p, half_a, y2 = np.abs(p), 0.5 * a, -2.0 * y  # e^{-y cosh s + |p| s} peaks at s = top
+def _bernstein(log_m, half, target):
+    """Intervals n (a multiple of 4) of Fejer's second rule on [0, 2 half] and a bound on
+    its error, 4.3 half M rho^-n / (1 - rho^-2) at the best of _RHO: the bound for an
+    integrand analytic in the ellipse with foci 0 and 2 half and semi-axes half (A, B),
+    A + B = rho, where its modulus is at most M = e^{log_m} (a column per rho).  Its
+    Chebyshev coefficients obey |c_k| <= 2 M rho^-k, the rule is exact to degree n - 1, and
+    an uncaught T_k costs at most 2 + 2 / (k^2 - 1) (positive weights summing to 2)."""
+    log_c = log_m + (np.log(half) + _GAIN)
+    n = 4.0 * np.ceil(((log_c - np.log(target)[:, None]) / (4.0 * _LOG_RHO)).min(axis=1))
+    n = np.minimum(np.maximum(n, 4.0), _MAX_LEVEL)
+    return n.astype(np.intp), np.exp((log_c - n[:, None] * _LOG_RHO).min(axis=1))
+
+
+def _flat(f, width, n, fejer):
+    """Each row's rule of n_i intervals on [0, width_i], the trapezoid's (on the nodes j
+    width_i / n_i, j < n_i: the node at width is past the cutoff) or Fejer's second, in one
+    call of f(r, s): rows of one n broadcast, others are ragged rows of one flat array, and
+    either way each row's sums of values and moduli (np.add.reduceat) have the same bits."""
+    count = n - 1 if fejer else n
+    starts = np.cumsum(count) - count
+    step = None if fejer else width / n
+    if (n == n[0]).all():
+        x, w = _fejer(int(n[0])) if fejer else (np.arange(n[0]), 1.0)
+        v = f(np.arange(n.size)[:, None], width[:, None] * x if fejer else x * step[:, None])
+    else:
+        rows = np.repeat(np.arange(n.size), count)
+        at = np.arange(rows.size)
+        if fejer:  # the rules end to end, and each node's place in them
+            keys = sorted(set(n.tolist()))
+            xs, ws = zip(*map(_fejer, keys))
+            first = np.cumsum([0] + keys[:-1]) - np.arange(len(keys))  # each rule's first node
+            node = at + (first[np.searchsorted(keys, n)] - starts)[rows]
+            x, w = np.concatenate(xs)[node], np.concatenate(ws)[node]
+            v = f(rows, width[rows] * x)
+        else:
+            v, w = f(rows, (at - starts[rows]) * step[rows]), 1.0
+    if not fejer:
+        v = v.ravel()
+        v[starts] *= 0.5
+        return np.add.reduceat(v, starts) * step, np.add.reduceat(np.abs(v), starts) * step
+    return (np.add.reduceat((v * w).ravel(), starts) * width,
+            np.add.reduceat((np.abs(v) * w).ravel(), starts) * width)
+
+
+def _line(p, a, y, top, peak, depth, budget, cplx):
+    """Every point's trapezoid sum on the line Im t = lift (0 for a <= 1), s >= 0, in one
+    integrand call.  On the whole line the rule of step h = 2 pi / w is K_nu(y) + sum_{m != 0}
+    e^{-m w lift} K_{nu - i m w}(y) (shift the line to the real axis), and |K_{q + ib}(y)| <=
+    e^{-|b| theta} K_q(y cos theta) for 0 <= theta < pi/2, so with theta > lift the aliases
+    sum to at most K_q(y cos theta) [e^{a theta} / (e^{w (theta + lift)} - 1) + e^{-a theta}
+    / (e^{w (theta - lift)} - 1)]; _aliasing bounds K_q and sets each point's n."""
+    big_p, half_a, big_y, lift = np.abs(p), 0.5 * a, y, 0.0
+    level = not (a > 1.0).any()  # then lift's terms, exact 0s and 1s, are left out
+    if not level:
+        lift = np.where(a > 1.0, np.minimum(np.arcsinh((p + 1j * a) / y).imag, _LIFT_CAP) if cplx
+                        else np.arcsin(np.minimum(a / y, 0.9)), 0.0)
+        half_y, big_y = 0.5 * y * np.sin(lift), y * np.cos(lift)
+        top = np.arcsinh(big_p / big_y)  # the line's e^{-Y cosh s + |p| s} peaks at s = top
+        peak = big_p * top - big_y * np.cosh(top)
+    y2 = -2.0 * big_y
 
     def f(r, s):
+        phase = half_a[r] * s if level else half_a[r] * s - half_y[r] * np.sinh(s)
         if cplx:
             t = top[r]
             base = y2[r] * np.sinh(0.5 * (s + t)) * np.sinh(0.5 * (s - t)) - big_p[r] * t
-            return _values(s, base, half_a[r] * s, p[r])
+            return _values(s, base, phase, p[r], None if level else lift[r])
         half = np.sinh(0.5 * s)  # the peak is at 0
-        return _values(s, y2[r] * half * half, half_a[r] * s, None)
+        return _values(s, y2[r] * half * half, phase, None)
 
-    width, envelope = _cutoff(y, big_p, peak, depth + _HALF_PI * a, cplx), _envelope(p, a, y, peak)
-    n, bound = _aliasing(big_p, a, y, top, peak, width, budget.rel_tol, cplx)
-    starts, rows, step = np.cumsum(n) - n, np.repeat(np.arange(n.size), n), width / n
-    v = f(rows, (np.arange(rows.size) - starts[rows]) * step[rows])
-    v[starts] *= 0.5  # the node at width is past the cutoff and left out
-    est, mass = np.add.reduceat(v, starts) * step, np.add.reduceat(np.abs(v), starts) * step
+    width = _cutoff(big_y, big_p, peak, depth + (_HALF_PI - lift) * a, cplx)
+    peak = peak if level else peak - a * lift
+    envelope = _envelope(p, a, y, peak)
+    n, bound = _aliasing(big_p, a, y, top, peak, width, budget.rel_tol, cplx, lift, big_y)
+    est, mass = _flat(f, width, n, False)
     fail = np.flatnonzero(bound > budget.rel_tol * np.maximum(np.abs(est), envelope) + budget.abs_floor)
     if fail.size:
-        est = est.astype(complex)  # as the nested rule's sums are
-        est[fail], mass[fail] = _nested("trapezoid", lambda r, s: f(fail[r], s), width[fail],
-                                        _intervals(2 * n[fail]), envelope[fail], budget)
+        est = est.astype(complex)  # as the halved sums are
+        est[fail], mass[fail] = _halve(lambda r, s: f(fail[r], s), width[fail], n[fail], False, est[fail],
+                                       envelope[fail], budget)
     return est, mass, peak, envelope
 
 
-def _one_saddle(p, a, y, top, peak, depth, budget, cplx):
-    sigma = np.minimum(a / y, _SIGMA_CAP)
-    theta, height = np.arcsin(sigma), y * np.sqrt((1.0 - sigma) * (1.0 + sigma))
-    scale, turn = np.maximum(-height - a * theta, peak), 0.5 * (a - y * sigma)
-
-    def f(r, s):
-        sg, yr, sh, ch = sigma[r], y[r], np.sinh(s), np.cosh(s)
-        safe = np.where(s > 0.0, sh, 1.0)  # s / sinh s is 1 at s = 0
-        q = sg * np.where(s > 0.0, s / safe, 1.0)  # sin v
-        cv, v = np.sqrt((1.0 - q) * (1.0 + q)), np.arcsin(q)
-        dv = sg * ((sh - s * ch) / (safe * safe)) / cv
-        base = -yr * ch * cv - a[r] * v - scale[r]
-        return _values(s, base, s * turn[r], p[r] if cplx else None, v, dv)
-
-    width, envelope = _cutoff(height, np.abs(p), scale, depth, cplx), _envelope(p, a, y, scale)
-    return _nested("trapezoid", f, width, np.full(a.size, 32), envelope, budget) + (scale, envelope)
-
-
 def _two_saddles(p, a, y, top, peak, depth, budget, cplx):
+    """The line Im t = pi/2 to the saddle mu + i pi/2, then its steepest-descent path, each
+    piece by Fejer's second rule in one integrand call, n from _bernstein.  On the line phi
+    is entire and |e^{phi - scale}| <= e^{y cosh s sin tau - a tau + |p| (|s| - mu)} at t =
+    s + i (pi/2 + tau), which bounds M on an ellipse in closed form: below the line by
+    a tau - y sin tau, above it (only where y cosh s > a) by tau (y cosh s - a).  On the
+    descent M is a model: the Gaussian of the piece's drop e^{-depth} (and a tenth more),
+    times e^2 and e^{|p| Re t} at the ellipse's widest; the mpmath sweeps check that it
+    bounds the error.  The a priori |S| is the envelope, or for p != 0 at most a quarter
+    of the saddle's half Gaussian."""
     big_p, mu = np.abs(p), np.arccosh(a / y)
     ysh = np.sqrt((a - y) * (a + y))  # y sinh(mu)
     half = 0.5 * (a * mu - ysh)  # Im phi / 2 along the descent path
+    turn = None if cplx else _half_angle(half)
     scale, half_a, half_y = big_p * mu - _HALF_PI * a, 0.5 * a, 0.5 * y
     low = -big_p * mu  # Re phi less the scale on the line Im t = pi/2
 
     def line(r, s):
         phase = half_a[r] * s - half_y[r] * np.sinh(s)
-        return _values(s, low[r], phase, p[r] if cplx else None, _HALF_PI)
+        return _values(s, low[r], phase, p[r], _HALF_PI) if cplx else _values(s, 0.0, phase, None)
 
     def descent(r, w):
-        ar, yr, big, s = a[r], y[r], ysh[r], mu[r] + w
-        sq, ys, ych, sinh_w = np.sinh(0.5 * w) ** 2, yr * np.sinh(s), yr * np.cosh(s), np.sinh(w)
+        ar, big, sh = a[r], ysh[r], np.sinh(0.5 * w)
+        sq = sh * sh
+        sinh_w, cosh_w = 2.0 * sh * np.sqrt(1.0 + sq), 1.0 + 2.0 * sq
+        ys, ych = big * cosh_w + ar * sinh_w, ar * cosh_w + big * sinh_w  # y sinh, y cosh at mu + w
         delta = (2.0 * big * sq + ar * (sinh_w - w)) / ys  # 1 - sin v
         cv = np.sqrt(delta * (2.0 - delta))
         drop = 2.0 * np.arcsin(np.sqrt(0.5 * delta))  # pi/2 - v
         dv = (delta * ych - 2.0 * ar * sq - big * sinh_w) / (ys * cv)
         base = ar * drop - ych * cv + low[r]
-        return _values(s, base, half[r], p[r] if cplx else None, _HALF_PI - drop, dv)
+        if cplx:
+            return _values(mu[r] + w, base, half[r], p[r], _HALF_PI - drop, dv)
+        return _values(w, base, (turn[0][r], turn[1][r]), None, None, dv)
 
-    envelope = _envelope(p, a, y, scale)
-    s1, m1 = _nested("fejer", line, mu, _intervals(1.5 * (a - y) * mu + 24.0), envelope, budget)
-    width = _cutoff(y, big_p, scale, depth, cplx) - mu
-    s2, m2 = _nested("fejer", descent, width, np.full(a.size, 64), envelope, budget)
-    return s1 + s2, m1 + m2, scale, envelope
+    envelope, width = _envelope(p, a, y, scale), _cutoff(y, big_p, scale, depth, cplx) - mu
+    share = budget.rel_tol / 16.0  # of the a priori |S|, for each piece
+    target = share * envelope
+    c1, c2, col_a, col_y = 0.5 * mu[:, None], 0.5 * width[:, None], a[:, None], y[:, None]
+    tau = c1 * _B  # the ellipse's half height on the line
+    m1 = np.maximum(col_a * tau - col_y * np.sin(tau),  # Im t < pi/2, and above it where y cosh s > a
+                    c1 * (_B * _B / _A) * np.maximum(col_y * np.cosh(c1 * (1.0 + _A)) - col_a, 0.0))
+    m1[tau > math.pi] = np.inf
+    m2 = (1.1 * depth) * (_A * _A - 1.0) ** 2 / (4.0 * _A * _A) + 2.0
+    if cplx:
+        target = np.maximum(target, share * -np.expm1(-big_p * mu) * np.sqrt(math.pi / (32.0 * ysh)))
+        m1, m2 = m1 + big_p[:, None] * c1 * (_A - 1.0), m2 + big_p[:, None] * c2 * (_A + _B)
+    (n1, b1), (n2, b2) = _bernstein(m1, c1, target), _bernstein(m2, c2, target)
+    (s1, w1), (s2, w2) = _flat(line, mu, n1, True), _flat(descent, width, n2, True)
+    est, mass = s1 + s2, w1 + w2
+    fail = np.flatnonzero(b1 + b2 > budget.rel_tol * np.maximum(np.abs(est), envelope) + budget.abs_floor)
+    if fail.size:  # each piece halves on
+        est, env = est.astype(complex), envelope[fail]
+        s1, w1 = _halve(lambda r, s: line(fail[r], s), mu[fail], n1[fail], True, s1[fail], env, budget)
+        s2, w2 = _halve(lambda r, s: descent(fail[r], s), width[fail], n2[fail], True, s2[fail], env, budget)
+        est[fail], mass[fail] = s1 + s2, w1 + w2
+    return est, mass, scale, envelope
 
 
 def _macdonald(nu, y, budget: AccuracyBudget) -> np.ndarray:
     """K_{nu_i}(y_i) for broadcastable arrays of orders and positive arguments."""
     nu, y = np.asarray(nu, dtype=complex), np.asarray(y, dtype=float)
-    if nu.shape != y.shape:
-        nu, y = np.broadcast_arrays(nu, y)
+    if nu.shape != y.shape:  # np.full, not np.broadcast_arrays, for the common scalar argument
+        nu, y = np.broadcast_arrays(nu, y) if y.ndim else (nu, np.full(nu.shape, y))
     if not ((y > 0.0).all() and np.isfinite(nu).all()):
         raise ValueError("macdonald_k requires finite orders and y > 0 (or y = inf)")
     out, flat_nu, flat_y = np.empty(y.size, dtype=complex), nu.ravel(), y.ravel()
@@ -488,14 +489,13 @@ def _macdonald_block(nu: np.ndarray, y: np.ndarray, budget: AccuracyBudget) -> n
     p, a, big_p = folded.real + 0.0, np.abs(folded.imag), np.abs(folded.real)
     top = np.arcsinh(big_p / y)
     peak = big_p * top - y * np.cosh(top)
-    # twice the path (0 real axis, 1 one saddle, 2 two saddles, 3 K is 0), plus 1 if p != 0
-    saddles = np.add(a > 1.0, a > np.maximum(1.1 * y, 1.0), dtype=np.int8)
-    group = np.where(peak < _UNDERFLOW, 6, 2 * saddles + (p != 0.0))
+    # twice the path (0 a line, 1 two saddles, 2 K is 0), plus 1 if p != 0
+    group = np.where(peak < _UNDERFLOW, 4, 2 * (a > np.maximum(1.1 * y, 1.0)) + (p != 0.0))
     groups, depth = np.flatnonzero(np.bincount(group)).tolist(), 8.0 - math.log(budget.rel_tol)
     est, mass, scale, envelope = np.zeros(y.size, dtype=complex), *np.zeros((3, y.size))
-    for g in groups[:-1] if groups[-1] == 6 else groups:
+    for g in groups[:-1] if groups[-1] == 4 else groups:
         i = np.flatnonzero(group == g) if len(groups) > 1 else slice(None)
-        est[i], mass[i], scale[i], envelope[i] = (_real_axis, _one_saddle, _two_saddles)[g // 2](
+        est[i], mass[i], scale[i], envelope[i] = (_line, _two_saddles)[g // 2](
             p[i], a[i], y[i], top[i], peak[i], depth, budget, g % 2)
     reach = budget.rel_tol * np.maximum(np.abs(est), envelope)
     with np.errstate(over="ignore", invalid="ignore"):

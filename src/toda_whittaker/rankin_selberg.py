@@ -25,7 +25,7 @@ from .errors import ContourError, RankError, ShiftError
 from .gl_baxter import _LIE, MIN_SPECTRAL_GAP, IdentityCheck, _kernel_exponent_rows
 from .gl_whittaker import _step_exponent_rows, closed_form_gl2_batch
 from .numerics import (
-    _macdonald_grid,
+    _macdonald_pairs,
     _quadrature_budget,
     gamma_product,
     log_gamma,
@@ -148,8 +148,10 @@ def bump_friedberg_integral(
         # The rank-1 functions' Macdonald factors depend on x_1 - x_2 alone.
         diffs, index = _axis_differences(axes[0], axes[1])
         y = 2.0 * np.exp(0.5 * diffs)
-        radial = 4.0 * _macdonald_grid(1j * (shifted[0] - shifted[1]), y, budget)
-        radial = radial * np.conj(_macdonald_grid(1j * (gamma[0] - gamma[1]), y, budget))
+        # Both functions' Macdonald factors from one kernel call (one set-up).
+        orders = np.repeat([1j * (shifted[0] - shifted[1]), 1j * (gamma[0] - gamma[1])], y.size)
+        k = _macdonald_pairs(orders, np.concatenate([y, y]), budget)
+        radial = 4.0 * k[:y.size] * np.conj(k[y.size:])
         return np.exp(slope * axes[0])[:, None] * value[None, :] * radial[index]
 
     return _integrate_lattice(lambda grids: [integrand(axes) for axes in grids], box, tol, max_evals,

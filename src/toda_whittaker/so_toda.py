@@ -27,6 +27,7 @@ from .errors import RankError, ShiftError
 from .numerics import (
     AccuracyBudget,
     _macdonald_grid,
+    _macdonald_pairs,
     _quadrature_budget,
     gamma_product,
     macdonald_k,
@@ -58,13 +59,22 @@ MIN_SO_SPECTRAL_GAP = 0.25
 
 
 def closed_form_so3(lam: complex, x: float) -> complex:
-    """Rank-one eigenfunction: ``2 K_{2 i lam}(2 exp(x/2))``."""
-    return 2.0 * macdonald_k(2j * complex(lam), 2.0 * math.exp(0.5 * float(x)))
+    """Rank-one eigenfunction: ``2 K_{2 i lam}(2 exp(x/2))``, 0 where the
+    argument is infinite; :class:`ValueError` names ``x`` where it is NaN or 0."""
+    x = float(x)
+    y = math.inf if x > 1400.0 else 2.0 * math.exp(0.5 * x)
+    if not y > 0.0:
+        raise ValueError(f"the Macdonald argument 2 exp(x/2) is NaN or 0 (K unbounded) at x = {x!r}")
+    return 2.0 * macdonald_k(2j * complex(lam), y)
+
+
+def _so3_argument(xs) -> np.ndarray:
+    """The rank-one eigenfunction's Macdonald argument ``2 exp(x/2)``, clipped."""
+    return 2.0 * np.exp(np.clip(0.5 * np.asarray(xs, dtype=float), -370.0, 350.0))
 
 
 def _closed_form_so3_batch(lam: complex, xs: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
-    args = 2.0 * np.exp(np.clip(0.5 * np.asarray(xs, dtype=float), -370.0, 350.0))
-    return 2.0 * _macdonald_grid(2j * complex(lam), args, budget)
+    return 2.0 * _macdonald_grid(2j * complex(lam), _so3_argument(xs), budget)
 
 
 def _as_lam_tuple(lam) -> tuple[complex, ...]:
@@ -183,11 +193,17 @@ def so_baxter_eigenvalue(gamma: complex, lam) -> complex:
     return gamma_product(zs)
 
 
-def _so_baxter_kernel(g: complex, y: float, xs: np.ndarray, budget: AccuracyBudget) -> np.ndarray:
+def _so_baxter_kernel(g: complex, y: float, xs: np.ndarray, budget: AccuracyBudget, lam=None) -> np.ndarray:
     """``Q(y, x)`` of :func:`so_baxter_apply` at ``xs``: ``e^{i g (x + y - t)}``
-    times the rank-one eigenfunction at ``g`` and ``t = log(e^x + e^y)``."""
+    times the rank-one eigenfunction at ``g`` and ``t = log(e^x + e^y)``; with
+    ``lam``, also times the eigenfunction at ``lam`` and ``xs``, both Macdonald
+    factors from one kernel call (one set-up)."""
     t = np.logaddexp(xs, y)
-    return stable_exp(1j * g * (xs + y - t)) * _closed_form_so3_batch(g, t, budget)
+    if lam is None:
+        return stable_exp(1j * g * (xs + y - t)) * _closed_form_so3_batch(g, t, budget)
+    orders = np.repeat([2j * complex(g), 2j * complex(lam)], xs.size)
+    k = 2.0 * _macdonald_pairs(orders, np.concatenate([_so3_argument(t), _so3_argument(xs)]), budget)
+    return stable_exp(1j * g * (xs + y - t)) * k[:xs.size] * k[xs.size:]
 
 
 def so_baxter_apply(
@@ -230,7 +246,7 @@ def so_baxter_apply(
     budget = _quadrature_budget(tol)
 
     def f(p: np.ndarray) -> np.ndarray:
-        return _so_baxter_kernel(g, yv, p[:, 0], budget) * _closed_form_so3_batch(la, p[:, 0], budget)
+        return _so_baxter_kernel(g, yv, p[:, 0], budget, la)
 
     return _integrate_truncated(f, [(lo, hi)], tol, max_evals, (g, la, -g, -la))
 

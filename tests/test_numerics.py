@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +302,100 @@ class TestMacdonald:
             assert all(abs(v - ref) <= 1e-12 * max(abs(ref), envelope if y < nu.imag else 0.0)
                        for v, ref, y in zip(grid, refs, ys))
 
+    @staticmethod
+    def _reported(monkeypatch):
+        """Spies on the kernel: each path's (est, mass, scale, envelope) and each
+        bound it certifies with, in units of its scale (one list per call)."""
+        seen = []
+        for name, at in (("_aliasing", 1), ("_bernstein", 1), ("_line", None), ("_two_saddles", None)):
+            def spy(*args, _fn=getattr(numerics, name), _name=name, _at=at):
+                out = _fn(*args)
+                seen.append((_name, out if _at is None else out[_at]))
+                return out
+            monkeypatch.setattr(numerics, name, spy)
+        return seen
+
+    def test_saddle_bounds_cover_the_error(self, monkeypatch):
+        """Seeded sweep of the saddle band, |Im nu| in (1, 50] at real orders 0,
+        +-0.5 and +-3.5, y in [1e-6, 700] with extra points at the borders of the
+        paths (|Im nu| = 1.1 y, just on either side, and sigma = |Im nu| / y = 0.9):
+        at rel_tol 1e-12 and 1e-7 each value is within rel_tol of mpmath (of the
+        envelope where y < |Im nu|), its reported bound is at least its true error,
+        less a rounding allowance of a few eps per unit of its log scale and its
+        phase, and the value has the bits of its point in a grid."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20070626)
+        points = []
+        for re in (0.0, 0.5, -0.5, 3.5, -3.5):
+            for a in 1.0 + 49.0 * rng.random(3):
+                ys = [*10.0 ** rng.uniform(-6.0, math.log10(700.0), 4), a / 1.1 * (1.0 + 1e-9),
+                      a / 1.1 * (1.0 - 1e-9), a / 0.9]
+                points.append((complex(re, a), np.sort(ys)))
+        with mpmath.workdps(25):
+            refs = [[complex(mpmath.besselk(mpmath.mpc(nu.real, nu.imag), y)) for y in ys] for nu, ys in points]
+        seen = self._reported(monkeypatch)
+        eps = np.finfo(float).eps
+        for rel_tol in (1e-12, 1e-7):
+            budget = AccuracyBudget(rel_tol=rel_tol)
+            for (nu, ys), ref_row in zip(points, refs):
+                grid = _macdonald_grid(nu, ys, budget)
+                for y, value, ref in zip(ys, grid, ref_row):
+                    seen.clear()
+                    assert macdonald_k(nu, y, budget) == value
+                    (_, (_, _, scale, _)), bound = seen[-1], sum(b[0] for _, b in seen[:-1])
+                    envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * nu.imag / 2)
+                    size = max(abs(ref), envelope if y < nu.imag else 0.0)
+                    error, phase = abs(value - ref), nu.imag * math.acosh(max(nu.imag / y, 1.0))
+                    assert error <= rel_tol * size
+                    assert error <= bound * math.exp(scale[0]) + 8.0 * eps * (1.0 + abs(scale[0]) + phase) * size
+
+    def test_saddle_rows_that_fail_the_certificate_halve_on(self, monkeypatch):
+        # With rules four times too coarse and bounds that no sum meets, every
+        # row of both saddle paths halves on: it still meets rel_tol, and alone
+        # and in its grid it has the same bits.
+        mpmath = pytest.importorskip("mpmath")
+        ys = np.array([1e-6, 0.03, 1.3, 7.0, 45.0, 700.0])
+        aliasing, bernstein, halved = numerics._aliasing, numerics._bernstein, []
+
+        def coarse(fn):
+            def rule(*args):
+                n, bound = fn(*args)
+                return np.maximum(n // 4, 4), bound + 1.0
+            return rule
+
+        monkeypatch.setattr(numerics, "_aliasing", coarse(aliasing))
+        monkeypatch.setattr(numerics, "_bernstein", coarse(bernstein))
+        halve = numerics._halve
+        monkeypatch.setattr(numerics, "_halve", lambda f, w, n, *rest: halved.append(n.size) or halve(f, w, n, *rest))
+        for nu in (6.0j, 0.5 + 20.0j):
+            halved.clear()
+            grid = _macdonald_grid(nu, ys, _DEFAULT_BUDGET)
+            two = int((nu.imag > 1.1 * ys).sum())  # the rows of the line, then both pieces of the two saddles'
+            assert halved == [ys.size - two, two, two]
+            assert all(grid[i] == macdonald_k(nu, y) for i, y in enumerate(ys))
+            with mpmath.workdps(25):
+                refs = [complex(mpmath.besselk(mpmath.mpc(nu.real, nu.imag), y)) for y in ys]
+            envelope = math.sqrt(2 * math.pi / abs(nu)) * math.exp(-math.pi * nu.imag / 2)
+            assert all(abs(v - ref) <= 1e-12 * max(abs(ref), envelope if y < nu.imag else 0.0)
+                       for v, ref, y in zip(grid, refs, ys))
+
+    @pytest.mark.parametrize("nu, ys, calls", [
+        (10.0j, np.geomspace(1e-6, 9.0, 30), 2),  # two saddles: the line and the descent
+        (-0.5 + 18.0j, np.geomspace(1e-6, 16.0, 30), 2),
+        (2.0j, np.geomspace(1.9, 700.0, 30), 1),  # one saddle: a line through it
+        (3.5 + 20.0j, np.geomspace(19.0, 700.0, 30), 1),
+    ])
+    def test_one_integrand_call_per_saddle_piece(self, monkeypatch, nu, ys, calls):
+        # Every row certifies at the n of its bound, so each piece of a path
+        # evaluates all its rows' nodes in one integrand call, and each value
+        # has the bits of its point alone.
+        seen, values = [], numerics._values
+        monkeypatch.setattr(numerics, "_values", lambda s, *args: seen.append(s.size) or values(s, *args))
+        grid = _macdonald_grid(nu, ys, _DEFAULT_BUDGET)
+        assert len(seen) == calls
+        monkeypatch.undo()
+        assert all(grid[i] == macdonald_k(nu, y) for i, y in enumerate(ys))
+
     def test_saddle_paths_in_batches_match_mpmath(self):
         """Seeded sweep of the batch entries over orders with |Im nu| in (1, 50]
         (the one- and two-saddle paths) and real part -0.5, 0, 0.5, y in
@@ -360,10 +455,23 @@ class TestMacdonald:
         assert np.array_equal(_macdonald_pairs(np.array([0.4j, 2.0]), math.inf, _DEFAULT_BUDGET), [0.0, 0.0])
 
     def test_closed_forms_reject_a_nan_coordinate(self):
-        with pytest.raises(ValueError):
-            closed_form_gl2((0.5, -0.5), (math.nan, 0.2))
-        with pytest.raises(ValueError):
-            closed_form_so3(0.5, math.nan)
+        # The Macdonald argument 2 exp((x_1 - x_2)/2) (2 exp(x/2) at so3) is
+        # NaN or 0 at these coordinates, where K is unbounded: ValueError,
+        # naming them.  Where it is infinite, K and the function are 0.
+        for x in [(math.nan, 0.2), (0.2, math.inf), (-math.inf, 0.2), (math.inf, math.inf), (-2000.0, 0.2)]:
+            with pytest.raises(ValueError, match=re.escape(str([list(x)]))):
+                closed_form_gl2((0.5, -0.5), x)
+            with pytest.raises(ValueError, match=re.escape(str([list(x)]))):
+                closed_form_gl2_batch((0.5, -0.5), np.array([[0.3, 0.1], x]))
+        for x in (math.nan, -math.inf, -2000.0):
+            with pytest.raises(ValueError, match=re.escape(repr(x))):
+                closed_form_so3(0.5, x)
+        for x in [(math.inf, 0.2), (0.2, -math.inf), (3000.0, 0.2)]:
+            assert closed_form_gl2((0.5, -0.5), x) == 0.0
+        rows = np.array([[0.3, 0.1], [math.inf, 0.2], [0.2, -math.inf], [math.inf, -math.inf]])
+        batch = closed_form_gl2_batch((0.5, -0.5), rows)
+        assert batch[0] == closed_form_gl2((0.5, -0.5), rows[0]) and np.array_equal(batch[1:], [0.0, 0.0, 0.0])
+        assert closed_form_so3(0.5, math.inf) == closed_form_so3(0.5, 3000.0) == 0.0
 
 
 def test_accuracy_budget_fields():

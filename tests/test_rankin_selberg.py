@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from toda_whittaker import rankin_selberg
 from toda_whittaker.errors import ContourError, RankError, ShiftError
 from toda_whittaker.gl_whittaker import closed_form_gl2
+from toda_whittaker.numerics import _macdonald_grid
 from toda_whittaker.rankin_selberg import (
     barnes_gustafson_check,
     bump_friedberg_integral,
@@ -65,6 +67,20 @@ class TestPairingIntegrals:
     def test_level1_integral_matches_prediction(self):
         res = bump_friedberg_integral(1, (0.4, -0.4), (0.2, -0.2), -0.8j, 1e-4)
         assert abs(res.value - BF_ELL1_RHS) < 2e-3
+
+    def test_level1_takes_both_macdonald_factors_from_one_call(self, monkeypatch):
+        # Both rank-1 functions' Macdonald factors come from one kernel call
+        # on the same arguments, with the bits of one grid call per order.
+        seen, pairs = [], rankin_selberg._macdonald_pairs
+        monkeypatch.setattr(rankin_selberg, "_macdonald_pairs",
+                            lambda nu, y, b: seen.append((nu, y, b, pairs(nu, y, b))) or seen[-1][-1])
+        bump_friedberg_integral(1, (0.4, -0.4), (0.2, -0.2), -0.8j, 1e-4)
+        assert seen
+        for nu, y, budget, values in seen:
+            half = y.size // 2
+            assert (y[1:half] > y[:half - 1]).all() and np.array_equal(y[:half], y[half:])
+            separate = [_macdonald_grid(order, y[:half], budget) for order in (nu[0], nu[half])]
+            assert np.array_equal(values, np.concatenate(separate))
 
     def test_shift_gate(self):
         with pytest.raises(ShiftError):

@@ -9,7 +9,9 @@ import pytest
 from toda_whittaker.errors import RankError, ShiftError
 from toda_whittaker.numerics import _quadrature_budget, log_gamma
 from toda_whittaker.quadrature import _integrate_truncated, _rate_reach, _wall_reach, stable_exp
+from toda_whittaker import so_toda
 from toda_whittaker.so_toda import (
+    _closed_form_so3_batch,
     _so_baxter_kernel,
     _so_step_exponent_rows,
     closed_form_so3,
@@ -74,6 +76,17 @@ class TestBaxterOperator:
         ratio = res.value / base
         expected = so_baxter_eigenvalue(gamma, lam)
         assert abs(ratio - expected) <= 1e-3 * max(1.0, 1.0 / abs(base))
+
+    def test_kernel_and_eigenfunction_share_one_macdonald_call(self, monkeypatch):
+        # The operator's integrand takes the kernel's K_{2i gamma} and the
+        # eigenfunction's K_{2i lam} from one kernel call, with the bits of
+        # the two separate grid calls.
+        xs, budget = np.linspace(-9.0, 4.0, 61), _quadrature_budget(1e-6)
+        calls, pairs = [], so_toda._macdonald_pairs
+        monkeypatch.setattr(so_toda, "_macdonald_pairs", lambda *args: calls.append(1) or pairs(*args))
+        merged = _so_baxter_kernel(-0.8j, 0.2, xs, budget, 0.5)
+        assert calls == [1]
+        assert np.array_equal(merged, _so_baxter_kernel(-0.8j, 0.2, xs, budget) * _closed_form_so3_batch(0.5, xs, budget))
 
     @pytest.mark.parametrize(
         "gamma, y, x",
