@@ -5,9 +5,9 @@ The package is organized by subject:
 
 * :mod:`toda_whittaker.numerics` — log-Gamma, Gamma products, Macdonald K.
 * :mod:`toda_whittaker.quadrature` — deterministic integration: the
-  trapezoid rule along horizontal complex contours and on 1-D and 2-D boxes,
-  adaptive over larger boxes, and the one truncation rule that cuts every
-  coordinate-space integral to a box.
+  trapezoid rule along complex contours, on 1-D and 2-D boxes and on star
+  contractions, adaptive over other boxes, and the one truncation rule that
+  cuts every coordinate-space integral to a box.
 * :mod:`toda_whittaker.gl_whittaker` — A-series Whittaker functions in the
   coordinate and spectral-plane models, mixed pipelines, Toda Hamiltonians.
 * :mod:`toda_whittaker.gl_baxter` — Baxter Q-operators (three conventions),

@@ -47,6 +47,7 @@ from .quadrature import (
     QuadratureResult,
     _axis_differences,
     _integrate_contour_axes,
+    _integrate_star,
     _integrate_truncated,
     _on_rows,
     _trapezoid,
@@ -93,6 +94,11 @@ def _checked(lam, x) -> tuple[tuple[complex, ...], tuple[float, ...]]:
 def _rank0(lam_t: tuple[complex, ...], x: tuple[float, ...]) -> QuadratureResult:
     """The rank-0 function ``exp(i lam_1 x_1)``, exact."""
     return QuadratureResult(cmath.exp(1j * lam_t[0] * x[0]), 0.0, 1, True)
+
+
+def _wall(sign: float) -> Callable:
+    """The factor ``exp(-e^{sign d})`` of a wall across a difference ``d``."""
+    return lambda d: np.exp(-_exp_wall(sign * d))
 
 
 def _exp_wall(diff: np.ndarray) -> np.ndarray:
@@ -185,27 +191,31 @@ def givental_eval(
     """Evaluate the coordinate-model function as one fused integral over the
     whole pattern below ``x``.
 
-    Supports ranks 0..2 (:class:`RankError` beyond); rank 0 is exact.
-    ``max_evals`` caps the quadrature (:class:`BudgetExceeded` beyond it).
+    Supports ranks 0..2 (:class:`RankError` beyond); rank 0 is exact.  At
+    rank 1 the one pattern entry is a 1-D box on the trapezoid lattice.  At
+    rank 2 the row ``(a, b)`` below ``x`` couples only to the bottom entry
+    ``c``, by the walls ``e^{a - c}`` and ``e^{c - b}``: a star contraction
+    with centre ``c`` (:func:`~toda_whittaker.quadrature._integrate_star`),
+    whose ``evaluations`` are its factor values, the three axes' nodes and
+    the two walls' distinct differences.  ``max_evals`` caps the count
+    (:class:`BudgetExceeded` beyond it).
     """
     lam_t, x = _checked(lam, x)
     n = len(lam_t)
     if n == 1:
         return _rank0(lam_t, x)
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        # Pattern rows top-down: x, then n - 1, ..., 1 integration variables.
-        rows, start = [list(x)], 0
-        for size in range(n - 1, 0, -1):
-            rows.append([pts[:, j] for j in range(start, start + size)])
-            start += size
-        expo = _step_exponent_rows(rows[0], rows[1], lam_t[-1])
-        for k in range(2, n):
-            expo = expo + _step_exponent_rows(rows[k - 1], rows[k], lam_t[-k])
-        return stable_exp(expo + 1j * lam_t[0] * rows[-1][0])
-
     box = _pattern_box(x, _wall_reach(tol, n * (n - 1), lam_t), n - 1)
-    return _integrate_truncated(f, box, tol, max_evals, lam_t)
+    if n == 2:
+        f = lambda p: stable_exp(_step_exponent_rows(list(x), [p[:, 0]], lam_t[1]) + 1j * lam_t[0] * p[:, 0])
+        return _integrate_truncated(f, box, tol, max_evals, lam_t)
+    (x1, x2, x3), (l1, l2, l3) = x, lam_t
+
+    def entry(left: float, right: float) -> Callable:  # an entry of the row below x, between left and right
+        return lambda a: stable_exp(1j * (l2 - l3) * a - _exp_wall(left - a) - _exp_wall(a - right))
+
+    centre = lambda c: stable_exp(1j * (l1 - l2) * c + 1j * l3 * (x1 + x2 + x3))
+    leaves = [(_wall(-1.0), entry(x1, x2)), (_wall(1.0), entry(x2, x3))]
+    return _integrate_star(centre, leaves, [box[2], box[0], box[1]], tol, max_evals, lam_t)
 
 
 def _step_box(lam_t, x, tol: float) -> list[tuple[float, float]]:

@@ -25,9 +25,11 @@ sides.  :func:`_integrate_truncated` integrates the box to ``0.9 tol`` and
 adds ``tol / 10`` for the tails, so the reported error covers both.  Its
 integrands are entire and vanish at every side of the box, so one- and
 two-dimensional boxes whose caller bounds their frequencies take the
-contours' trapezoid rule on the lattice ``2**-k Z^d``; boxes of three or
-more dimensions take the adaptive engine, and so does the one integral with
-a true edge, the spherical transform's over the chamber's radius ``d >= 0``.
+contours' trapezoid rule on the lattice ``2**-k Z^d``, and so do star-shaped
+integrands of more dimensions, contracted factor by factor without forming
+the node grid (:func:`_integrate_star`); the other boxes of three or more
+dimensions take the adaptive engine, and so does the one integral with a
+true edge, the spherical transform's over the chamber's radius ``d >= 0``.
 
 Integrand contract
 ------------------
@@ -47,7 +49,8 @@ Determinism: identical inputs produce bit-identical results.  The trapezoid
 rule sums its nodes in a fixed order.  The adaptive engine keeps its regions
 as arrays in creation order; which regions a generation splits depends only
 on their error estimates, and the value and error bound are NumPy sums over
-the regions in that order.
+the regions in that order.  A star's ``np.convolve`` products give the same
+bits on one BLAS thread as on two.
 """
 
 from __future__ import annotations
@@ -503,7 +506,9 @@ def _integrate_truncated(
     has ``|Re w|`` at most the spread of those real parts.  A one- or
     two-dimensional box with ``params`` goes to :func:`_integrate_lattice`,
     which hands ``f`` the lattice's nodes as rows through :func:`_on_rows`;
-    every other box goes to :func:`integrate_box`.
+    every other box goes to :func:`integrate_box`.  A star-shaped integrand
+    on a box of any dimension, given by its factors instead of ``f``, takes
+    the same lattice through :func:`_integrate_star`.
 
     Where the walls of a side cross before their reaches (``lo >= hi``),
     every point of that axis lies past one of them, so the whole integral
@@ -533,6 +538,62 @@ def _integrate_lattice(
     re = [complex(p).real for p in params]
     lo, hi = np.asarray(box, dtype=float).T
     return _trapezoid(g, lo, hi, tol / 10.0, tol, max_evals, max(re) - min(re))
+
+
+def _integrate_star(centre: Callable, leaves: Sequence, box, tol: float, max_evals: int, params):
+    """:func:`_integrate_lattice` of a star: ``centre(c)`` times, for each
+    leaf ``(wall, factor)``, ``wall(c - l) factor(l)`` (1-D array callables),
+    on ``box``, the centre's side and then each leaf's.  At each step the
+    sum is the centre's vector times, per leaf, the Toeplitz wall matrix
+    times the leaf's vector (one ``np.convolve``); the node grid is never
+    formed.  ``evaluations`` counts the factor values computed: one per axis
+    node and one per distinct difference of a wall, ``n_c + n_l - 1`` on
+    axes of ``n_c`` and ``n_l`` nodes.  The first level reads the coarser
+    steps' vectors off its own as strided slices; each later halving
+    computes only the values it adds."""
+    box = [(lo, max(hi, lo + 1.0)) for lo, hi in box]
+    lo, hi = np.asarray(box, dtype=float).T
+    d, factors = lo.size, [centre] + [factor for _, factor in leaves] + [wall for wall, _ in leaves]
+
+    def spans(k: int) -> list:  # the first index and count of each vector at step 2**-k
+        first, n = _lattice(lo, hi, k)
+        walls = [(first[0] - first[j] - n[j] + 1, n[0] + n[j] - 1 if n[0] and n[j] else 0)
+                 for j in range(1, d)]
+        return list(zip(first.tolist(), n)) + walls
+
+    def contract(vectors: list) -> complex:
+        if not all(v.size for v in vectors[:d]):
+            return 0j
+        value = vectors[0]
+        for v, w in zip(vectors[1:d], vectors[d:]):
+            value = value * np.convolve(w, v, "valid")
+        return complex(np.add.reduce(value))
+
+    kept = [None] * 3  # the last level's spans, vectors and sum
+
+    def level(k: int, first: bool, rows) -> tuple[list, int]:
+        span, count, vectors = spans(k), 0, []
+        for j, (f, (a, n)) in enumerate(zip(factors, span)):
+            v, new = np.empty(n, dtype=complex), np.ones(n, dtype=bool)
+            if not first:  # the values of step 2**(1 - k)
+                (b, m), v_old = kept[0][j], kept[1][j]
+                new[2 * b - a::2][:m] = False
+                v[~new] = v_old
+            v[new] = f((a + np.flatnonzero(new)) * 2.0**-k)
+            vectors.append(v)
+            count += int(new.sum())
+        if first:  # steps 2**-i, i = -1, ..., k, every 2**(k - i)-th value from step 2**-k
+            full = [contract([v[b * 2**(k - i) - a::2**(k - i)][:m] for v, (a, _), (b, m) in
+                              zip(vectors, span, spans(i))]) for i in range(-1, k + 1)]
+            sums = full[:3] + [t - s for s, t in zip(full[2:], full[3:])]
+        else:
+            full = [contract(vectors)]
+            sums = [full[0] - kept[2]]
+        kept[:] = span, vectors, full[-1]
+        return sums, count
+
+    re, values = [complex(p).real for p in params], lambda k: sum(n for _, n in spans(k))
+    return _halving(level, values, d, tol / 10.0, tol, max_evals, max(re) - min(re))
 
 
 def _grid_rows(axes: tuple) -> np.ndarray:
@@ -682,38 +743,43 @@ def _trapezoid_level(
     return sums, count
 
 
-def _trapezoid(
-    g: Callable,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tail: float,
-    tol: float,
-    max_evals: int,
-    frequency=0.0,
-):
-    """The trapezoid rule on the nodes ``2**-k j`` in the box ``[lo, hi]``
-    for ``k = 1, 2, ...``: the sum ``T_h`` of ``g`` over them times ``h**d``,
-    ``g`` an integrand on tensor axes (see :func:`_trapezoid_level`).
-    Halving stops at the first ``h <= 1/4`` whose error is within ``tol``,
-    or raises :class:`BudgetExceeded` before a halving that would take the
-    evaluation count past ``max_evals``.
+def _trapezoid(g: Callable, lo: np.ndarray, hi: np.ndarray, tail: float, tol: float, max_evals: int,
+               frequency=0.0):
+    """:func:`_halving` of the sums of ``g``, an integrand on tensor axes
+    (see :func:`_trapezoid_level`), over the nodes ``2**-k j`` in the box
+    ``[lo, hi]``, each node one evaluation.  With ``frequency`` an array,
+    ``g(grids, rows)`` is one integral per entry: it gets the indices of the
+    open rows and returns values with a leading axis over them, and a row's
+    mass is the rule on ``|g|`` at step 1/2."""
 
-    ``frequency`` bounds ``|Re w|`` of the plane waves ``e^{i w t}`` in
-    ``g`` along each axis.  The error of ``T_h`` is the sum of such a wave's
-    aliases ``w + 2 pi m / h``, ``m != 0``, each the larger the nearer it
-    lies to zero; ``T_2h - T_h`` holds only the aliases ``w + pi m / h`` of
-    odd ``m``, so once ``|w|`` passes ``3 pi / (2 h)`` it misses the one
-    nearest zero and under-reports.  Halving therefore also runs on until
-    ``h <= pi / (2 frequency)``: there every alias the difference misses
-    lies at least ``3 pi / (2 h)`` from zero and the nearest one it holds
-    at most ``pi / h``.
+    def level(k: int, first: bool, rows):
+        h = g if rows is None else lambda grids: g(grids, rows)
+        return _trapezoid_level(h, k, lo, hi, first, first and rows is not None)
 
-    No step before the first one that may stop, ``2**-k0``, can end the
-    loop, so every node of that step is evaluated at once (the finest step
-    up to it within ``max_evals``; step 1/2 always); ``T_2``, ``T_1``, ...,
-    ``T_{2**-k0}`` are read off those values (see :func:`_trapezoid_level`)
-    and each later halving evaluates only the nodes with an odd index, as
-    ``d`` sub-grids.
+    nodes = lambda k: math.prod(_lattice(lo, hi, k)[1])
+    return _halving(level, nodes, lo.size, tail, tol, max_evals, frequency)
+
+
+def _halving(level: Callable, size: Callable, d: int, tail: float, tol: float, max_evals: int, frequency=0.0):
+    """The one halving loop of the lattice rules, over the steps ``h =
+    2**-k``, ``k = 1, 2, ...``, of a ``d``-dimensional integral: ``level(k,
+    first, rows)`` returns unscaled sums and the count of values it computes
+    as :func:`_trapezoid_level` does, ``size(k)`` the values step ``2**-k``
+    holds, and ``T_h`` is ``h**d`` times the sum of step ``h``.  Halving
+    stops at the first ``h <= 1/4`` whose error is within ``tol``, or raises
+    :class:`BudgetExceeded` before a halving that would take the count past
+    ``max_evals``.
+
+    ``frequency`` bounds ``|Re w|`` of the plane waves ``e^{i w t}`` in the
+    integrand along each axis.  The error of ``T_h`` is the sum of such a
+    wave's aliases ``w + 2 pi m / h``, ``m != 0``, each the larger the
+    nearer it lies to zero; ``T_2h - T_h`` holds only the aliases ``w + pi m
+    / h`` of odd ``m``, so once ``|w|`` passes ``3 pi / (2 h)`` it misses the
+    one nearest zero and under-reports.  Halving therefore also runs on
+    until ``h <= pi / (2 frequency)``: there every alias the difference
+    misses lies at least ``3 pi / (2 h)`` from zero and the nearest one it
+    holds at most ``pi / h``.  The first level is the first step that may
+    stop, the finest up to it within ``max_evals`` (step 1/2 always).
 
     The error is ``d_1 + tail``, ``d_1 = |T_h - T_2h|``.  That difference
     understates the error of ``T_h`` when ``T_2h`` happens to be accurate,
@@ -722,39 +788,36 @@ def _trapezoid(
     a hundredth of ``d_2**3 / d_3**2``, which is what ``d_1`` would be on
     the geometric convergence ``d_2`` and ``d_3`` show.
 
-    Rows: with ``frequency`` an array, ``g(grids, rows)`` is one integral
-    per entry; it gets the indices of the open rows and returns values with
-    a leading axis over them.  Each row halves and stops on its own sums and
-    frequency, with the bits and count it has alone.
-
-    A row's error is at least its rounding floor, ``8 eps`` times its mass
-    (the rule on ``|g|`` at step 1/2), plus the tail, and a row also stops
-    once its estimate is within that floor.  The floor covers the rounding
-    that no move shows, since the values and partial sums a halving reuses
-    carry their errors into both sums compared: node values whose relative
-    error, weighted by their moduli, is within ``4 eps`` (at most 3.9 eps
-    for the rank-1 integrands of :mod:`~toda_whittaker.gl_whittaker`,
-    against 30 digits), and NumPy's pairwise sums, whose independent
-    roundings add about ``1 eps`` of the mass.  Returns the rows' values and
-    errors and the count of values; :class:`BudgetExceeded` carries value
-    nan and error inf."""
-    d = lo.size
+    Rows: with ``frequency`` an array the sums are arrays, one integral per
+    entry, and ``level`` gets the indices of the rows still open.  Each row
+    halves and stops on its own sums and frequency, with the bits and count
+    it has alone.  A row's error is at least its rounding floor, ``8 eps``
+    times its mass (the first level's sums end with it), plus the tail, and
+    a row also stops once its estimate is within that floor.  The floor
+    covers the rounding that no move shows, since the values and partial
+    sums a halving reuses carry their errors into both sums compared: node
+    values whose relative error, weighted by their moduli, is within ``4
+    eps`` (at most 3.9 eps for the rank-1 integrands of
+    :mod:`~toda_whittaker.gl_whittaker`, against 30 digits), and NumPy's
+    pairwise sums, whose independent roundings add about ``1 eps`` of the
+    mass.  Returns the rows' values and errors and the count of values;
+    :class:`BudgetExceeded` carries value nan and error inf."""
     if isinstance(frequency, np.ndarray):
         rows, k0 = np.arange(len(frequency)), np.full(len(frequency), 2)
         while (coarse := frequency * 2.0**-k0 > 0.5 * math.pi).any():
             k0 += coarse
         out = np.empty(rows.size, dtype=complex), np.empty(rows.size)
-        level, top, width = (lambda grids: g(grids, rows)), int(k0.min()), rows.size
+        top, width = int(k0.min()), rows.size
     else:
         rows, k0 = None, 2
         while frequency * 2.0**-k0 > 0.5 * math.pi:
             k0 += 1
-        level, top, width = g, k0, 1
-    size = math.prod(_lattice(lo, hi, top)[1])
-    while top > 1 and size * width > max_evals:
+        top, width = k0, 1
+    n = size(top)
+    while top > 1 and n * width > max_evals:
         top -= 1
-        size = math.prod(_lattice(lo, hi, top)[1])
-    sums, evals = _trapezoid_level(level, top, lo, hi, True, rows is not None)
+        n = size(top)
+    sums, evals = level(top, True, rows)
     if rows is not None:  # 8 eps times each row's mass, the rule on |g| at step 1/2
         floor = 8.0 * _EPS * 2.0**-d * sums.pop()
     previous = sums[1]  # T_1
@@ -765,7 +828,7 @@ def _trapezoid(
         if k <= top:
             total += sums[k + 1]
         else:
-            (s_new,), count = _trapezoid_level(level, k, lo, hi, False)
+            (s_new,), count = level(k, False, rows)
             total += s_new
             evals += count
         value = 2.0 ** (-k * d) * total
@@ -787,8 +850,8 @@ def _trapezoid(
                 a[~done] for a in (rows, k0, floor, total, value, *moves[-2:]))
             if not rows.size:
                 return out + (evals,)
-        grown = math.prod(_lattice(lo, hi, k + 1)[1]) if k >= top else size  # nodes after the next level
-        if evals + (grown - size) * (1 if rows is None else rows.size) > max_evals:
+        grown = size(k + 1) if k >= top else n  # values after the next level
+        if evals + (grown - n) * (1 if rows is None else rows.size) > max_evals:
             raise BudgetExceeded(
                 f"evaluation budget {max_evals} exhausted at step {2.0**-k} "
                 f"(error {np.max(err):.3e}, tol {tol:.3e})",
@@ -796,7 +859,7 @@ def _trapezoid(
                 else QuadratureResult(complex(math.nan, math.nan), math.inf, evals, False),
                 max_evaluations=max_evals,
             )
-        size = grown
+        n = grown
         previous = value
 
 

@@ -32,10 +32,11 @@ from .numerics import (
     gamma_product,
     macdonald_k,
 )
-from .gl_whittaker import _exp_wall, _kinetic, _stencil
+from .gl_whittaker import _exp_wall, _kinetic, _stencil, _wall
 from .quadrature import (
     _DEFAULT_MAX_EVALS,
     QuadratureResult,
+    _integrate_star,
     _integrate_truncated,
     _rate_reach,
     _wall_reach,
@@ -112,29 +113,28 @@ def _so_step_exponent_rows(top: list, mid: list, bot: list, lam: complex) -> np.
     return 1j * lam * (2.0 * sum(mid) - sum(top) - sum(bot)) - walls
 
 
-def _so_steps(lam_t, x, steps: int, lower: Callable, tol: float, max_evals: int) -> QuadratureResult:
-    """``steps`` so steps down from the row ``x``, with parameters
-    ``lam_t[-1], lam_t[-2], ...``, fused into one integral over their middle
-    and bottom rows, times ``lower`` at the last bottom row (a list of
-    columns)."""
+def _so_box(lam_t, x, steps: int, tol: float) -> list:
+    """The box of ``steps`` so steps down from the row ``x``: each step's
+    middle and bottom rows, cut past the walls of the step."""
     sizes = [len(x) - k for k in range(steps)]  # the top row of each step
     r = _wall_reach(tol, 2 * sum(2 * m - 1 for m in sizes), lam_t)
-    # Each step's middle and bottom rows, cut r past the walls of the step.
     box, top = [], [(v, v) for v in x]
     for _ in sizes:
         mid = [(top[i][0] - r, r if i == 0 else top[i - 1][1] + r) for i in range(len(top))]
         top = [(mid[i + 1][0] - r, mid[i][1] + r) for i in range(len(top) - 1)]
         box += mid + top
+    return box
+
+
+def _so_step(lam_t, x, lower: Callable, tol: float, max_evals: int) -> QuadratureResult:
+    """One so step down from the row ``x``, with parameter ``lam_t[-1]``,
+    integrated over its middle and bottom rows, times ``lower`` at the
+    bottom row (a list of columns)."""
+    m, box = len(x), _so_box(lam_t, x, 1, tol)
 
     def f(p: np.ndarray) -> np.ndarray:
-        expo, row, col = 0.0, list(x), 0
-        for k, m in enumerate(sizes):
-            mid = [p[:, col + i] for i in range(m)]
-            bot = [p[:, col + m + i] for i in range(m - 1)]
-            col += 2 * m - 1
-            expo = expo + _so_step_exponent_rows(row, mid, bot, lam_t[-1 - k])
-            row = bot
-        return stable_exp(expo) * lower(row)
+        mid, bot = [p[:, i] for i in range(m)], [p[:, m + i] for i in range(m - 1)]
+        return stable_exp(_so_step_exponent_rows(list(x), mid, bot, lam_t[-1])) * lower(bot)
 
     # Each phase is a sum of two parameters, up to sign.
     return _integrate_truncated(f, box, tol, max_evals, lam_t + tuple(-v for v in lam_t))
@@ -149,12 +149,28 @@ def so_givental_eval(
     """Rank-one or rank-two eigenfunction by direct pattern quadrature.
 
     Every so step of the pattern, one per rank, is fused into one
-    quadrature: one auxiliary variable at rank one, four at rank two.
+    quadrature: one auxiliary variable at rank one, a 1-D lattice box; four
+    at rank two, the first step's middle row ``(m_1, m_2)`` and bottom row
+    ``b`` and the second step's middle row ``n``.  Their walls couple each
+    only to ``b``: a star contraction with centre ``b``
+    (:func:`~toda_whittaker.quadrature._integrate_star`), whose
+    ``evaluations`` are its factor values, the four axes' nodes and the
+    three walls' distinct differences; ``max_evals`` caps the count.
     Spectral parameters may carry a small imaginary part; the value is even
     under flipping all of them at rank one.
     """
     lam_t, x_t = _checked(lam, x, "so_givental_eval")
-    return _so_steps(lam_t, x_t, len(x_t), lambda bot: 1.0, tol, max_evals)
+    if len(x_t) == 1:
+        return _so_step(lam_t, x_t, lambda bot: 1.0, tol, max_evals)
+    (x1, x2), (l1, l2) = x_t, lam_t
+    m1, m2, b, n = _so_box(lam_t, x_t, 2, tol)
+    leaves = [
+        (_wall(1.0), lambda m: stable_exp(2j * l2 * m - _exp_wall(m) - _exp_wall(x1 - m))),
+        (_wall(-1.0), lambda m: stable_exp(2j * l2 * m - _exp_wall(m - x1) - _exp_wall(x2 - m))),
+        (_wall(1.0), lambda m: stable_exp(2j * l1 * m - _exp_wall(m))),
+    ]
+    centre = lambda c: stable_exp(-1j * (l1 + l2) * c - 1j * l2 * (x1 + x2))
+    return _integrate_star(centre, leaves, [b, m1, m2, n], tol, max_evals, lam_t + tuple(-v for v in lam_t))
 
 
 def so_recursive_eval(
@@ -179,7 +195,7 @@ def so_recursive_eval(
     def lower(bot: list) -> np.ndarray:
         return _closed_form_so3_batch(lam_t[0], bot[0], budget)
 
-    return _so_steps(lam_t, x_t, 1, lower, tol, max_evals)
+    return _so_step(lam_t, x_t, lower, tol, max_evals)
 
 
 def so_baxter_eigenvalue(gamma: complex, lam) -> complex:

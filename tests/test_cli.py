@@ -104,6 +104,8 @@ class TestEval:
             ("gl2", "0.5,-0.5", "0.3,-0.2", "mb"),
             ("so3", "0.5", "0.3", "givental"),
             ("gl3", "0.6,0.1,-0.45", "0.3,-0.2,0.5", "recursive"),
+            ("gl3", "0.6,0.1,-0.45", "0.3,-0.2,0.5", "givental"),
+            ("so5", "0.5,-0.3", "0.2,-0.1", "givental"),
         ],
     )
     def test_budget_caps_quadrature(self, algebra, lam, x, method, capsys):
@@ -113,8 +115,11 @@ class TestEval:
         # evaluations under a budget of 1,000,000, converged, exit 0.  It
         # took 708,696 on the adaptive box, 471,692 on the lattice with its
         # rank-1 level on Gauss-Legendre rules, and takes 13,842 with that
-        # level on the lattice too, so the cap is set below that.
-        cap = ["--tol", "1e-6", "--budget", "10000"] if algebra == "gl3" else ["--budget", "10"]
+        # level on the lattice too, so the cap is set below that.  The star
+        # contractions (gl3 and so5 `givental`) count factor values: their
+        # step 1/2 holds 255 and 405 of them, past a cap of 10.
+        recursive_gl3 = (algebra, method) == ("gl3", "recursive")
+        cap = ["--tol", "1e-6", "--budget", "10000"] if recursive_gl3 else ["--budget", "10"]
         code, out, err = run(
             ["eval", "--algebra", algebra, "--lambda", lam, "--x", x,
              "--method", method, "--format", "json"] + cap,
@@ -157,8 +162,10 @@ class TestEval:
         assert sum(batches) == record["evaluations"]
 
     def test_so5_default_is_recursive(self, capsys):
-        # The fused 4-d model was the default and spent its whole budget
-        # here: exit 2 after 3,999,120 evaluations.
+        # The fused 4-d model was the default and, on the adaptive box,
+        # spent its whole budget here: exit 2 after 3,999,120 evaluations.
+        # As a star contraction it converges in 813 factor values
+        # (`test_deterministic_output`), but the default stays `recursive`.
         argv = ["eval", "--algebra", "so5", "--lambda", "0.5,-0.3", "--x", "0.2,-0.1",
                 "--format", "json"]
         code, out, err = run(argv, capsys)
@@ -242,6 +249,8 @@ class TestVerify:
             ["verify", "--suite", "barnes", "--format", "csv"],
             ["eval", "--algebra", "gl3", "--lambda", "0.6,0.1,-0.45", "--x", "0.3,-0.2,0.5",
              "--method", "givental", "--tol", "1e-4", "--format", "json"],
+            ["eval", "--algebra", "so5", "--lambda", "0.5,-0.3", "--x", "0.2,-0.1", "--method", "givental",
+             "--format", "json"],
             ["baxter-apply", "--algebra", "gl", "--gamma=-1.2j", "--lambda", "0.4", "--y", "0.2",
              "--tol", "1e-8", "--format", "json"],
             ["baxter-apply", "--algebra", "so3", "--gamma=-1.6j", "--lambda", "0.45", "--y", "0.1",
@@ -251,8 +260,8 @@ class TestVerify:
             ["kernel", "--kind", "baxter", "--gamma=-1.2j", "--y", "0.1", "--x", "0.0",
              "--sweep", "0:-1:1:21", "--format", "csv"],
         ],
-        ids=["barnes", "eval-gl3-givental", "baxter-apply-gl", "baxter-apply-so3", "kernel-step",
-             "kernel-baxter"],
+        ids=["barnes", "eval-gl3-givental", "eval-so5-givental", "baxter-apply-gl", "baxter-apply-so3",
+             "kernel-step", "kernel-baxter"],
     )
     def test_deterministic_output(self, argv, capsys):
         code_a, out_a, _ = run(argv, capsys)

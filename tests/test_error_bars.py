@@ -11,7 +11,8 @@ spectral-plane model and every rank-2 mixed word, and the Gamma-product side
 of the Barnes identity.
 
 Coordinate-space integrals (cut to a box by the truncation rule; the
-trapezoid rule on the 1-D and 2-D boxes, the adaptive engine on the others):
+trapezoid rule on the 1-D and 2-D boxes and, as a star contraction, on the
+gl3 and fused so5 pattern boxes, the adaptive engine on the others):
 mpmath's Bessel K and Gamma products for the gl2 models, the Baxter operator
 in its three conventions, the so operator, the kernel contraction, both
 sides of the rank-lowering identity, the pairing integrals and the spherical
@@ -246,6 +247,37 @@ def test_so_models():
             _covers(so_recursive_eval(lam, x, tol), so_givental_eval(lam, x, tol / 10.0).value)
     lam, x = (float(rng.uniform(0.1, 1.0)),), (float(rng.uniform(-1.0, 1.0)),)
     _covers(so_recursive_eval(lam, x, 10.0 ** rng.uniform(-10.0, -6.0)), _mp_so3(lam[0], x[0]))
+
+
+@pytest.mark.parametrize("seed", [9, 14])
+def test_so_fused_model_draws_that_under_reported(seed):
+    # On the adaptive 4-D box these draws returned converged values whose
+    # true errors, 2.2e-5 and 1.9e-5, exceeded the reported 2.1e-5 and
+    # 1.4e-5.  The star contraction on the lattice is within 2e-13 of the
+    # reference.
+    rng = np.random.default_rng(seed)
+    lam, x = tuple(rng.uniform(-0.8, 0.8, size=2)), tuple(rng.uniform(-0.6, 0.6, size=2))
+    tol = 10.0 ** rng.uniform(-6.0, -4.0)
+    _covers(so_givental_eval(lam, x, tol), so_recursive_eval(lam, x, 1e-10).value)
+
+
+def test_gl3_coordinate_model_against_the_spectral_plane():
+    # The fused gl3 model (a star contraction on the lattice) against the
+    # spectral-plane model at a hundredth of the tolerance, over a wider
+    # range than the sweep below.  The last draw's real spread, 7.5, is past
+    # 2 pi, so the step must fall to 1/8 before the rule may stop (h <= pi /
+    # (2 frequency)): it takes about twice the values of the same box with
+    # the parameters scaled by a tenth, which stops at h = 1/4.
+    rng = np.random.default_rng(95)
+    draws = [(tuple(rng.uniform(-1.5, 1.5, size=3)), tuple(rng.uniform(-1.0, 1.0, size=3)),
+              10.0 ** rng.uniform(-9.0, -4.0)) for _ in range(6)]
+    fast = ((4.0, 0.5, -3.5), (0.2, -0.3, 0.4), 1e-5)
+    for lam, x, tol in draws + [fast]:
+        res = givental_eval(lam, x, tol)
+        _covers(res, mellin_barnes_eval(lam, x, tol / 100.0).value)
+        assert givental_eval(lam, x, tol) == res
+    slow = givental_eval(tuple(0.1 * v for v in fast[0]), *fast[1:])
+    assert res.evaluations > 1.8 * slow.evaluations
 
 
 def test_so_operator():

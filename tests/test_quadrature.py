@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_whittaker import quadrature
+from toda_whittaker import gl_whittaker, quadrature, so_toda
 from toda_whittaker.errors import BudgetExceeded
 from toda_whittaker.gl_baxter import (
     _LIE,
@@ -98,10 +98,11 @@ class TestBox:
         assert not info.value.result.converged
 
     def test_generations_grow_with_the_region_count(self, monkeypatch):
-        # About 1.7 million evaluations.  Splitting a fixed batch of 12
-        # regions per generation took 2,177 integrand calls here; splitting
-        # the worst eighth of the open regions takes about 220, each of at
-        # most 8,192 points.
+        # About 1.9 million evaluations of the rank-2 commutation box (4-D).
+        # Splitting a fixed batch of 12 regions per generation took 2,177
+        # integrand calls on the gl3 pattern box, which now goes to the star
+        # contraction; splitting the worst eighth of the open regions takes
+        # about 240 here, each of at most 8,192 points.
         calls = []
         box = quadrature.integrate_box
 
@@ -113,7 +114,7 @@ class TestBox:
             return box(g, *args)
 
         monkeypatch.setattr(quadrature, "integrate_box", counted)
-        res = givental_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-9)
+        res = _double_apply_fused(-1.4j, -0.9j, (0.4, -0.4), np.array([0.2, -0.1]), 3e-9, 4_000_000)
         assert res.converged and res.evaluations > 10**6
         assert sum(calls) == res.evaluations
         assert len(calls) <= 300
@@ -359,18 +360,24 @@ class TestLattice:
             assert res.evaluations >= 14 * 16  # h <= pi / 50 < 1/8
 
     def test_engine_choice(self, monkeypatch):
-        # 1-D and 2-D boxes with a frequency bound go to the lattice; 3-D and
-        # 4-D boxes, the spherical transform's integral over d >= 0, a true
-        # edge, and an operator applied to a function of unknown frequency go
-        # to the adaptive engine.
+        # 1-D and 2-D boxes with a frequency bound go to the lattice; the
+        # star-shaped pattern integrals (gl3 and the fused so5 model) to the
+        # lattice contraction; the other 3-D and 4-D boxes, the spherical
+        # transform's integral over d >= 0, a true edge, and an operator
+        # applied to a function of unknown frequency go to the adaptive
+        # engine.
         used = []
-        for module, name in ((quadrature, "integrate_box"), (quadrature, "_trapezoid")):
+        for module, name in ((quadrature, "integrate_box"), (quadrature, "_trapezoid"),
+                             (gl_whittaker, "_integrate_star"), (so_toda, "_integrate_star")):
             engine = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, engine=engine, name=name: used.append(name) or engine(*a))
         expected = {
-            "integrate_box": [
+            "_integrate_star": [
                 lambda: givental_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-4),  # 3-D
                 lambda: so_givental_eval((0.4, 0.1), (0.0, 0.3), 1e-3),  # 4-D
+            ],
+            "integrate_box": [
+                lambda: so_recursive_eval((0.4, 0.1), (0.0, 0.3), 1e-3),  # 3-D
                 lambda: _double_apply_fused(-1.4j, -0.9j, (0.4, -0.4), np.array([0.2, -0.1]), 1e-3, 10**6),
                 lambda: spherical_transform_rank2(-1.7j, (0.3, -0.3), 1e-4),
                 lambda: baxter_apply(lambda xs: baxter_eigenfunction_batch((0.4,), xs, "lie"), (0.1,), -1.2j,
@@ -390,6 +397,41 @@ class TestLattice:
                 used.clear()
                 call()
                 assert used == [name]
+
+
+class TestStar:
+    """The lattice contraction of a star: a centre variable and leaves, each
+    coupled to the centre by a wall of their difference."""
+
+    W = 0.8  # the centre's phase
+
+    def _gaussian(self, tol, max_evals):
+        # integral of exp(-c^2 + i W c) prod_{l = a, b} exp(-(c - l)^2 - l^2)
+        # over R^3, (pi/2)^(3/2) exp(-W^2/8), on [-7, 7] per axis.
+        leaf = (lambda d: np.exp(-d * d), lambda u: np.exp(-u * u))
+        centre = lambda c: np.exp(-c * c + 1j * self.W * c)
+        return quadrature._integrate_star(centre, [leaf, leaf], [(-7.0, 7.0)] * 3, tol, max_evals, (self.W, 0.0))
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-13])
+    def test_gaussian_and_its_count(self, tol):
+        res = self._gaussian(tol, 10**6)
+        assert res.converged
+        assert abs(res.value - (math.pi / 2.0) ** 1.5 * math.exp(-self.W**2 / 8.0)) <= res.abs_error <= tol
+        # Per axis 14 * 2^k + 1 nodes at step 2^-k, and per wall 2 n - 1
+        # differences: the factor values of the last step, each computed once.
+        assert res.evaluations in [7 * (14 * 2**k + 1) - 2 for k in range(2, 8)]
+        assert res == self._gaussian(tol, 10**6)
+
+    def test_budget_exceeded_carries_the_partial_result(self):
+        # Step 1/2 holds 201 values and step 1/4 397: under a cap of 300 the
+        # rule stops at step 1/2, before the first step that may stop.
+        with pytest.raises(BudgetExceeded) as info:
+            self._gaussian(1e-13, 300)
+        res = info.value.result
+        assert not res.converged and res.evaluations == 201 <= 300
+        with pytest.raises(BudgetExceeded) as info:
+            givental_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-6, max_evals=300)
+        assert not info.value.result.converged and info.value.result.evaluations <= 300
 
 
 def _spectral_rows(params, z, lower):
