@@ -38,18 +38,18 @@ import numpy as np
 from .checks import SUITES as _SUITES, CaseResult
 from .errors import BudgetExceeded, RankError, TodaWhittakerError
 from .gl_whittaker import (
+    _step_kernel_rows,
     closed_form_gl2,
     givental_eval,
     givental_recursive_eval,
-    givental_step_kernel,
     mellin_barnes_eval,
 )
 from .gl_baxter import (
+    _baxter_kernel_rows,
     baxter_apply,
     baxter_eigenfunction,
     baxter_eigenfunction_batch,
     baxter_eigenvalue,
-    baxter_kernel,
 )
 from .so_toda import (
     closed_form_so3,
@@ -65,7 +65,7 @@ from .local_lfactors import (
     local_lfactor_p_exact,
 )
 from .quadrature import _DEFAULT_MAX_EVALS
-from .rankin_selberg import stade_kernel
+from .rankin_selberg import _stade_rows
 
 __all__ = ["main", "entry"]
 
@@ -541,8 +541,8 @@ def cmd_kernel(args) -> int:
         if y is None or x is None:
             raise _UsageError("--y and --x are required for the baxter kernel")
 
-        def evaluate(pt: Sequence[float]) -> complex:
-            return baxter_kernel(y, pt, gamma_t[0], conv)
+        def evaluate(rows: np.ndarray) -> np.ndarray:
+            return _baxter_kernel_rows(y, rows, gamma_t[0], conv)
 
         base = list(x)
     else:
@@ -555,32 +555,32 @@ def cmd_kernel(args) -> int:
             if len(lam) != 1:
                 raise _UsageError("--lambda must be a single parameter for the step kernel")
 
-            def evaluate(pt: Sequence[float]) -> complex:
-                return givental_step_kernel(pt, xb, lam[0])
+            def evaluate(rows: np.ndarray) -> np.ndarray:
+                return _step_kernel_rows(rows, xb, lam[0])
 
         else:
             if len(lam) != 2:
                 raise _UsageError("--lambda must give two parameters for the stade kernel")
 
-            def evaluate(pt: Sequence[float]) -> complex:
-                return stade_kernel(pt, xb, lam)
+            def evaluate(rows: np.ndarray) -> list:
+                return _stade_rows(rows, xb, lam)
 
         base = list(xt)
 
     if sweep is None:
-        _emit(fmt, [[("value", complex(evaluate(base)))]], _bare_value)
+        _emit(fmt, [[("value", complex(evaluate(np.array([base]))[0]))]], _bare_value)
         return 0
 
     idx, start, stop, count = sweep
     if not (0 <= idx < len(base)):
         raise _UsageError(f"--sweep index {idx} out of range for a {len(base)}-coordinate kernel")
-    rows = []
-    for t in np.linspace(start, stop, count):
-        pt = list(base)
-        pt[idx] = float(t)
-        rows.append([("t", float(t)), ("value", complex(evaluate(pt)))])
+    ts = np.linspace(start, stop, count)
+    rows = np.tile(np.asarray(base, dtype=float), (count, 1))
+    rows[:, idx] = ts
+    # Every point in one kernel call; each value has the bits of its point alone.
+    records = [[("t", float(t)), ("value", complex(v))] for t, v in zip(ts, evaluate(rows))]
     # A sweep is a table for plotting, so text prints it as CSV.
-    _emit("csv" if fmt == "text" else fmt, rows)
+    _emit("csv" if fmt == "text" else fmt, records)
     return 0
 
 

@@ -46,6 +46,7 @@ from .quadrature import (
     _DEFAULT_MAX_EVALS,
     ContourSpec,
     QuadratureResult,
+    _integrate_star,
     _integrate_truncated,
     _rate_reach,
     _wall_reach,
@@ -155,13 +156,17 @@ def baxter_kernel(x_out, x_in, gamma: complex, convention="lie") -> complex:
 
     Operators act as ``(Q f)(x_out) = integral K(x_out, x_in) f(x_in) dx_in``.
     """
+    return complex(_baxter_kernel_rows(x_out, [x_in], gamma, convention)[0])
+
+
+def _baxter_kernel_rows(x_out, rows, gamma: complex, convention) -> np.ndarray:
+    """:func:`baxter_kernel` at each input row of ``rows``, in one call."""
     conv = _as_convention(convention)
     out = np.asarray([float(v) for v in x_out], dtype=float)
-    ins = np.asarray([float(v) for v in x_in], dtype=float)
-    if out.size != ins.size or out.size == 0:
+    ins = np.asarray([[float(v) for v in row] for row in rows], dtype=float)
+    if out.size != ins.shape[1] or out.size == 0:
         raise RankError("x_out and x_in must have equal, positive length")
-    expo = _kernel_exponent_rows(out, ins[None, :], complex(gamma), conv)
-    return complex(stable_exp(expo)[0])
+    return stable_exp(_kernel_exponent_rows(out, ins, complex(gamma), conv))
 
 
 def baxter_apply(
@@ -436,6 +441,12 @@ def lowering_compatibility(
     RHS: ``Gamma(i gamma - i lam)`` times the step kernel composed with the
     one-variable operator (1-dim integral).  Both are evaluated at outer point
     ``y`` (two entries) and inner point ``x`` (one entry).
+
+    Each of the two variables of the LHS meets only the fixed walls at ``y``
+    and ``x``, so its integrand is a product of one factor per variable and
+    its lattice sum the product of their 1-D sums
+    (:func:`~toda_whittaker.quadrature._integrate_star` with no walls);
+    its evaluations are the factor values, one per node of each axis.
     """
     gamma = complex(gamma)
     lam = complex(lam)
@@ -447,18 +458,19 @@ def lowering_compatibility(
             f"spectral gap {rate:.4f} below the minimum {MIN_SPECTRAL_GAP}"
         )
 
-    y_arr = np.asarray([y1, y2])
     params = (gamma, lam)
-
-    def f_lhs(p: np.ndarray) -> np.ndarray:
-        step = _step_exponent_rows([p[:, 0], p[:, 1]], [x], lam)
-        return stable_exp(_kernel_exponent_rows(y_arr, p, gamma, _LIE) + step)
+    # The kernel's walls e^{y_1 - m_1}, e^{m_1 - y_2}, e^{y_2 - m_2}, the
+    # step's e^{m_1 - x}, e^{x - m_2}, and the phase i (lam - gamma) per
+    # variable; m_1 carries the constant rest of the phase.
+    m1 = lambda m: stable_exp(1j * (lam - gamma) * m + 1j * (gamma * (y1 + y2) - lam * x)
+                              - _exp_wall(y1 - m) - _exp_wall(m - y2) - _exp_wall(m - x))
+    m2 = lambda m: stable_exp(1j * (lam - gamma) * m - _exp_wall(y2 - m) - _exp_wall(x - m))
 
     # m_1 lies between the walls at y_1 and at y_2 and x; m_2 above the walls
     # at y_2 and x, with a tail of rate ``rate`` beyond.
     r, foot = _wall_reach(tol, 4, params), max(y2, x)
     box = [(y1 - r, min(y2, x) + r), (foot - r, foot + _rate_reach(tol, 4, rate))]
-    lhs = _integrate_truncated(f_lhs, box, tol, max_evals, params)
+    lhs = _integrate_star(m1, [(None, m2)], box, tol, max_evals, params)
 
     def f_rhs(p: np.ndarray) -> np.ndarray:
         step = _step_exponent_rows([y1, y2], [p[:, 0]], lam)

@@ -163,11 +163,16 @@ def givental_step_kernel(x_top: Sequence[float], x_bot: Sequence[float], lam: co
 
     Total (entire) in all arguments; underflows smoothly to 0.
     """
-    top = [float(v) for v in x_top]
+    return complex(_step_kernel_rows([x_top], x_bot, lam)[0])
+
+
+def _step_kernel_rows(tops, x_bot: Sequence[float], lam: complex) -> np.ndarray:
+    """:func:`givental_step_kernel` at each top row of ``tops``, in one call."""
+    top = np.asarray([[float(v) for v in row] for row in tops], dtype=float)
     bot = [float(v) for v in x_bot]
-    if len(top) != len(bot) + 1:
+    if top.shape[1] != len(bot) + 1:
         raise ValueError("x_top must have exactly one more entry than x_bot")
-    return complex(stable_exp(_step_exponent_rows(top, bot, complex(lam))))
+    return stable_exp(_step_exponent_rows(list(top.T), bot, complex(lam)))
 
 
 def _step_exponent_rows(top_cols: list, bot_cols: list, lam) -> np.ndarray:

@@ -26,8 +26,8 @@ adds ``tol / 10`` for the tails, so the reported error covers both.  Its
 integrands are entire and vanish at every side of the box, so one- and
 two-dimensional boxes whose caller bounds their frequencies take the
 contours' trapezoid rule on the lattice ``2**-k Z^d``, and so do star-shaped
-integrands of more dimensions, contracted factor by factor without forming
-the node grid (:func:`_integrate_star`); the other boxes of three or more
+and separable integrands, contracted factor by factor without forming the
+node grid (:func:`_integrate_star`); the other boxes of three or more
 dimensions take the adaptive engine, and so does the one integral with a
 true edge, the spherical transform's over the chamber's radius ``d >= 0``.
 
@@ -546,28 +546,36 @@ def _integrate_star(centre: Callable, leaves: Sequence, box, tol: float, max_eva
     on ``box``, the centre's side and then each leaf's.  At each step the
     sum is the centre's vector times, per leaf, the Toeplitz wall matrix
     times the leaf's vector (one ``np.convolve``); the node grid is never
-    formed.  ``evaluations`` counts the factor values computed: one per axis
-    node and one per distinct difference of a wall, ``n_c + n_l - 1`` on
-    axes of ``n_c`` and ``n_l`` nodes.  The first level reads the coarser
-    steps' vectors off its own as strided slices; each later halving
-    computes only the values it adds."""
+    formed.  A leaf whose wall is ``None`` couples to nothing: the sum over
+    its nodes multiplies in, so an integrand that is a product of factors of
+    one variable each is the product of their 1-D sums.  ``evaluations``
+    counts the factor values computed: one per axis node and one per
+    distinct difference of a wall, ``n_c + n_l - 1`` on axes of ``n_c`` and
+    ``n_l`` nodes.  The first level reads the coarser steps' vectors off its
+    own as strided slices; each later halving computes only the values it
+    adds."""
     box = [(lo, max(hi, lo + 1.0)) for lo, hi in box]
     lo, hi = np.asarray(box, dtype=float).T
-    d, factors = lo.size, [centre] + [factor for _, factor in leaves] + [wall for wall, _ in leaves]
+    coupled = [j for j, (wall, _) in enumerate(leaves, 1) if wall is not None]
+    free = [j for j, (wall, _) in enumerate(leaves, 1) if wall is None]
+    d, factors = lo.size, [centre] + [factor for _, factor in leaves] + [leaves[j - 1][0] for j in coupled]
 
     def spans(k: int) -> list:  # the first index and count of each vector at step 2**-k
         first, n = _lattice(lo, hi, k)
         walls = [(first[0] - first[j] - n[j] + 1, n[0] + n[j] - 1 if n[0] and n[j] else 0)
-                 for j in range(1, d)]
+                 for j in coupled]
         return list(zip(first.tolist(), n)) + walls
 
     def contract(vectors: list) -> complex:
         if not all(v.size for v in vectors[:d]):
             return 0j
         value = vectors[0]
-        for v, w in zip(vectors[1:d], vectors[d:]):
-            value = value * np.convolve(w, v, "valid")
-        return complex(np.add.reduce(value))
+        for j, w in zip(coupled, vectors[d:]):
+            value = value * np.convolve(w, vectors[j], "valid")
+        value = np.add.reduce(value)
+        for j in free:
+            value = value * np.add.reduce(vectors[j])
+        return complex(value)
 
     kept = [None] * 3  # the last level's spans, vectors and sum
 

@@ -17,20 +17,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContourError, RankError, ShiftError
+from .errors import ContourError, ConvergenceError, RankError, ShiftError
 from .gl_baxter import _LIE, MIN_SPECTRAL_GAP, IdentityCheck, _kernel_exponent_rows
-from .gl_whittaker import _step_exponent_rows, closed_form_gl2_batch
+from .gl_whittaker import _exp_wall, _step_exponent_rows, closed_form_gl2_batch
 from .numerics import (
+    _DEFAULT_BUDGET,
+    _MAX_RE_ORDER,
+    _macdonald_grid,
     _macdonald_pairs,
     _quadrature_budget,
     gamma_product,
     log_gamma,
     log_gamma_array,
-    macdonald_k,
 )
 from .quadrature import (
     _DEFAULT_MAX_EVALS,
@@ -38,6 +40,7 @@ from .quadrature import (
     QuadratureResult,
     _axis_differences,
     _integrate_lattice,
+    _integrate_star,
     _integrate_truncated,
     _rate_reach,
     _wall_reach,
@@ -239,21 +242,38 @@ def stade_kernel(x_top: Sequence[float], x_bot: Sequence[float], lam_pair) -> co
     are dropped.  Agrees with :func:`double_step_kernel` (two chained
     one-step kernels) and, for ``ell = 1``, with the rank-one closed form.
     """
-    top = [float(v) for v in x_top]
+    return _stade_rows([x_top], x_bot, lam_pair)[0]
+
+
+def _stade_rows(tops, x_bot, lam_pair) -> list[complex]:
+    """:func:`stade_kernel` at each row of ``tops`` over the bottom row
+    ``x_bot``.  Every Macdonald factor of every row comes from one grid
+    call, and each row multiplies its factors in order, so each value has
+    the bits of its row alone."""
+    tops = [[float(v) for v in top] for top in tops]
     bot = [float(v) for v in x_bot]
-    ell = len(top) - 1
-    if ell < 1 or len(bot) != ell - 1:
+    if any(len(top) < 2 or len(bot) != len(top) - 2 for top in tops):
         raise RankError(
             "x_top must have ell + 1 entries and x_bot ell - 1 entries with ell >= 1"
         )
     l1, l2 = (complex(v) for v in lam_pair)
     order = 1j * (l1 - l2)
-    value = cmath.exp(0.5j * (l1 + l2) * (sum(top) - sum(bot)))
-    for i in range(ell):
-        a_i = math.exp(top[i]) + (math.exp(bot[i - 1]) if i >= 1 else 0.0)
-        b_i = math.exp(-top[i + 1]) + (math.exp(-bot[i]) if i <= ell - 2 else 0.0)
-        value *= 2.0 * macdonald_k(order, 2.0 * math.sqrt(a_i * b_i))
-    return value
+    if abs(order.real) > _MAX_RE_ORDER:
+        raise ConvergenceError(f"macdonald_k supports |Re nu| <= {_MAX_RE_ORDER}, got Re nu = {order.real}")
+    ell, args = len(bot) + 1, []
+    for top in tops:
+        for i in range(ell):
+            a_i = math.exp(top[i]) + (math.exp(bot[i - 1]) if i >= 1 else 0.0)
+            b_i = math.exp(-top[i + 1]) + (math.exp(-bot[i]) if i <= ell - 2 else 0.0)
+            args.append(2.0 * math.sqrt(a_i * b_i))
+    factors = iter(_macdonald_grid(order, np.array(args), _DEFAULT_BUDGET).tolist())
+    values = []
+    for top in tops:
+        value = cmath.exp(0.5j * (l1 + l2) * (sum(top) - sum(bot)))
+        for _ in range(ell):
+            value *= 2.0 * next(factors)
+        values.append(value)
+    return values
 
 
 def double_step_kernel(
@@ -269,6 +289,13 @@ def double_step_kernel(
     ``ell - 1`` bottom coordinates; the top step carries ``lam_pair[1]`` and
     the bottom step ``lam_pair[0]``.  Equals :func:`stade_kernel` in closed
     form, and for ``ell = 1`` the rank-one closed form.
+
+    Each middle entry's walls meet only fixed top and bottom coordinates, so
+    the integrand is a product of one factor per entry.  At ``ell = 1`` it
+    is a 1-D lattice box; at ``ell >= 2`` the lattice sum is the product of
+    the entries' 1-D sums (:func:`~toda_whittaker.quadrature._integrate_star`
+    with no walls), whose ``evaluations`` are the factor values, one per
+    node of each entry's axis; ``max_evals`` caps the count.
     """
     top = [float(v) for v in x_top]
     bot = [float(v) for v in x_bot]
@@ -288,12 +315,22 @@ def double_step_kernel(
         for i in range(ell)
     ]
 
-    def integrand(p: np.ndarray) -> np.ndarray:
-        mid = [p[:, i] for i in range(ell)]
-        expo = _step_exponent_rows(top, mid, l_top) + _step_exponent_rows(mid, bot, l_bot)
-        return stable_exp(expo)
+    if ell == 1:
 
-    return _integrate_truncated(integrand, box, tol, max_evals, (l_bot, l_top))
+        def integrand(p: np.ndarray) -> np.ndarray:
+            mid = [p[:, 0]]
+            return stable_exp(_step_exponent_rows(top, mid, l_top) + _step_exponent_rows(mid, bot, l_bot))
+
+        return _integrate_truncated(integrand, box, tol, max_evals, (l_bot, l_top))
+
+    def entry(i: int, shift: complex = 0j) -> Callable:  # middle entry i, its walls and phase
+        below, above = [top[i], *bot[max(i - 1, 0):i]], [top[i + 1], *bot[i:i + 1]]
+        return lambda m: stable_exp(1j * (l_bot - l_top) * m + shift - sum(_exp_wall(v - m) for v in below)
+                                    - sum(_exp_wall(m - v) for v in above))
+
+    centre = entry(0, 1j * l_top * sum(top) - 1j * l_bot * sum(bot))
+    leaves = [(None, entry(i)) for i in range(1, ell)]
+    return _integrate_star(centre, leaves, box, tol, max_evals, (l_bot, l_top))
 
 
 def barnes_gustafson_check(

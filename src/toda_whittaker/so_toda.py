@@ -13,7 +13,9 @@ function by one step from the rank-one closed form, the integral operator
 with a two-Gamma-factor eigenvalue, and the quadratic chain Hamiltonian
 applied by central differences.  The pattern step and the operator's kernel
 are one so step kernel (:func:`_so_step_exponent_rows`), a middle row between
-two outer rows; the operator's middle row is integrated in closed form.
+two outer rows; the operator's middle row is integrated in closed form, and
+the rank-two evaluators take the step's factors one variable at a time
+(:func:`_so_middle`).
 """
 
 from __future__ import annotations
@@ -126,18 +128,16 @@ def _so_box(lam_t, x, steps: int, tol: float) -> list:
     return box
 
 
-def _so_step(lam_t, x, lower: Callable, tol: float, max_evals: int) -> QuadratureResult:
-    """One so step down from the row ``x``, with parameter ``lam_t[-1]``,
-    integrated over its middle and bottom rows, times ``lower`` at the
-    bottom row (a list of columns)."""
-    m, box = len(x), _so_box(lam_t, x, 1, tol)
-
-    def f(p: np.ndarray) -> np.ndarray:
-        mid, bot = [p[:, i] for i in range(m)], [p[:, m + i] for i in range(m - 1)]
-        return stable_exp(_so_step_exponent_rows(list(x), mid, bot, lam_t[-1])) * lower(bot)
-
-    # Each phase is a sum of two parameters, up to sign.
-    return _integrate_truncated(f, box, tol, max_evals, lam_t + tuple(-v for v in lam_t))
+def _so_middle(lam: complex, x1: float, x2: float) -> list:
+    """The leaves ``(wall, factor)`` of the middle row ``(m_1, m_2)`` of the
+    so step down from ``(x_1, x_2)`` with parameter ``lam``, on a star whose
+    centre is the step's bottom entry ``b``: walls ``e^{b - m_1}`` and
+    ``e^{m_2 - b}``, and each entry's phase and walls against the top row
+    and the reflecting end."""
+    return [
+        (_wall(1.0), lambda m: stable_exp(2j * lam * m - _exp_wall(m) - _exp_wall(x1 - m))),
+        (_wall(-1.0), lambda m: stable_exp(2j * lam * m - _exp_wall(m - x1) - _exp_wall(x2 - m))),
+    ]
 
 
 def so_givental_eval(
@@ -160,17 +160,16 @@ def so_givental_eval(
     under flipping all of them at rank one.
     """
     lam_t, x_t = _checked(lam, x, "so_givental_eval")
+    # Each phase is a sum of two parameters, up to sign.
+    params = lam_t + tuple(-v for v in lam_t)
     if len(x_t) == 1:
-        return _so_step(lam_t, x_t, lambda bot: 1.0, tol, max_evals)
+        f = lambda p: stable_exp(_so_step_exponent_rows(list(x_t), [p[:, 0]], [], lam_t[0]))
+        return _integrate_truncated(f, _so_box(lam_t, x_t, 1, tol), tol, max_evals, params)
     (x1, x2), (l1, l2) = x_t, lam_t
     m1, m2, b, n = _so_box(lam_t, x_t, 2, tol)
-    leaves = [
-        (_wall(1.0), lambda m: stable_exp(2j * l2 * m - _exp_wall(m) - _exp_wall(x1 - m))),
-        (_wall(-1.0), lambda m: stable_exp(2j * l2 * m - _exp_wall(m - x1) - _exp_wall(x2 - m))),
-        (_wall(1.0), lambda m: stable_exp(2j * l1 * m - _exp_wall(m))),
-    ]
+    leaves = _so_middle(l2, x1, x2) + [(_wall(1.0), lambda m: stable_exp(2j * l1 * m - _exp_wall(m)))]
     centre = lambda c: stable_exp(-1j * (l1 + l2) * c - 1j * l2 * (x1 + x2))
-    return _integrate_star(centre, leaves, [b, m1, m2, n], tol, max_evals, lam_t + tuple(-v for v in lam_t))
+    return _integrate_star(centre, leaves, [b, m1, m2, n], tol, max_evals, params)
 
 
 def so_recursive_eval(
@@ -182,20 +181,28 @@ def so_recursive_eval(
     """Rank-two eigenfunction by one so step over the rank-one closed form
     (rank one falls back to the direct integral).
 
-    The step is a three-dimensional quadrature whose integrand carries the
-    closed-form Macdonald factor, so this follows a genuinely different
-    numerical path from ``so_givental_eval`` and serves as a
-    self-consistency oracle for it.
+    The step integrates its middle row ``(m_1, m_2)`` and bottom entry ``b``
+    against the closed-form Macdonald factor ``2 K_{2 i lam_1}(2 e^{b/2})``,
+    so this is a distinct model from ``so_givental_eval``, which integrates
+    the second step too, and serves as a self-consistency oracle for it.
+    The walls couple ``m_1`` and ``m_2`` each only to ``b``: a star
+    contraction with centre ``b`` carrying the Macdonald factor
+    (:func:`~toda_whittaker.quadrature._integrate_star`), whose
+    ``evaluations`` are its factor values, the three axes' nodes (one
+    Macdonald value per node of ``b``) and the two walls' distinct
+    differences; ``max_evals`` caps the count.
     """
     lam_t, x_t = _checked(lam, x, "so_recursive_eval")
     if len(x_t) == 1:
         return so_givental_eval(lam_t, x_t, tol, max_evals)
-    budget = _quadrature_budget(tol)
+    (x1, x2), (l1, l2), budget = x_t, lam_t, _quadrature_budget(tol)
+    m1, m2, b = _so_box(lam_t, x_t, 1, tol)
 
-    def lower(bot: list) -> np.ndarray:
-        return _closed_form_so3_batch(lam_t[0], bot[0], budget)
+    def centre(c: np.ndarray) -> np.ndarray:
+        return stable_exp(-1j * l2 * c - 1j * l2 * (x1 + x2)) * _closed_form_so3_batch(l1, c, budget)
 
-    return _so_step(lam_t, x_t, lower, tol, max_evals)
+    return _integrate_star(centre, _so_middle(l2, x1, x2), [b, m1, m2], tol, max_evals,
+                           lam_t + tuple(-v for v in lam_t))
 
 
 def so_baxter_eigenvalue(gamma: complex, lam) -> complex:

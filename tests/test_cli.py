@@ -5,11 +5,14 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toda_whittaker import cli, gl_whittaker
 from toda_whittaker.errors import BudgetExceeded
-from toda_whittaker.gl_baxter import baxter_eigenfunction, baxter_eigenvalue
+from toda_whittaker.gl_baxter import baxter_eigenfunction, baxter_eigenvalue, baxter_kernel
+from toda_whittaker.gl_whittaker import givental_step_kernel
+from toda_whittaker.rankin_selberg import stade_kernel
 
 
 def run(argv, capsys):
@@ -106,6 +109,7 @@ class TestEval:
             ("gl3", "0.6,0.1,-0.45", "0.3,-0.2,0.5", "recursive"),
             ("gl3", "0.6,0.1,-0.45", "0.3,-0.2,0.5", "givental"),
             ("so5", "0.5,-0.3", "0.2,-0.1", "givental"),
+            ("so5", "0.5,-0.3", "0.2,-0.1", "recursive"),
         ],
     )
     def test_budget_caps_quadrature(self, algebra, lam, x, method, capsys):
@@ -116,8 +120,10 @@ class TestEval:
         # took 708,696 on the adaptive box, 471,692 on the lattice with its
         # rank-1 level on Gauss-Legendre rules, and takes 13,842 with that
         # level on the lattice too, so the cap is set below that.  The star
-        # contractions (gl3 and so5 `givental`) count factor values: their
-        # step 1/2 holds 255 and 405 of them, past a cap of 10.
+        # contractions (gl3 and so5 `givental`, so5 `recursive`) count factor
+        # values: their step 1/2 holds 255, 405 and 253 of them, past a cap
+        # of 10.  so5 `recursive` took 4,224 on the adaptive box, its seed
+        # regions.
         recursive_gl3 = (algebra, method) == ("gl3", "recursive")
         cap = ["--tol", "1e-6", "--budget", "10000"] if recursive_gl3 else ["--budget", "10"]
         code, out, err = run(
@@ -356,6 +362,33 @@ class TestKernel:
         lines = out.strip().splitlines()
         assert lines[0] == "t,re,im"
         assert len(lines) == 12
+
+    # Each kind's flags and its scalar kernel at a point; every sweep below
+    # moves coordinate 1.
+    KINDS = {
+        "baxter": (["--gamma=-1.2j", "--y", "0.1,-0.2", "--x", "0.0,0.3", "--convention", "iwasawa"],
+                   lambda pt: baxter_kernel((0.1, -0.2), pt, -1.2j, "iwasawa"), (0.0, 0.3)),
+        "step": (["--lambda", "0.6+0.1j", "--x-top", "0.3,-0.2", "--x-bot", "0.1"],
+                 lambda pt: givental_step_kernel(pt, (0.1,), 0.6 + 0.1j), (0.3, -0.2)),
+        "stade": (["--lambda", "0.5,-0.3", "--x-top", "0.3,-0.2,0.4", "--x-bot", "0.1"],
+                  lambda pt: stade_kernel(pt, (0.1,), (0.5, -0.3)), (0.3, -0.2, 0.4)),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_sweep_has_the_bytes_of_scalar_calls(self, kind, fmt, capsys):
+        # A sweep evaluates all its points in one kernel call; each value
+        # has the bits of the scalar kernel at its point alone.
+        flags, scalar, base = self.KINDS[kind]
+        code, out, err = run(["kernel", "--kind", kind, *flags, "--sweep", "1:-1:1:11", "--format", fmt], capsys)
+        records = []
+        for t in np.linspace(-1.0, 1.0, 11):
+            pt = list(base)
+            pt[1] = float(t)
+            records.append([("t", float(t)), ("value", complex(scalar(pt)))])
+        cli._emit("csv" if fmt == "text" else fmt, records)
+        assert code == 0
+        assert out == capsys.readouterr().out
 
     def test_sweep_needs_two_points(self, capsys):
         code, out, err = run(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_whittaker import gl_whittaker, quadrature, so_toda
+from toda_whittaker import gl_baxter, gl_whittaker, quadrature, rankin_selberg, so_toda
 from toda_whittaker.errors import BudgetExceeded
 from toda_whittaker.gl_baxter import (
     _LIE,
@@ -22,6 +22,7 @@ from toda_whittaker.gl_baxter import (
     baxter_apply,
     baxter_eigenfunction_batch,
     dual_baxter_apply,
+    lowering_compatibility,
     spherical_transform_rank2,
 )
 from toda_whittaker.gl_whittaker import (
@@ -361,47 +362,56 @@ class TestLattice:
 
     def test_engine_choice(self, monkeypatch):
         # 1-D and 2-D boxes with a frequency bound go to the lattice; the
-        # star-shaped pattern integrals (gl3 and the fused so5 model) to the
-        # lattice contraction; the other 3-D and 4-D boxes, the spherical
-        # transform's integral over d >= 0, a true edge, and an operator
-        # applied to a function of unknown frequency go to the adaptive
-        # engine.
+        # star-shaped pattern integrals (gl3 and both so5 models) and the
+        # separable ones (two chained step kernels from two middle entries
+        # on, and the two-variable side of the rank-lowering check, whose
+        # one-variable side is a 1-D box) to the lattice contraction; the
+        # rank-2 commutation box, the spherical transform's integral over
+        # d >= 0, a true edge, and an operator applied to a function of
+        # unknown frequency go to the adaptive engine.
         used = []
         for module, name in ((quadrature, "integrate_box"), (quadrature, "_trapezoid"),
-                             (gl_whittaker, "_integrate_star"), (so_toda, "_integrate_star")):
+                             (gl_whittaker, "_integrate_star"), (so_toda, "_integrate_star"),
+                             (rankin_selberg, "_integrate_star"), (gl_baxter, "_integrate_star")):
             engine = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, engine=engine, name=name: used.append(name) or engine(*a))
         expected = {
-            "_integrate_star": [
+            ("_integrate_star",): [
                 lambda: givental_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-4),  # 3-D
                 lambda: so_givental_eval((0.4, 0.1), (0.0, 0.3), 1e-3),  # 4-D
-            ],
-            "integrate_box": [
                 lambda: so_recursive_eval((0.4, 0.1), (0.0, 0.3), 1e-3),  # 3-D
+                lambda: double_step_kernel((0.1, 0.2, -0.3), (0.4,), (0.3, -0.3), 1e-6),  # 2-D
+                lambda: double_step_kernel((0.1, 0.2, -0.3, 0.5), (0.4, -0.2), (0.3, -0.3), 1e-6),  # 3-D
+            ],
+            ("_integrate_star", "_trapezoid"): [
+                lambda: lowering_compatibility(-1.3j, 0.4, (0.25, -0.3), 0.1, 1e-7),  # 2-D, then 1-D
+            ],
+            ("integrate_box",): [
                 lambda: _double_apply_fused(-1.4j, -0.9j, (0.4, -0.4), np.array([0.2, -0.1]), 1e-3, 10**6),
                 lambda: spherical_transform_rank2(-1.7j, (0.3, -0.3), 1e-4),
                 lambda: baxter_apply(lambda xs: baxter_eigenfunction_batch((0.4,), xs, "lie"), (0.1,), -1.2j,
                                      "lie", 1e-6),  # 1-D, no psi_spectral
             ],
-            "_trapezoid": [
+            ("_trapezoid",): [
                 lambda: givental_eval((0.5, -0.5), (0.3, -0.2), 1e-8),  # 1-D
                 lambda: givental_recursive_eval((0.6, 0.1, -0.45), (0.3, -0.2, 0.5), 1e-4),  # 2-D
                 lambda: baxter_apply(lambda xs: baxter_eigenfunction_batch((0.4, -0.4), xs, "lie"), (0.1, -0.1),
                                      -2.2j, "lie", 1e-6, psi_spectral=(0.4, -0.4)),  # 2-D
                 lambda: bump_friedberg_integral(0, (0.3,), (0.1,), -0.9j, 1e-8),  # 1-D
                 lambda: so_baxter_apply(-1.6j, (0.45,), (0.1,), 1e-2),  # 1-D
+                lambda: double_step_kernel((0.1, 0.2), (), (0.3, -0.3), 1e-6),  # 1-D
             ],
         }
-        for name, calls in expected.items():
+        for names, calls in expected.items():
             for call in calls:
                 used.clear()
                 call()
-                assert used == [name]
+                assert used == list(names)
 
 
 class TestStar:
     """The lattice contraction of a star: a centre variable and leaves, each
-    coupled to the centre by a wall of their difference."""
+    coupled to the centre by a wall of their difference, or to nothing."""
 
     W = 0.8  # the centre's phase
 
@@ -421,6 +431,26 @@ class TestStar:
         # differences: the factor values of the last step, each computed once.
         assert res.evaluations in [7 * (14 * 2**k + 1) - 2 for k in range(2, 8)]
         assert res == self._gaussian(tol, 10**6)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-13])
+    def test_leaves_without_walls_multiply_in(self, tol):
+        # Leaves with no wall couple to nothing, so their sums multiply in
+        # and they add only their own nodes to the count.  The product
+        # exp(-c^2 + i W c) exp(-a^2) exp(-2 b^2) integrates to
+        # pi^(3/2) exp(-W^2/4) / sqrt(2), in 3 n factor values on axes of n
+        # nodes; with the last leaf on the wall exp(-(c - b)^2) and
+        # exp(-b^2) instead, to pi^(3/2) exp(-W^2/6) / sqrt(3), in 3 n +
+        # 2 n - 1.
+        centre = lambda c: np.exp(-c * c + 1j * self.W * c)
+        free = (None, lambda u: np.exp(-u * u))
+        cases = [([free, (None, lambda u: np.exp(-2.0 * u * u))], math.exp(-self.W**2 / 4.0) / math.sqrt(2.0), 0),
+                 ([free, (lambda d: np.exp(-d * d), lambda u: np.exp(-u * u))],
+                  math.exp(-self.W**2 / 6.0) / math.sqrt(3.0), 1)]
+        for leaves, exact, walls in cases:
+            res = quadrature._integrate_star(centre, leaves, [(-7.0, 7.0)] * 3, tol, 10**6, (self.W, 0.0))
+            assert res.converged
+            assert abs(res.value - math.pi**1.5 * exact) <= res.abs_error <= tol
+            assert res.evaluations in [3 * n + walls * (2 * n - 1) for n in (14 * 2**k + 1 for k in range(2, 8))]
 
     def test_budget_exceeded_carries_the_partial_result(self):
         # Step 1/2 holds 201 values and step 1/4 397: under a cap of 300 the

@@ -10,7 +10,7 @@ import pytest
 from toda_whittaker import rankin_selberg
 from toda_whittaker.errors import ContourError, RankError, ShiftError
 from toda_whittaker.gl_whittaker import closed_form_gl2
-from toda_whittaker.numerics import _macdonald_grid
+from toda_whittaker.numerics import _macdonald_grid, macdonald_k
 from toda_whittaker.rankin_selberg import (
     barnes_gustafson_check,
     bump_friedberg_integral,
@@ -45,6 +45,23 @@ class TestKernelContraction:
         x_top, x_bot = (0.3, 0.0, -0.3), (0.1,)
         quad = double_step_kernel(x_top, x_bot, lam, 1e-6)
         assert abs(quad.value - stade_kernel(x_top, x_bot, lam)) < 1e-5
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+    def test_closed_form_has_the_bits_of_scalar_macdonald_calls(self, ell):
+        # Its ell Macdonald factors come from one grid call, and a sweep's
+        # rows from one call together: each value is the product, in order,
+        # of one scalar call per factor.
+        rng = np.random.default_rng(ell)
+        lam = tuple(rng.uniform(-2.0, 2.0, size=2) + [0.3j, 0.0])
+        bot = [float(v) for v in rng.uniform(-2.0, 2.0, size=ell - 1)]
+        tops = [[float(v) for v in rng.uniform(-2.0, 2.0, size=ell + 1)] for _ in range(4)]
+        for top, swept in zip(tops, rankin_selberg._stade_rows(tops, bot, lam)):
+            value = cmath.exp(0.5j * (lam[0] + lam[1]) * (sum(top) - sum(bot)))
+            for i in range(ell):
+                a_i = math.exp(top[i]) + (math.exp(bot[i - 1]) if i >= 1 else 0.0)
+                b_i = math.exp(-top[i + 1]) + (math.exp(-bot[i]) if i <= ell - 2 else 0.0)
+                value *= 2.0 * macdonald_k(1j * (lam[0] - lam[1]), 2.0 * math.sqrt(a_i * b_i))
+            assert stade_kernel(top, bot, lam) == swept == value
 
     def test_rank_validation(self):
         with pytest.raises(RankError):
